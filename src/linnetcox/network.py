@@ -4,8 +4,9 @@ A linear network is a finite collection of straight segments ("edges")
 glued at shared vertices, equipped with the shortest-path metric along the
 segments. This package restricts attention to networks without cycles
 (trees): several results used elsewhere (validity of exponential
-correlation, uniqueness of paths, exact sphere counts by traversal) hold
-only in that case, so cycles are rejected at construction time.
+correlation, uniqueness of paths, exact sphere counts from vertex
+degrees) hold only in that case, so cycles are rejected at construction
+time.
 
 Points live *on* the network: a :class:`NetworkPoint` is an edge id plus an
 offset (in micrometres) from the edge's start vertex. Points at a vertex
@@ -541,79 +542,57 @@ def _sphere_count_matrix(
     e_src: np.ndarray,
     o_src: np.ndarray,
     radii: np.ndarray,
-    chunk: int = 16,
 ) -> np.ndarray:
     """Exact sphere counts ``m(u_i, radii[i, j])`` for sources ``u_i``.
 
-    ``radii`` has one row per source. For each edge the distance to a
-    point at offset ``x`` is the lower envelope of the two routes through
-    the edge endpoints; a radius ``t`` crosses that envelope at most twice
-    (once if the crossings coincide at the apex). Crossings strictly
-    inside edges are counted per edge; vertices at distance exactly ``t``
-    are counted once each. The source's own edge is handled specially
-    because the envelope formula does not apply there.
-    """
-    D = net.vertex_distance_matrix
-    ES, ET, EL = net.edge_start, net.edge_end, net.edge_length
-    n = e_src.size
-    # Distance from each source to every vertex.
-    dv = np.minimum(
-        o_src[:, None] + D[ES[e_src]],
-        (EL[e_src] - o_src)[:, None] + D[ET[e_src]],
-    )
-    out = np.empty(radii.shape, dtype=np.int64)
-    for i0 in range(0, n, chunk):
-        sl = slice(i0, min(i0 + chunk, n))
-        dva = dv[sl][:, ES][:, :, None]          # (c, E, 1)
-        dvb = dv[sl][:, ET][:, :, None]
-        el = EL[None, :, None]
-        tmeet = 0.5 * (dva + dvb + el)
-        t = radii[sl][:, None, :]                # (c, 1, m)
-        via_a = (dva < t) & (t <= tmeet) & (t - dva < el)
-        via_b = (dvb < t) & (t <= tmeet) & (t - dvb < el)
-        coincide = via_a & via_b & (t == tmeet)
-        cnt = (
-            via_a.sum(axis=1, dtype=np.int64)
-            + via_b.sum(axis=1, dtype=np.int64)
-            - coincide.sum(axis=1, dtype=np.int64)
-        )
-        cnt += (dv[sl][:, :, None] == radii[sl][:, None, :]).sum(axis=1, dtype=np.int64)
+    ``radii`` has one row per source and must be nonnegative. Rooted at
+    ``u``, a tree's vertex ``w`` with ``d(u, w) < t`` ends the branch
+    arriving at it and starts ``deg(w) - 1`` new ones; the two directions
+    leaving ``u`` supply the starting 2 (a vertex source adds its own
+    ``deg - 2``). So ``m(u, 0) = 1`` and, for ``t > 0``,
+    ``m(u, t) = 2 + sum_w (deg(w) - 2) [d(u, w) < t]``: a vertex at
+    distance exactly ``t`` counts once, degree-2 vertices drop out.
 
-        # Replace the generic count on the source's own edge (the envelope
-        # formula assumes the source is off-edge) by the true one.
-        off = o_src[sl]
-        elo = EL[e_src[sl]]
-        inner = (off > 0.0) & (off < elo)
-        if inner.any():
-            idx = np.nonzero(inner)[0]
-            ts = radii[sl][idx]
-            o = off[idx][:, None]
-            ln = elo[idx][:, None]
-            g_a = (o < ts) & (ts <= ln) & (ts - o < ln)
-            g_b = (ln - o < ts) & (ts <= ln) & (ts - (ln - o) < ln)
-            g_both = g_a & g_b & (ts == ln)
-            generic = (
-                g_a.astype(np.int64) + g_b.astype(np.int64) - g_both.astype(np.int64)
-            )
-            true_own = np.where(
-                ts > 0.0,
-                (ts < o).astype(np.int64) + (ts < ln - o).astype(np.int64),
-                np.int64(1),
-            )
-            cnt[idx] += true_own - generic
-        out[sl] = cnt
+    Vertex distances come from :func:`pairwise_distances` on the
+    canonical vertex points, the arithmetic of the pair distances, so
+    ties agree bit for bit. One sort and one binary search per source:
+    O((V + m) log V).
+    """
+    keep = np.nonzero(net.degrees != 2)[0]
+    dv = pairwise_distances(
+        net,
+        (e_src, o_src),
+        (net._vertex_canon_edge[keep], net._vertex_canon_offset[keep]),
+    )
+    order = np.argsort(dv, axis=1)
+    dv = np.take_along_axis(dv, order, axis=1)
+    # cum[i, k] = 2 + the weights of the k nearest kept vertices.
+    steps = np.full((e_src.size, keep.size + 1), 2, dtype=np.int64)
+    steps[:, 1:] = net.degrees[keep][order] - 2
+    cum = np.cumsum(steps, axis=1)
+    out = np.empty(radii.shape, dtype=np.int64)
+    for i in range(e_src.size):
+        out[i] = cum[i, np.searchsorted(dv[i], radii[i], side="left")]
+    out[radii == 0.0] = 1
     return out
 
 
 def sphere_count(net: LinearNetwork, point: NetworkPoint, t) -> int | np.ndarray:
     """Number of network locations at distance exactly ``t`` from ``point``.
 
-    ``t`` may be a scalar or an array; counts are exact (computed by edge
-    traversal, not sampling). A leaf vertex hit exactly at distance ``t``
-    counts once.
+    ``t`` may be a scalar or an array of nonnegative finite radii. Counts
+    are exact: on a tree ``m(u, t) = 2 + sum_w (deg(w) - 2) [d(u, w) < t]``
+    for ``t > 0`` and ``m(u, 0) = 1``, evaluated with one sort of the
+    vertex distances and one binary search, O((V + m) log V) for ``m``
+    radii. A leaf vertex hit exactly at distance ``t`` counts once.
+
+    Raises :class:`ValidationError` if any radius is negative or not
+    finite.
     """
     e, o = _point_arrays(net, point)
     tt = np.asarray(t, dtype=np.float64)
+    if not (np.isfinite(tt) & (tt >= 0.0)).all():
+        raise ValidationError("t must be nonnegative and finite")
     m = _sphere_count_matrix(net, e, o, tt.reshape(1, -1))[0]
     if np.isscalar(t) or getattr(t, "ndim", 0) == 0:
         return int(m[0])

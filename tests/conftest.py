@@ -27,16 +27,25 @@ def y_net():
 def oracle_distances(net, points, to_vertices=False):
     """Shortest-path distances by explicit graph expansion.
 
-    Each query point is inserted as a temporary node splitting its edge;
-    distances then come from scipy's Dijkstra on the expanded graph,
+    Each query point strictly inside an edge is inserted as a temporary
+    node splitting it; a point at an edge end is the vertex node itself.
+    Distances then come from scipy's Dijkstra on the expanded graph,
     entirely independent of the package's own routing. With
     ``to_vertices`` the columns are the network vertices instead of the
     query points.
     """
     nv = len(net.vertices)
     per_edge = {i: [] for i in range(len(net.edges))}
+    node = np.empty(len(points), dtype=np.intp)
     for idx, (ei, off) in enumerate(points):
-        per_edge[int(ei)].append((float(off), nv + idx))
+        ei, off = int(ei), float(off)
+        if off == 0.0:
+            node[idx] = net.edge_start[ei]
+        elif off == net.edge_length[ei]:
+            node[idx] = net.edge_end[ei]
+        else:
+            node[idx] = nv + idx
+            per_edge[ei].append((off, nv + idx))
     rows, cols, data = [], [], []
     for ei in range(len(net.edges)):
         a = int(net.edge_start[ei])
@@ -48,10 +57,10 @@ def oracle_distances(net, points, to_vertices=False):
             data += [o2 - o1, o2 - o1]
     n = nv + len(points)
     graph = sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    full = csgraph.dijkstra(graph, directed=False, indices=np.arange(nv, n))
+    full = csgraph.dijkstra(graph, directed=False, indices=node)
     if to_vertices:
         return full[:, :nv]
-    return full[:, nv:]
+    return full[:, node]
 
 
 def random_points(net, n, rng):

@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
 
@@ -143,6 +144,7 @@ def test_criterion_04_poisson_limit(capsys):
     _verdict(4, body, capsys)
 
 
+@pytest.mark.slow
 def test_criterion_05_second_order_estimators_unbiased(capsys):
     def body():
         start = time.time()
@@ -166,6 +168,7 @@ def test_criterion_05_second_order_estimators_unbiased(capsys):
     _verdict(5, body, capsys)
 
 
+@pytest.mark.slow
 def test_criterion_06_thinning_moments(capsys):
     def body():
         start = time.time()
@@ -201,6 +204,7 @@ def test_criterion_06_thinning_moments(capsys):
     _verdict(6, body, capsys)
 
 
+@pytest.mark.slow
 def test_criterion_07_minimum_contrast_study(capsys):
     def body():
         start = time.time()
@@ -286,6 +290,7 @@ def test_criterion_08_composite_likelihood_machinery(capsys):
     _verdict(8, body, capsys)
 
 
+@pytest.mark.slow
 def test_criterion_09_envelope_calibration(capsys):
     def body():
         start = time.time()

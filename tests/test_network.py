@@ -22,6 +22,27 @@ from linnetcox.network import distance_matrix
 from conftest import oracle_distances, random_points
 
 
+def _chain_tree(seed):
+    """Random tree with string ids and degree-2 chains.
+
+    Lengths are continuous draws, so sums of them are rarely exact in
+    floating point (like the 0.1/0.2/0.7 path) and no two vertices lie at
+    the same distance from a point by chance.
+    """
+    rng = np.random.default_rng(seed)
+    vertices, edges = [Vertex("v00")], []
+    for _ in range(11):
+        parent = vertices[int(rng.integers(len(vertices)))].id
+        # Some attachments run through a chain of degree-2 vertices.
+        for _ in range(int(rng.integers(1, 4)) if rng.random() < 0.4 else 1):
+            vid = f"v{len(vertices):02d}"
+            vertices.append(Vertex(vid))
+            length = float(rng.uniform(0.1, 3.0))
+            edges.append(Edge(f"e{len(edges):02d}", parent, vid, length))
+            parent = vid
+    return LinearNetwork(vertices, edges)
+
+
 class TestValidation:
     def test_simple_path_measure(self):
         net = LinearNetwork(
@@ -297,35 +318,45 @@ class TestSphereCount:
         want = np.array([1, 2, 2, 1, 2, 2, 1, 0])
         assert_allclose(got, want)
 
+    def test_vertex_source_at_diameter_counts_far_leaf_once(self):
+        # 0.1 + 0.2 + 0.7 is not 1.0 in floating point.
+        net = LinearNetwork(
+            [Vertex(i) for i in range(4)],
+            [Edge(0, 0, 1, 0.1), Edge(1, 1, 2, 0.2), Edge(2, 2, 3, 0.7)],
+        )
+        u, v = net.point(0, 0.0), net.point(2, 0.7)
+        t = shortest_path_distance(net, u, v)
+        assert t == 0.9999999999999999
+        assert sphere_count(net, u, t) == 1
+        assert sphere_count(net, u, np.nextafter(t, 2.0)) == 0
+
+    @pytest.mark.parametrize("t", [-1.0, np.nan, np.inf, np.array([1.0, -0.5])])
+    def test_bad_radius_rejected(self, path10, t):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            sphere_count(path10, path10.point(0, 3.0), t)
+
     @staticmethod
     def _oracle_count(net, dv, own_edge, own_off, t):
-        """Level count from the piecewise-linear distance along each edge.
+        """Level count from the distance along each edge.
 
         ``dv`` holds oracle distances from the source to every vertex. On
-        a tree the distance restricted to an edge is a tent
-        ``min(da + s, db + (length - s))`` (a vee ``|s - o|`` on the
-        source's own edge); solutions of ``d = t`` are read off piece by
-        piece, with vertices and interior kinks hit exactly counted once.
+        a tree the distance along an edge that does not hold the source
+        runs monotonically from its near endpoint to its far one, so the
+        edge holds one solution of ``d = t`` iff ``near < t < far``; on the
+        source's own edge it is a vee ``|s - o|``. Vertices hit exactly
+        count once each.
         """
-        count = 0
+        count = int((dv == t).sum())
         for ei in range(len(net.edges)):
             da = dv[net.edge_start[ei]]
             db = dv[net.edge_end[ei]]
-            length = net.edge_length[ei]
             if ei == own_edge:
-                pieces = [(0.0, own_off, da, 0.0), (own_off, length, 0.0, db)]
-                if t == 0.0 and 0.0 < own_off < length:
+                if t == 0.0 and 0.0 < own_off < net.edge_length[ei]:
                     count += 1
+                count += int(0.0 < t < da) + int(0.0 < t < db)
             else:
-                s_star = min(max((db - da + length) / 2.0, 0.0), length)
-                peak = da + s_star
-                pieces = [(0.0, s_star, da, peak), (s_star, length, peak, db)]
-                if 0.0 < s_star < length and t == peak:
-                    count += 1
-            for s_lo, s_hi, d_lo, d_hi in pieces:
-                if s_hi > s_lo and min(d_lo, d_hi) < t < max(d_lo, d_hi):
-                    count += 1
-        return count + int((dv == t).sum())
+                count += int(min(da, db) < t < max(da, db))
+        return count
 
     def test_matches_piecewise_linear_oracle(self):
         for seed in (0, 1):
@@ -343,6 +374,39 @@ class TestSphereCount:
                         net, to_v[i], int(pat.edge_indices[i]), float(pat.offsets[i]), t
                     )
                     assert sphere_count(net, u, t) == want
+
+    def test_matches_oracle_at_vertex_ties(self):
+        # Each arithmetic is tested against its own distances: the package
+        # at its pair distances, the oracle at Dijkstra's. Every vertex is
+        # a point of the pattern, so radii land exactly on vertex and leaf
+        # distances in both.
+        for seed in range(4):
+            net = _chain_tree(seed)
+            rng = np.random.default_rng(seed)
+            pts = []
+            for w in net.vertices:
+                inc = net.incident_edges(w.id)
+                e = inc[int(rng.integers(len(inc)))]
+                pts.append((e.id, 0.0 if e.start == w.id else e.length))
+            for _ in range(6):
+                e = net.edges[int(rng.integers(net.n_edges))]
+                pts.append((e.id, float(rng.uniform(0.0, e.length))))
+            pat = PointPattern(net, pts)
+            pts = list(zip(pat.edge_indices, pat.offsets))
+            got_d = distance_matrix(pat)
+            want_d = oracle_distances(net, pts)
+            to_v = oracle_distances(net, pts, to_vertices=True)
+            for i in range(pat.n):
+                mid = np.unique(want_d[i])
+                mid = np.concatenate([(mid[:-1] + mid[1:]) / 2, [mid[-1] + 1.0]])
+                got = sphere_count(net, pat[i], np.concatenate([got_d[i], mid]))
+                want = [
+                    self._oracle_count(
+                        net, to_v[i], int(pat.edge_indices[i]), float(pat.offsets[i]), t
+                    )
+                    for t in np.concatenate([want_d[i], mid])
+                ]
+                assert got.tolist() == want
 
 
 class TestSphereCountPiecewise:

@@ -208,6 +208,19 @@ class TestKHat:
         curve = k_estimate(pat, intensity=0.2, r=r)
         assert_allclose(curve.values, [0.0, 0.0, 0.0, 2.5, 2.5, 2.5])
 
+    def test_vertex_pair_across_inexact_path(self):
+        # Edges 0.1, 0.2 and 0.7 put v3 at 0.9999999999999999 from v0, and
+        # only v3 lies that far: the sphere count is 1, so each ordered
+        # pair weighs 1 / rho**2.
+        net = LinearNetwork(
+            [Vertex(i) for i in range(4)],
+            [Edge(0, 0, 1, 0.1), Edge(1, 1, 2, 0.2), Edge(2, 2, 3, 0.7)],
+        )
+        rho = 2.0
+        pairs = second_order_pairs(PointPattern(net, [(0, 0.0), (2, 0.7)]), rho)
+        assert pairs.distances.tolist() == [0.9999999999999999] * 2
+        assert pairs.weights.tolist() == [1.0 / rho**2] * 2
+
     def test_single_point_zero(self, path10):
         curve = k_estimate(PointPattern(path10, [(0, 4.0)]), intensity=0.2)
         assert np.all(curve.values == 0.0)
