@@ -18,6 +18,7 @@ on each branch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -77,10 +78,11 @@ class CoxModel:
     rho_y_main, rho_y_side : float
         Driving Poisson intensities per branch type (before thinning).
     sigma2 : float
-        Thinning strength; must be positive. Small values make the model
-        indistinguishable from a Poisson process.
+        Thinning strength; must be positive and finite. Small values make
+        the model indistinguishable from a Poisson process.
     beta : float
-        Correlation decay rate of the underlying Gaussian fields; positive.
+        Correlation decay rate of the underlying Gaussian fields; positive
+        and finite.
     k : int
         Number of independent Gaussian fields, at least 1.
     """
@@ -94,10 +96,10 @@ class CoxModel:
     def __post_init__(self) -> None:
         if not (self.rho_y_main >= 0.0 and self.rho_y_side >= 0.0):
             raise ValidationError("driving intensities must be nonnegative")
-        if not self.sigma2 > 0.0:
-            raise ValidationError(f"sigma2 must be positive, got {self.sigma2}")
-        if not self.beta > 0.0:
-            raise ValidationError(f"beta must be positive, got {self.beta}")
+        if not 0.0 < self.sigma2 < math.inf:
+            raise ValidationError(f"sigma2 must be positive and finite, got {self.sigma2}")
+        if not 0.0 < self.beta < math.inf:
+            raise ValidationError(f"beta must be positive and finite, got {self.beta}")
         if not (isinstance(self.k, int) and self.k >= 1):
             raise ValidationError(f"k must be an integer >= 1, got {self.k}")
 

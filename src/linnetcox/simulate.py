@@ -10,9 +10,10 @@ Two evaluation modes are available. ``"exact"`` samples the fields jointly
 at the driving points themselves (no discretisation error). ``"grid"``
 samples the fields once on a lattice and assigns each driving point the
 value at its nearest lattice site — useful when the same field realisation
-must be reported or reused, and the classical approach when the field is
-expensive. Distances decide nearest sites; exact ties go to the site with
-the lowest edge id, then the lowest offset.
+must be reported or reused, as ``--save-pi`` does. Both draw the fields by
+sequential conditioning along the tree, without forming a matrix.
+Distances decide nearest sites; exact ties go to the site with the lowest
+edge id, then the lowest offset.
 
 All functions are deterministic given a seed: the same seed yields
 bit-identical output.
@@ -20,6 +21,7 @@ bit-identical output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +31,9 @@ from .models import CoxModel, IntensityModel
 from .network import (
     LinearNetwork,
     PointPattern,
-    _point_arrays,
     distance_matrix,
     lattice,
-    pairwise_distances,
+    pairwise_distances,  # noqa: F401  (perfbench/spans.py wraps it by this name)
 )
 
 __all__ = [
@@ -123,24 +124,128 @@ def simulate_poisson(net: LinearNetwork, intensity, seed=None) -> PointPattern:
     return PointPattern.from_indices(net, eidx, off)
 
 
-def _cholesky_with_jitter(corr: np.ndarray) -> np.ndarray:
-    mean_diag = float(np.mean(np.diag(corr))) if corr.shape[0] else 1.0
-    try:
-        return np.linalg.cholesky(corr)
-    except np.linalg.LinAlgError:
-        pass
-    jitter = 1e-10 * mean_diag
-    limit = 1e-4 * mean_diag
-    eye = np.eye(corr.shape[0])
-    while jitter <= limit * (1.0 + 1e-12):
-        try:
-            return np.linalg.cholesky(corr + jitter * eye)
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
-    raise NumericalError(
-        "correlation matrix is not positive definite even with jitter "
-        f"up to {limit:g}"
+def _conditional_draw(net, ue, uo, beta, z) -> np.ndarray:
+    """``L @ z`` for the Cholesky factor ``L`` of ``exp(-beta * d)`` on the
+    distinct canonical sites ``(ue, uo)``, sorted by edge index then
+    offset, without forming ``L``.
+
+    Row ``i`` of a Cholesky draw is ``X_i = E[X_i | X_<i] + sd_i * z_i``.
+    The field is Markov along the tree, so given the sites drawn so far a
+    site on edge ``e`` depends only on two Gaussian messages: from the
+    previous site on ``e`` (or what reaches ``e``'s start vertex from
+    outside ``e``), and what reaches ``e``'s end vertex from outside
+    ``e``. A message N(m, v) carried a distance ``d`` becomes
+    N(rho * m, rho**2 * v + 1 - rho**2) with ``rho = exp(-beta * d)``;
+    messages meeting at a vertex combine by adding precisions in excess of
+    the unit prior.
+    """
+    ne, length = net.n_edges, net.edge_length
+    start, end = net.edge_start.tolist(), net.edge_end.tolist()
+    incident = net._incident
+    lo = np.searchsorted(ue, np.arange(ne + 1))  # edge f's sites: lo[f]:lo[f+1]
+    below = np.where(lo[1:] > lo[:-1], np.arange(ne), ne)
+    lo = lo.tolist()
+    tiny = np.finfo(np.float64).tiny
+    underflow = NumericalError(
+        f"conditional variance underflowed to 0 (beta={beta:g} is too small "
+        "for the distances between sites)"
     )
+
+    def far(f, w):
+        return end[f] if start[f] == w else start[f]
+
+    def carry(m, v, d):
+        rho = math.exp(-beta * d)
+        return rho * m, rho * rho * v - math.expm1(-2.0 * beta * d)
+
+    # Root the tree at edge 0's start. below[f] is the lowest index of an
+    # edge with sites among f and everything beyond it away from the root.
+    parent = {start[0]: -1}
+    order = [start[0]]
+    for w in order:
+        for f in incident[w]:
+            if f != parent[w]:
+                parent[far(f, w)] = f
+                order.append(far(f, w))
+    for u in reversed(order[1:]):
+        up = parent[far(parent[u], u)]
+        if up >= 0:
+            below[up] = min(below[up], below[parent[u]])
+    below = below.tolist()
+
+    def drawn(f, cur):
+        return f < cur and lo[f] < lo[f + 1]
+
+    def silent(w, f, cur):
+        # Nothing is drawn yet beyond w's child edge f: it sends the prior.
+        return parent[w] != f and below[f] >= cur
+
+    x = np.empty_like(z)
+    known = {}  # vertex -> drawn value, once its canonical site is drawn
+
+    def outside(w0, skip, cur):
+        """N(mean, var) at vertex w0 given the drawn sites beyond every
+        incident edge but ``skip``. Iterative: paths may be long."""
+        walk, stack = [], [(w0, skip)]
+        while stack:
+            w, via = stack.pop()
+            walk.append((w, via))
+            if w in known:
+                continue
+            for f in incident[w]:
+                if f != via and not silent(w, f, cur) and not drawn(f, cur):
+                    stack.append((far(f, w), f))
+        msg = {}
+        for w, via in reversed(walk):
+            if w in known:
+                msg[w] = (known[w], 0.0)
+                continue
+            prec, eta = 1.0, np.zeros(z.shape[1])
+            for f in incident[w]:
+                if f == via or silent(w, f, cur):
+                    continue
+                if drawn(f, cur):
+                    # f's site nearest to w screens the rest of the branch.
+                    at_start = start[f] == w
+                    j = lo[f] if at_start else lo[f + 1] - 1
+                    mean, var = carry(x[j], 0.0, uo[j] if at_start else length[f] - uo[j])
+                else:
+                    mean, var = carry(*msg[far(f, w)], length[f])
+                if not var >= tiny:
+                    raise underflow
+                prec += 1.0 / var - 1.0
+                eta = eta + mean / var
+            msg[w] = (eta / prec, 1.0 / prec)
+        return msg[w0]
+
+    for e in range(ne):
+        if lo[e] == lo[e + 1]:
+            continue
+        m_s, v_s = outside(start[e], e, e)
+        m_t, v_t = outside(end[e], e, e)
+        o = uo[lo[e]:lo[e + 1]]
+        # Left: the previous site, or the start vertex for the first.
+        d_l = np.diff(o, prepend=0.0)
+        rho_l = np.exp(-beta * d_l)
+        v_l = -np.expm1(-2.0 * beta * d_l)
+        v_l[0] += rho_l[0] ** 2 * v_s
+        # Right: the end vertex, seen from outside e.
+        d_r = length[e] - o
+        rho_r = np.exp(-beta * d_r)
+        v_r = rho_r**2 * v_t - np.expm1(-2.0 * beta * d_r)
+        if not min(v_l.min(), v_r.min()) >= tiny:
+            raise underflow
+        tau = 1.0 / v_l + 1.0 / v_r - 1.0
+        a = rho_l / (v_l * tau)
+        b = np.outer(rho_r / (v_r * tau), m_t) + z[lo[e]:lo[e + 1]] / np.sqrt(tau)[:, None]
+        prev = m_s
+        for i in range(o.size):
+            prev = x[lo[e] + i] = a[i] * prev + b[i]
+        if o[0] == 0.0:
+            known[start[e]] = x[lo[e]]
+        if o[-1] == length[e]:
+            known[end[e]] = x[lo[e + 1] - 1]
+    return x
 
 
 def _grf_values(net, eidx, off, beta, k, rng) -> np.ndarray:
@@ -148,16 +253,14 @@ def _grf_values(net, eidx, off, beta, k, rng) -> np.ndarray:
     n = eidx.size
     if n == 0:
         return np.empty((k, 0))
-    # Exactly coincident canonical sites must receive exactly equal values,
-    # so factor the correlation on unique sites only.
+    # Sites are canonical, so coincident sites are equal pairs: draw once
+    # per distinct location, in (edge index, offset) order.
     stacked = np.stack([eidx.astype(np.float64), off])
     uniq, inverse = np.unique(stacked, axis=1, return_inverse=True)
     ue = uniq[0].astype(np.intp)
     uo = uniq[1]
-    dist = pairwise_distances(net, (ue, uo))
-    chol = _cholesky_with_jitter(np.exp(-beta * dist))
     z = rng.standard_normal((ue.size, k))
-    unique_vals = chol @ z                      # (n_unique, k)
+    unique_vals = _conditional_draw(net, ue, uo, beta, z)  # (n_unique, k)
     return unique_vals[np.asarray(inverse).ravel(), :].T
 
 
@@ -165,13 +268,20 @@ def sample_grf(net: LinearNetwork, sites, beta: float, k: int = 1, seed=None) ->
     """Sample ``k`` independent unit-variance Gaussian fields at ``sites``.
 
     The fields have correlation ``exp(-beta * d(u, v))`` in the
-    shortest-path metric, which is a valid correlation on trees. The joint
-    draw uses a Cholesky factor of the correlation matrix; if that factor
-    fails numerically, a diagonal jitter is escalated from ``1e-10`` to
-    ``1e-4`` times the mean diagonal before giving up.
+    shortest-path metric, which is a valid correlation on trees because
+    the field is Markov along the tree. The draw is ``L @ z`` for the
+    Cholesky factor ``L`` of that correlation on the distinct sites in
+    (edge index, offset) order and standard normals ``z``, computed one
+    site at a time by conditioning on the sites already drawn: two
+    Gaussian messages per site, passed along the tree from the nearest
+    drawn sites. No matrix is formed; the cost is linear in the number of
+    sites plus the tree walked between them, and memory is linear.
+
+    Raises :class:`NumericalError` when ``beta`` times a distance between
+    sites is so small that a conditional variance underflows to 0.
     """
-    if not beta > 0:
-        raise ValidationError(f"beta must be positive, got {beta}")
+    if not 0.0 < beta < math.inf:
+        raise ValidationError(f"beta must be positive and finite, got {beta}")
     if not (isinstance(k, int) and k >= 1):
         raise ValidationError(f"k must be an integer >= 1, got {k}")
     pat = sites if isinstance(sites, PointPattern) else PointPattern(net, sites)
@@ -186,8 +296,8 @@ def retention_field(grf, sigma2: float) -> np.ndarray:
     ``grf`` is a :class:`GRFSample` or a raw ``(k, n)`` value array. The
     result lies in ``(0, 1]`` with mean ``(1 + sigma2) ** (-k/2)``.
     """
-    if not sigma2 > 0:
-        raise ValidationError(f"sigma2 must be positive, got {sigma2}")
+    if not 0.0 < sigma2 < math.inf:
+        raise ValidationError(f"sigma2 must be positive and finite, got {sigma2}")
     values = grf.values if isinstance(grf, GRFSample) else np.asarray(grf)
     return np.exp(-0.5 * sigma2 * (values**2).sum(axis=0))
 
@@ -201,6 +311,42 @@ def _sorted_lattice_arrays(net, spacing):
     ranks = np.array([id_rank[net.edges[i].id] for i in e])
     order = np.lexsort((o, ranks))
     return e[order], o[order]
+
+
+def _nearest_sites(net, e, o, se, so) -> np.ndarray:
+    """Position in the sorted lattice ``(se, so)`` of each point's nearest
+    site.
+
+    Both ends of a point's edge are lattice sites, and on a tree every
+    other site lies beyond one of them, so the nearest site is on the
+    point's own edge: one sorted search over that edge's site offsets.
+    Distances are the differences of offsets that
+    :func:`pairwise_distances` takes, and ties go to the earlier position
+    (lowest edge id, then lowest offset), as ``argmin`` over all sites
+    would.
+    """
+    ne = net.n_edges
+    by_edge = np.argsort(se, kind="stable")
+    sb = np.searchsorted(se[by_edge], np.arange(ne + 1))
+    ce, co = net._vertex_canon_edge, net._vertex_canon_offset
+    vertex_pos = np.where(co == 0.0, by_edge[sb[ce]], by_edge[sb[ce + 1] - 1])
+    pt_order = np.argsort(e, kind="stable")
+    pb = np.searchsorted(e[pt_order], np.arange(ne + 1))
+    nearest = np.empty(e.size, dtype=np.intp)
+    for f in np.nonzero(pb[1:] > pb[:-1])[0]:
+        pos = by_edge[sb[f]:sb[f + 1]]
+        cand = so[pos]
+        s, t = net.edge_start[f], net.edge_end[f]
+        if ce[s] != f:
+            pos, cand = np.r_[vertex_pos[s], pos], np.r_[0.0, cand]
+        if ce[t] != f:
+            pos, cand = np.r_[pos, vertex_pos[t]], np.r_[cand, net.edge_length[f]]
+        idx = pt_order[pb[f]:pb[f + 1]]
+        j = np.clip(np.searchsorted(cand, o[idx]), 1, cand.size - 1)
+        d_lo, d_hi = o[idx] - cand[j - 1], cand[j] - o[idx]
+        take_lo = (d_lo < d_hi) | ((d_lo == d_hi) & (pos[j - 1] < pos[j]))
+        nearest[idx] = np.where(take_lo, pos[j - 1], pos[j])
+    return nearest
 
 
 def simulate_cox(
@@ -237,11 +383,7 @@ def simulate_cox(
         values = _grf_values(net, se, so, model.beta, model.k, rng)
         site_pi = retention_field(values, model.sigma2)
         sites = PointPattern.from_indices(net, se, so)
-        if driving.n:
-            nearest = pairwise_distances(net, (e, o), (se, so)).argmin(axis=1)
-            pi = site_pi[nearest]
-        else:
-            pi = np.empty(0)
+        pi = site_pi[_nearest_sites(net, e, o, se, so)]
 
     keep = pi >= rng.random(driving.n)
     pattern = PointPattern.from_indices(net, e[keep], o[keep])

@@ -69,3 +69,19 @@ def random_points(net, n, rng):
     eidx = rng.choice(len(net.edges), size=n, p=weights)
     off = rng.uniform(0.0, net.edge_length[eidx])
     return eidx.astype(np.intp), off
+
+
+def dense_grf_values(net, eidx, off, beta, k, rng):
+    """Gaussian fields by a dense Cholesky factor, shape (k, n).
+
+    The draw the sequential tree sampler must reproduce: ``L @ z`` for
+    ``L = cholesky(exp(-beta * d))`` on the distinct sites in
+    (edge index, offset) order, ``z = rng.standard_normal((n_unique, k))``,
+    with ``d`` from :func:`oracle_distances`.
+    """
+    stacked = np.stack([np.asarray(eidx, dtype=np.float64), off])
+    uniq, inverse = np.unique(stacked, axis=1, return_inverse=True)
+    sites = list(zip(uniq[0].astype(np.intp), uniq[1]))
+    chol = np.linalg.cholesky(np.exp(-beta * oracle_distances(net, sites)))
+    z = rng.standard_normal((len(sites), k))
+    return (chol @ z)[np.asarray(inverse).ravel()].T

@@ -135,6 +135,26 @@ class TestSimulate:
         assert rc == 2
         assert "grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, status",
+        [
+            (["--sigma2", "5", "--beta", "inf"], 2),
+            (["--sigma2", "inf", "--beta", "0.1"], 2),
+            (["--sigma2", "5", "--beta", "1e-320"], 3),
+        ],
+    )
+    def test_bad_field_parameters_exit_cleanly(
+        self, tmp_path, dendrite_file, capsys, flags, status
+    ):
+        rc = run(
+            "simulate-cox", "--net", dendrite_file, "--rho-ym", "0.8", *flags,
+            "--out", tmp_path / "x",
+        )
+        assert rc == status
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x" / "pattern_0000.csv").exists()
+
     def test_save_pi_grid_format(self, tmp_path, dendrite_file):
         out = tmp_path / "grid"
         rc = run(

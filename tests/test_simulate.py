@@ -1,12 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
+from conftest import dense_grf_values, random_points
 from linnetcox import (
     CoxModel,
     IntensityModel,
     LinearNetwork,
+    NumericalError,
     PointPattern,
     ValidationError,
     Vertex,
@@ -21,6 +25,7 @@ from linnetcox import (
     spawn_generators,
 )
 from linnetcox.network import distance_matrix
+from linnetcox.simulate import _grf_values, _nearest_sites, _sorted_lattice_arrays
 
 
 @pytest.fixture(scope="module")
@@ -283,3 +288,184 @@ class TestMaternThin:
     def test_empty_and_singleton(self, path10):
         assert matern_thin(PointPattern(path10, []), 1.0).n == 0
         assert matern_thin(PointPattern(path10, [(0, 5.0)]), 1.0).n == 1
+
+
+def _shuffled_string_tree():
+    """A random tree whose edge ids are strings in an order unrelated to
+    the edge index, with some edges pointing towards the root."""
+    base = make_network("random-tree", seed=3, edges=40)
+    rng = np.random.default_rng(1)
+    edges = []
+    for i in rng.permutation(base.n_edges):
+        e = base.edges[i]
+        a, b = (e.start, e.end) if rng.random() < 0.5 else (e.end, e.start)
+        edges.append(Edge(f"s{int(rng.integers(100)):02d}-{i}", a, b, e.length, e.branch))
+    return LinearNetwork(base.vertices, edges)
+
+
+@pytest.fixture(scope="module")
+def grf_networks(dendrite):
+    y = LinearNetwork(
+        [Vertex("O"), Vertex("A"), Vertex("B"), Vertex("C")],
+        [Edge(0, "O", "A", 3.0), Edge(1, "O", "B", 4.0, "side"), Edge(2, "O", "C", 5.0, "side")],
+    )
+    return {
+        "y": y,
+        "dendrite": dendrite,
+        "tree200": make_network("random-tree", seed=2, edges=200),
+        "strings": _shuffled_string_tree(),
+    }
+
+
+def _sites_with_vertices(net, n, rng):
+    """Random sites, every vertex (on each incident edge), and duplicates."""
+    e, o = random_points(net, n, rng)
+    every_edge = np.arange(net.n_edges)
+    e = np.r_[e, every_edge, every_edge, e[:20]]
+    o = np.r_[o, np.zeros(net.n_edges), net.edge_length, o[:20]]
+    pat = PointPattern.from_indices(net, e, o)
+    return pat.edge_indices, pat.offsets
+
+
+class TestTreeConditionalDraw:
+    """The sequential tree sampler is the dense Cholesky draw itself."""
+
+    @pytest.mark.parametrize("name", ["y", "dendrite", "tree200", "strings"])
+    @pytest.mark.parametrize("beta", [0.02, 0.1, 1.0])
+    def test_matches_dense_cholesky(self, grf_networks, name, beta):
+        net = grf_networks[name]
+        e, o = _sites_with_vertices(net, 60 if name == "y" else 500, np.random.default_rng(4))
+        got = _grf_values(net, e, o, beta, 2, np.random.default_rng(9))
+        want = dense_grf_values(net, e, o, beta, 2, np.random.default_rng(9))
+        assert got.shape == (2, e.size)
+        assert np.abs(got - want).max() < 1e-10
+
+    def test_coincident_vertex_sites_share_values(self, grf_networks):
+        net = grf_networks["strings"]
+        e, o = _sites_with_vertices(net, 50, np.random.default_rng(5))
+        values = _grf_values(net, e, o, 0.3, 1, np.random.default_rng(0))[0]
+        for ei, oi in zip(e, o):
+            same = (e == ei) & (o == oi)
+            assert np.all(values[same] == values[same][0])
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_long_path_iterates(self, reverse):
+        # 1500 edges; sites only near both ends, so every message crosses
+        # the whole empty middle (deeper than the recursion limit)
+        n = 1500
+        edges = [
+            Edge(i, n - i, n - i - 1, 1.0) if reverse else Edge(i, i, i + 1, 1.0)
+            for i in range(n)
+        ]
+        net = LinearNetwork([Vertex(i) for i in range(n + 1)], edges)
+        pat = PointPattern.from_indices(
+            net,
+            np.array([0, 1, 2, n - 3, n - 2, n - 1, 0, n - 1]),
+            np.array([0.3, 0.5, 0.9, 0.2, 0.4, 0.7, 0.0, 1.0]),
+        )
+        e, o = pat.edge_indices, pat.offsets
+        for beta in (1e-3, 1e-2):
+            got = _grf_values(net, e, o, beta, 2, np.random.default_rng(3))
+            want = dense_grf_values(net, e, o, beta, 2, np.random.default_rng(3))
+            assert np.abs(got - want).max() < 1e-10
+
+    def test_near_coincident_sites_get_the_exact_draw(self, path10):
+        # 200 sites within 1e-10: a dense factor needs diagonal jitter
+        # here. On one edge with nothing else drawn, the draw is the
+        # Ornstein-Uhlenbeck recurrence X_i = rho_i X_(i-1) + sqrt(1 - rho_i^2) z_i.
+        beta = 1e-3
+        offs = 5.0 + np.linspace(0, 1e-10, 200)
+        e = np.zeros(offs.size, dtype=np.intp)
+        got = _grf_values(path10, e, offs, beta, 1, np.random.default_rng(0))[0]
+        z = np.random.default_rng(0).standard_normal(offs.size)
+        gaps = np.diff(offs)
+        rho, sd = np.exp(-beta * gaps), np.sqrt(-np.expm1(-2 * beta * gaps))
+        want = np.empty_like(z)
+        want[0] = z[0]
+        for i in range(1, z.size):
+            want[i] = rho[i - 1] * want[i - 1] + sd[i - 1] * z[i]
+        assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert 0 < np.ptp(got) < 1e-5
+
+    def test_simulate_cox_is_the_dense_pattern(self, dendrite):
+        # simulate_cox consumes its stream as: driving points, normals, marks
+        model = CoxModel(2.4, 1.2, 5.0, 0.1, k=2)
+        for seed in range(5):
+            sample = simulate_cox(dendrite, model, seed=seed)
+            rng = np.random.default_rng(seed)
+            driving = simulate_poisson(dendrite, model.driving_intensity(), rng)
+            e, o = driving.edge_indices, driving.offsets
+            pi = retention_field(dense_grf_values(dendrite, e, o, model.beta, model.k, rng),
+                                 model.sigma2)
+            keep = pi >= rng.random(driving.n)
+            assert np.array_equal(sample.pattern.edge_indices, e[keep])
+            assert np.array_equal(sample.pattern.offsets, o[keep])
+            assert np.abs(sample.retention - pi).max() < 1e-10
+
+    def test_underflowing_variance_raises_numerical_error(self, y_net):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="underflow"):
+                sample_grf(y_net, [(0, 1.0), (1, 2.0), (2, 4.5)], beta=1e-320, seed=0)
+            for mode in ("exact", "grid"):
+                with pytest.raises(NumericalError, match="underflow"):
+                    simulate_cox(y_net, CoxModel(5.0, 5.0, 1.0, 1e-320), mode=mode, seed=0)
+
+    def test_non_finite_parameters_rejected(self, y_net):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValidationError, match="finite"):
+                CoxModel(1.0, 1.0, 1.0, bad)
+            with pytest.raises(ValidationError, match="finite"):
+                CoxModel(1.0, 1.0, bad, 0.1)
+            with pytest.raises(ValidationError, match="finite"):
+                sample_grf(y_net, [(0, 1.0)], beta=bad)
+            with pytest.raises(ValidationError, match="finite"):
+                retention_field(np.zeros((1, 3)), bad)
+
+
+class TestGridNearestSite:
+    """Per-edge search picks what argmin over every lattice site picks."""
+
+    @staticmethod
+    def _queries(net, se, so, rng):
+        e, o = [], []
+        for f in range(net.n_edges):
+            cuts = np.unique(np.r_[0.0, so[se == f], net.edge_length[f]])
+            mids = (cuts[1:] + cuts[:-1]) / 2
+            e += [f] * mids.size
+            o += list(mids)
+        re, ro = random_points(net, 500, rng)
+        every_edge = np.arange(net.n_edges)
+        e = np.r_[e, every_edge, every_edge, re]
+        o = np.r_[o, np.zeros(net.n_edges), net.edge_length, ro]
+        pat = PointPattern.from_indices(net, e, o)
+        return pat.edge_indices, pat.offsets
+
+    @pytest.mark.parametrize("name", ["y", "dendrite", "tree200", "strings"])
+    @pytest.mark.parametrize("spacing", [1.0, 0.37, 2.5])
+    def test_equals_argmin(self, grf_networks, name, spacing):
+        net = grf_networks[name]
+        se, so = _sorted_lattice_arrays(net, spacing)
+        e, o = self._queries(net, se, so, np.random.default_rng(6))
+        dist = pairwise_distances(net, (e, o), (se, so))
+        want = dist.argmin(axis=1)
+        assert np.array_equal(_nearest_sites(net, e, o, se, so), want)
+
+    def test_midpoint_ties_go_to_the_earlier_site(self, grf_networks):
+        net = grf_networks["dendrite"]
+        se, so = _sorted_lattice_arrays(net, 1.0)
+        e, o = self._queries(net, se, so, np.random.default_rng(7))
+        dist = pairwise_distances(net, (e, o), (se, so))
+        tied = (dist == dist.min(axis=1, keepdims=True)).sum(axis=1) > 1
+        assert tied.sum() > 50
+        got = _nearest_sites(net, e[tied], o[tied], se, so)
+        assert np.array_equal(got, dist[tied].argmin(axis=1))
+
+    def test_grid_retention_is_nearest_site_retention(self, dendrite):
+        sample = simulate_cox(dendrite, CoxModel(2.0, 2.0, 5.0, 0.1), mode="grid", seed=12)
+        nearest = pairwise_distances(dendrite, sample.driving, sample.sites).argmin(axis=1)
+        assert np.array_equal(sample.retention, sample.site_retention[nearest])
+
+    def test_no_driving_points(self, y_net):
+        sample = simulate_cox(y_net, CoxModel(0.0, 0.0, 1.0, 0.5), mode="grid", seed=1)
+        assert sample.driving.n == 0 and sample.retention.shape == (0,)
