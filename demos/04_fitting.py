@@ -49,14 +49,7 @@ def main():
 
     # the score equations have a spurious root at sigma2 -> 0, so start
     # the search from the minimum-contrast estimate rather than far away
-    cl2 = cl2_fit(
-        pattern,
-        config=Cl2Config(
-            samples_per_pair=200,
-            mc_seed=1,
-            start=(fits["g"].sigma2, fits["g"].beta),
-        ),
-    )
+    cl2 = cl2_fit(pattern, config=Cl2Config(start=(fits["g"].sigma2, fits["g"].beta)))
     print(f"cl2:   sigma2={cl2.sigma2:6.2f}  beta={cl2.beta:.3f}  "
           f"score norm at optimum {np.linalg.norm(cl2.score):.2e}\n")
 

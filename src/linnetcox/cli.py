@@ -37,6 +37,7 @@ from .estimation import (
     two_step_fit,
 )
 from .io import (
+    _load_json,
     atomic_write,
     load_fit,
     load_network,
@@ -51,13 +52,21 @@ from .io import (
 )
 from .models import CoxModel, IntensityModel
 from .simulate import simulate_cox, simulate_poisson, spawn_generators
+# k_estimate and g_estimate are not called here; they stay importable from
+# this module for tools that wrap the CLI's bindings by name.
 from .summaries import (
     FgjConfig,
+    SummaryCurve,
+    default_r_grid,
     fgj_estimates,
     fit_intensity_mle,
     g_estimate,
+    g_from_pairs,
     k_estimate,
+    k_from_pairs,
     kernel_intensity,
+    _pattern_bandwidth,
+    second_order_pairs,
 )
 from .templates import TEMPLATES, make_network
 
@@ -71,14 +80,21 @@ def _bool_env(raw: str) -> bool:
 
 
 def _add(parser, *flags, **kw):
-    """``add_argument`` with an ``LINNETCOX_<DEST>`` environment fallback."""
+    """``add_argument`` with a type- and choice-checked ``LINNETCOX_<DEST>`` fallback."""
     dest = kw.get("dest") or max(flags, key=len).lstrip("-").replace("-", "_")
-    raw = os.environ.get(ENV_PREFIX + dest.upper())
+    name = ENV_PREFIX + dest.upper()
+    raw = os.environ.get(name)
     if raw is not None:
         if kw.get("action") == "store_true":
             kw["default"] = _bool_env(raw)
         else:
-            kw["default"] = kw.get("type", str)(raw)
+            try:
+                kw["default"] = kw.get("type", str)(raw)
+            except ValueError:
+                raise ValidationError(f"{name}={raw!r} is not a valid {dest} value") from None
+            choices = kw.get("choices")
+            if choices is not None and kw["default"] not in choices:
+                raise ValidationError(f"{name}={raw!r}: choose from {', '.join(choices)}")
         kw.pop("required", None)
     parser.add_argument(*flags, **kw)
 
@@ -189,22 +205,11 @@ def _cmd_simulate_cox(args, argv) -> None:
 
 
 def _fit_config(args):
-    if args.method in ("mce-g", "mce-k"):
-        return MinContrastConfig(
-            target="g" if args.method == "mce-g" else "K",
-            r_min=args.rl,
-            r_max=args.ru,
-            power=args.p,
-            bandwidth=args.bandwidth,
-        )
-    return Cl2Config(
-        weight=args.weight,
-        r0=args.r0,
-        epsilon=args.epsilon,
-        samples_per_pair=args.samples,
-        search=args.search,
-        mc_seed=args.mc_seed,
-    )
+    if args.method == "cl2":
+        cfg = {"weight": args.weight, "r0": args.r0, "epsilon": args.epsilon, "search": args.search}
+    else:
+        cfg = {"r_min": args.rl, "r_max": args.ru, "power": args.p, "bandwidth": args.bandwidth}
+    return _study_method_config(args.method, cfg)
 
 
 def _cmd_fit(args, argv) -> None:
@@ -214,20 +219,11 @@ def _cmd_fit(args, argv) -> None:
     if args.method in ("mce-g", "mce-k"):
         fit = two_step_fit(pattern, k=args.k, config=config)
     else:
-        intensity = fit_intensity_mle(pattern)
         res = cl2_fit(pattern, k=args.k, config=config)
-        scale = (1.0 + res.sigma2) ** (args.k / 2.0)
-        fit = FitResult(
-            rho_main=intensity.main,
-            rho_side=intensity.side,
-            sigma2=res.sigma2,
-            beta=res.beta,
-            k=args.k,
-            rho_y_main=intensity.main * scale,
-            rho_y_side=intensity.side * scale,
-            objective=res.score_norm,
-            converged=res.converged and not bool(res.on_boundary),
-            method="cl2",
+        converged = res.converged and not bool(res.on_boundary)
+        fit = FitResult.from_observed(
+            fit_intensity_mle(pattern), res.sigma2, res.beta, args.k, res.score_norm, converged,
+            "cl2",
         )
     save_fit(fit, args.out)
     _manifest(args, argv, args.out)
@@ -246,18 +242,24 @@ def _cmd_summaries(args, argv) -> None:
         raise ValidationError(f"--which takes a comma list from {sorted(known)}, got {args.which!r}")
     r = _parse_rgrid(args.rgrid) if args.rgrid else None
     intensity = fit_intensity_mle(pattern)
-    curves = []
-    for w in which:
-        if w == "K":
-            curves.append(k_estimate(pattern, intensity, r))
-        elif w == "g":
-            curves.append(g_estimate(pattern, intensity, r, bandwidth=args.bandwidth))
+    curves = {}
+    if {"K", "g"} & set(which):
+        # one set of pair data serves both curves
+        grid = default_r_grid(net) if r is None else r
+        pairs = second_order_pairs(pattern, intensity)
+        defined = np.ones(grid.shape, dtype=bool)
+        if "K" in which:
+            curves["K"] = SummaryCurve("K", grid, k_from_pairs(pairs, grid), defined)
+        if "g" in which:
+            bw = args.bandwidth
+            if bw is None:
+                bw = _pattern_bandwidth(pattern, intensity)
+            curves["g"] = SummaryCurve("g", grid, g_from_pairs(pairs, grid, bw), defined)
     if {"F", "G", "J"} & set(which):
         fgj = fgj_estimates(pattern, FgjConfig(lattice_spacing=args.spacing), r)
-        for w in which:
-            if w in ("F", "G", "J"):
-                curves.append(getattr(fgj, w))
-    save_curves(curves, args.out)
+        curves.update(F=fgj.F, G=fgj.G, J=fgj.J)
+    # K and g first, then F, G and J, each group in the order asked for
+    save_curves([curves[w] for w in sorted(which, key=lambda w: w in ("F", "G", "J"))], args.out)
     _manifest(args, argv, args.out)
 
 
@@ -322,12 +324,7 @@ def _study_method_config(method: str, cfg: dict):
 
 def _cmd_simstudy(args, argv) -> None:
     design_path = Path(args.design)
-    if not design_path.exists():
-        raise ValidationError(f"design file not found: {design_path}")
-    try:
-        design = json.loads(design_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"design file {design_path} is not valid JSON: {exc}") from None
+    design = _load_json(design_path, "design")
     if not isinstance(design, list) or not design:
         raise ValidationError("design file must hold a non-empty list of runs")
     runs = []
@@ -420,9 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "--weight", choices=["fixed", "indicator", "smooth"], default="smooth")
     _add(p, "--r0", type=float, default=None, help="range of the fixed weight")
     _add(p, "--epsilon", type=float, default=0.01)
-    _add(p, "--samples", type=int, default=200, help="Monte Carlo samples per segment pair")
     _add(p, "--search", choices=["nelder-mead", "grid"], default="nelder-mead")
-    _add(p, "--mc-seed", type=int, default=0)
     _add(p, "--out", type=Path, default=Path("fit.json"))
     p.set_defaults(func=_cmd_fit)
 
@@ -470,13 +465,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=getattr(logging, args.log_level.upper(), logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
+        args = build_parser().parse_args(argv)  # LINNETCOX_* values are checked here
+        logging.basicConfig(
+            level=getattr(logging, args.log_level.upper(), logging.WARNING),
+            format="%(levelname)s %(name)s: %(message)s",
+        )
         args.func(args, argv)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,8 +10,10 @@ plugged in, either by
   correlation) raised to a power ``p`` and its model counterpart, or
 * **composite likelihood**: solve the estimating equation given by the
   gradient of a second-order composite likelihood, where each point pair
-  is weighted by a fixed-range or adaptive weight and the normalising
-  double integral is computed by Monte Carlo over segment pairs.
+  is weighted by a fixed-range or adaptive weight. The normalising double
+  integral over all point pairs of the network is a one-dimensional
+  integral against the intensity-weighted pair-distance density, which
+  on a tree is piecewise linear and built exactly once per pattern.
 
 Optimisation runs in ``log(sigma2), log(beta)`` space, which enforces
 positivity without constraints. Driving intensities of the fitted Cox
@@ -129,6 +131,16 @@ class FitResult:
     converged: bool
     method: str
 
+    @classmethod
+    def from_observed(
+        cls, intensity: IntensityModel, sigma2: float, beta: float, k: int, objective: float,
+        converged: bool, method: str,
+    ) -> "FitResult":
+        """Plug-in intensities and estimates, with the driving intensities they imply."""
+        scale = (1.0 + sigma2) ** (k / 2.0)
+        return cls(intensity.main, intensity.side, sigma2, beta, k, intensity.main * scale,
+                   intensity.side * scale, objective, converged, method)
+
     def model(self) -> CoxModel:
         return CoxModel(self.rho_y_main, self.rho_y_side, self.sigma2, self.beta, self.k)
 
@@ -234,19 +246,9 @@ def two_step_fit(
     """Maximum-likelihood intensities, then minimum contrast for the rest."""
     intensity = fit_intensity_mle(pattern)
     mc = min_contrast(pattern, k=k, config=config, intensity=intensity)
-    scale = (1.0 + mc.sigma2) ** (k / 2.0)
-    target = (config or MinContrastConfig()).target
-    return FitResult(
-        rho_main=intensity.main,
-        rho_side=intensity.side,
-        sigma2=mc.sigma2,
-        beta=mc.beta,
-        k=k,
-        rho_y_main=intensity.main * scale,
-        rho_y_side=intensity.side * scale,
-        objective=mc.objective,
-        converged=mc.converged,
-        method="mce-g" if target == "g" else "mce-k",
+    method = "mce-g" if (config or MinContrastConfig()).target == "g" else "mce-k"
+    return FitResult.from_observed(
+        intensity, mc.sigma2, mc.beta, k, mc.objective, mc.converged, method
     )
 
 
@@ -280,16 +282,14 @@ class Cl2Config:
     keeps pairs within range ``r0``; ``"indicator"`` keeps pairs whose
     relative pair-correlation excess ``|g(d) - 1| / |g(0) - 1|`` exceeds
     ``epsilon``; ``"smooth"`` replaces that hard cut by a smooth bump so
-    the weight is differentiable in the parameters. ``mc_seed`` fixes the
-    Monte Carlo samples of the normalising integral, shared across score
-    evaluations (common random numbers), making the fitted score surface
-    smooth and runs reproducible.
+    the weight is differentiable in the parameters. The normalising
+    integral is computed exactly from the network's geometry, so the
+    score has no sampling noise and runs are reproducible.
     """
 
     weight: str = "smooth"
     r0: float | None = None
     epsilon: float = 0.01
-    samples_per_pair: int = 200
     search: str = "nelder-mead"
     grid_sigma2: tuple | None = None
     grid_beta: tuple | None = None
@@ -297,7 +297,6 @@ class Cl2Config:
     start: tuple[float, float] = (0.5, 0.5)
     max_iter: int = 500
     x_tol: float = 1e-6
-    mc_seed: int = 0
 
     def __post_init__(self):
         if self.weight not in ("fixed", "indicator", "smooth"):
@@ -306,8 +305,6 @@ class Cl2Config:
             raise ValidationError("fixed-range weight requires r0 > 0")
         if not 0.0 < self.epsilon < 1.0:
             raise ValidationError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.samples_per_pair < 1:
-            raise ValidationError("need at least one Monte Carlo sample per segment pair")
         if self.search not in ("nelder-mead", "grid"):
             raise ValidationError(f"unknown search strategy {self.search!r}")
 
@@ -323,35 +320,93 @@ class Cl2Result:
     on_boundary: bool | None
 
 
-def _cl2_weights(d: np.ndarray, sigma2: float, beta: float, k: int, cfg: Cl2Config) -> np.ndarray:
-    if cfg.weight == "fixed":
-        return (d <= cfg.r0).astype(np.float64)
-    g = pair_correlation(CoxModel(1.0, 1.0, sigma2, beta, k), d)
-    m = pair_correlation(CoxModel(1.0, 1.0, sigma2, beta, k), 0.0)[()] - 1.0
+def _excess_at_zero(sigma2: float, k: int) -> float:
+    """``g(0) - 1 = (1 - alpha) ** (-k/2) - 1``, accurate for small ``sigma2``."""
+    m = math.expm1(-0.5 * k * math.log1p(-((sigma2 / (1.0 + sigma2)) ** 2)))
     if not m > 0:
         raise NumericalError("pair correlation excess at zero vanished; weights are all zero")
-    ratio = (g - 1.0) / m
+    return m
+
+
+def _weight_range(sigma2: float, beta: float, k: int, cfg: Cl2Config) -> float:
+    """Lag beyond which the pair weight is zero: ``r0``, or where ``g - 1``
+    falls to ``epsilon (g(0) - 1)``, i.e. ``alpha exp(-2 beta t) = cut``."""
+    if cfg.weight == "fixed":
+        return cfg.r0
+    cut = -math.expm1(-2.0 / k * math.log1p(cfg.epsilon * _excess_at_zero(sigma2, k)))
+    return math.log((sigma2 / (1.0 + sigma2)) ** 2 / cut) / (2.0 * beta)
+
+
+def _cl2_kernel(t: np.ndarray, sigma2: float, beta: float, k: int, cfg: Cl2Config):
+    """``(g, dg/dsigma2, dg/dbeta, w)`` at lags ``t``, the weight read off ``g``."""
+    if not (0.0 < sigma2 < math.inf and 0.0 < beta < math.inf):
+        raise ValidationError("sigma2 and beta must be positive and finite")
+    g, dgs, dgb = pair_correlation_gradient(t, sigma2, beta, k)
+    if cfg.weight == "fixed":
+        return g, dgs, dgb, (t <= cfg.r0).astype(np.float64)
+    ratio = (g - 1.0) / _excess_at_zero(sigma2, k)
+    keep = ratio > cfg.epsilon
     if cfg.weight == "indicator":
-        return (ratio > cfg.epsilon).astype(np.float64)
-    # Smooth bump: h = epsilon / ratio, w = exp(1 / (h**2 - 1)) inside |h| < 1.
-    with np.errstate(divide="ignore"):
-        h = np.where(ratio > 0, cfg.epsilon / ratio, np.inf)
-    w = np.zeros(d.shape)
-    inside = h < 1.0
-    w[inside] = np.exp(1.0 / (h[inside] ** 2 - 1.0))
-    return w
+        return g, dgs, dgb, keep.astype(np.float64)
+    # smooth bump exp(1 / (h**2 - 1)) in h = epsilon / ratio, zero for h >= 1
+    with np.errstate(divide="ignore", over="ignore"):
+        bump = np.exp(1.0 / ((cfg.epsilon / ratio) ** 2 - 1.0))
+    return g, dgs, dgb, np.where(keep, bump, 0.0)
 
 
-def _segment_pair_samples(net: LinearNetwork, samples: int, rng) -> list[tuple]:
-    """Cached uniform pair distances per unordered segment pair.
+class _PairDistanceDensity:
+    """``H(t) = sum_ij rho_i rho_j l_i l_j h_ij(t)``, so ``∫∫ f(d) rho rho = ∫ f H``.
 
-    Returns tuples ``(distances, area_factor, i, j)`` with ``area_factor``
-    already doubled for distinct pairs (the decomposition covers both
-    orders). Distances are exact: within one segment ``|x - y|``; across
-    segments the shared routing through edge endpoints.
+    ``h_ij`` is the density of ``d(u, v)``, ``u`` and ``v`` uniform on edges
+    ``i`` and ``j``. On a tree ``d = a + gap_ij + b`` with ``a ~ U[0, l_i]``,
+    ``b ~ U[0, l_j]``, a trapezoid: ``l_i l_j h_ij = sum of ±R(t - knot)``,
+    ``R(x) = max(x, 0)``; within an edge ``l**2 h = 2 (l - t) + 2 R(t - l)``.
+    """
+
+    def __init__(self, net: LinearNetwork, rho_edge: np.ndarray):
+        length, D = net.edge_length, net.vertex_distance_matrix
+        s, e = net.edge_start, net.edge_end
+        i, j = np.triu_indices(net.n_edges, 1)
+        gap = np.minimum.reduce([D[s[i], s[j]], D[s[i], e[j]], D[e[i], s[j]], D[e[i], e[j]]])
+        li, lj = length[i], length[j]
+        rr = 2.0 * rho_edge[i] * rho_edge[j]  # both orders of a distinct pair
+        own = 2.0 * rho_edge**2
+        knots = np.concatenate([gap, gap + li, gap + lj, gap + li + lj, length])
+        order = np.argsort(knots, kind="stable")
+        self.knots = knots[order]
+        self.support = float(self.knots[-1])  # the diameter; H is zero beyond
+        coef = np.concatenate([rr, -rr, -rr, rr, own])[order]
+        # H(t) = intercept[m] + slope[m] * t with m the number of knots <= t
+        self._slope = np.concatenate([[0.0], np.cumsum(coef)]) - own.sum()
+        self._intercept = own @ length - np.concatenate([[0.0], np.cumsum(coef * self.knots)])
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        m = np.searchsorted(self.knots, t, side="right")
+        return self._intercept[m] + self._slope[m] * t
+
+
+def _unit_rule(panels: int = 64, order: int = 8) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule on [0, 1], its panels graded
+    quadratically towards zero, where the pair correlation varies fastest."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = (np.arange(panels + 1) / panels) ** 2
+    half = np.diff(edges)[:, None] / 2.0
+    return (edges[:-1, None] + half * (1.0 + x)).ravel(), (half * w).ravel()
+
+
+# 512 fixed nodes, scaled to the support of each normalising integral
+_UNIT_NODES, _UNIT_WEIGHTS = _unit_rule()
+
+
+def _segment_pair_samples(net: LinearNetwork, samples: int, rng):
+    """Uniform pair distances per unordered segment pair.
+
+    Yields ``(distances, area_factor)`` with ``area_factor`` already
+    doubled for distinct pairs (the decomposition covers both orders).
+    Distances are exact: within one segment ``|x - y|``; across segments
+    the shared routing through edge endpoints.
     """
     D = net.vertex_distance_matrix
-    out = []
     for i in range(net.n_edges):
         li = net.edge_length[i]
         si, ti = net.edge_start[i], net.edge_end[i]
@@ -360,21 +415,18 @@ def _segment_pair_samples(net: LinearNetwork, samples: int, rng) -> list[tuple]:
             x = rng.random(samples) * li
             y = rng.random(samples) * lj
             if i == j:
-                d = np.abs(x - y)
-                factor = li * lj
-            else:
-                sj, tj = net.edge_start[j], net.edge_end[j]
-                d = np.minimum.reduce(
-                    [
-                        x + y + D[si, sj],
-                        x + (lj - y) + D[si, tj],
-                        (li - x) + y + D[ti, sj],
-                        (li - x) + (lj - y) + D[ti, tj],
-                    ]
-                )
-                factor = 2.0 * li * lj
-            out.append((d, factor, i, j))
-    return out
+                yield np.abs(x - y), li * lj
+                continue
+            sj, tj = net.edge_start[j], net.edge_end[j]
+            d = np.minimum.reduce(
+                [
+                    x + y + D[si, sj],
+                    x + (lj - y) + D[si, tj],
+                    (li - x) + y + D[ti, sj],
+                    (li - x) + (lj - y) + D[ti, tj],
+                ]
+            )
+            yield d, 2.0 * li * lj
 
 
 def mc_double_integral(net: LinearNetwork, f0, samples_per_pair: int = 1000, seed=None) -> float:
@@ -390,7 +442,7 @@ def mc_double_integral(net: LinearNetwork, f0, samples_per_pair: int = 1000, see
         raise ValidationError("need at least one sample per segment pair")
     rng = as_generator(seed)
     total = 0.0
-    for d, factor, _, _ in _segment_pair_samples(net, samples_per_pair, rng):
+    for d, factor in _segment_pair_samples(net, samples_per_pair, rng):
         total += factor * float(np.mean(f0(d)))
     return total
 
@@ -398,46 +450,37 @@ def mc_double_integral(net: LinearNetwork, f0, samples_per_pair: int = 1000, see
 class _Cl2Workspace:
     """Pattern-level quantities reused across score evaluations."""
 
-    def __init__(self, pattern: PointPattern, cfg: Cl2Config):
+    def __init__(self, pattern: PointPattern):
         if pattern.n < 2:
             raise ValidationError("composite likelihood needs at least two points")
         net = pattern.network
-        self.net = net
         intensity = fit_intensity_mle(pattern)
         rho, _ = _intensity_at_points(net, pattern, intensity)
-        dist = distance_matrix(pattern)
-        off_diag = ~np.eye(pattern.n, dtype=bool)
-        self.pair_d = dist[off_diag]
-        self.pair_log_rr = np.log(rho[:, None] * rho[None, :])[off_diag]
+        i, j = np.triu_indices(pattern.n, 1)  # each unordered pair once
+        self.pair_d = distance_matrix(pattern)[i, j]
+        self.pair_log_rr = np.log(rho[i] * rho[j])
         rho_edge = np.where(net.edge_side, intensity.side, intensity.main)
-        rng = np.random.default_rng(cfg.mc_seed)
-        self.segments = [
-            (d, factor * rho_edge[i] * rho_edge[j])
-            for d, factor, i, j in _segment_pair_samples(net, cfg.samples_per_pair, rng)
-        ]
+        self.density = _PairDistanceDensity(net, rho_edge)
+
+    def normaliser(self, sigma2: float, beta: float, k: int, cfg: Cl2Config) -> np.ndarray:
+        """``∫ w (g, dg/dsigma2, dg/dbeta) H`` on ``[0, min(weight range, diameter)]``."""
+        t_max = min(_weight_range(sigma2, beta, k, cfg), self.density.support)
+        t = t_max * _UNIT_NODES
+        g, dgs, dgb, w = _cl2_kernel(t, sigma2, beta, k, cfg)
+        return (np.stack([g, dgs, dgb]) * (t_max * _UNIT_WEIGHTS * w * self.density(t))).sum(1)
 
     def score(self, sigma2: float, beta: float, k: int, cfg: Cl2Config) -> np.ndarray:
-        g, dgs, dgb = pair_correlation_gradient(self.pair_d, sigma2, beta, k)
-        w = _cl2_weights(self.pair_d, sigma2, beta, k, cfg)
+        g, dgs, dgb, w = _cl2_kernel(self.pair_d, sigma2, beta, k, cfg)
         if not (w > 0).any():
             raise NumericalError("weight vanished on every observed pair")
-        s = np.array([(w * dgs / g).sum(), (w * dgb / g).sum()])
-        for d, factor in self.segments:
-            g, dgs, dgb = pair_correlation_gradient(d, sigma2, beta, k)
-            w = _cl2_weights(d, sigma2, beta, k, cfg)
-            s[0] -= factor * float(np.mean(w * dgs))
-            s[1] -= factor * float(np.mean(w * dgb))
-        return s
+        # ordered pairs: each unordered pair counts twice
+        pair_sum = 2.0 * np.array([(w * dgs / g).sum(), (w * dgb / g).sum()])
+        return pair_sum - self.normaliser(sigma2, beta, k, cfg)[1:]
 
     def likelihood(self, sigma2: float, beta: float, k: int, cfg: Cl2Config) -> float:
-        g = pair_correlation(CoxModel(1.0, 1.0, sigma2, beta, k), self.pair_d)
-        w = _cl2_weights(self.pair_d, sigma2, beta, k, cfg)
-        value = float((w * (self.pair_log_rr + np.log(g))).sum())
-        for d, factor in self.segments:
-            g = pair_correlation(CoxModel(1.0, 1.0, sigma2, beta, k), d)
-            w = _cl2_weights(d, sigma2, beta, k, cfg)
-            value -= factor * float(np.mean(w * g))
-        return value
+        g, _, _, w = _cl2_kernel(self.pair_d, sigma2, beta, k, cfg)
+        pair_sum = 2.0 * float((w * (self.pair_log_rr + np.log(g))).sum())
+        return pair_sum - float(self.normaliser(sigma2, beta, k, cfg)[0])
 
 
 def cl2_score(
@@ -447,11 +490,12 @@ def cl2_score(
 
     The pair sum uses ``w * grad g / g`` over ordered pairs of data
     points; the compensating double integral of ``w * rho * rho * grad g``
-    is computed by seeded Monte Carlo over segment pairs. Near the truth
-    the expected score is zero.
+    over all point pairs of the network is ``∫ w grad g H`` against the
+    exact pair-distance density ``H``, evaluated by a fixed composite
+    Gauss-Legendre rule. Near the truth the expected score is zero.
     """
     config = config or Cl2Config()
-    return _Cl2Workspace(pattern, config).score(sigma2, beta, k, config)
+    return _Cl2Workspace(pattern).score(sigma2, beta, k, config)
 
 
 def composite_likelihood(
@@ -464,7 +508,7 @@ def composite_likelihood(
     an estimating function rather than this function's gradient.
     """
     config = config or Cl2Config()
-    return _Cl2Workspace(pattern, config).likelihood(sigma2, beta, k, config)
+    return _Cl2Workspace(pattern).likelihood(sigma2, beta, k, config)
 
 
 def cl2_fit(pattern: PointPattern, k: int = 1, config: Cl2Config | None = None) -> Cl2Result:
@@ -477,19 +521,20 @@ def cl2_fit(pattern: PointPattern, k: int = 1, config: Cl2Config | None = None) 
     silently returning them.
     """
     config = config or Cl2Config()
-    ws = _Cl2Workspace(pattern, config)
+    ws = _Cl2Workspace(pattern)
+
+    def result(s2: float, bt: float, converged: bool, on_boundary) -> Cl2Result:
+        score = ws.score(s2, bt, k, config)
+        norm = float(np.linalg.norm(score))
+        return Cl2Result(s2, bt, k, score, norm, converged, on_boundary)
 
     if config.search == "grid":
-        gs = (
-            np.asarray(config.grid_sigma2, dtype=np.float64)
-            if config.grid_sigma2 is not None
-            else np.geomspace(config.start[0] / 10, config.start[0] * 10, config.grid_size)
-        )
-        gb = (
-            np.asarray(config.grid_beta, dtype=np.float64)
-            if config.grid_beta is not None
-            else np.geomspace(config.start[1] / 10, config.start[1] * 10, config.grid_size)
-        )
+        def axis(grid, start: float) -> np.ndarray:
+            if grid is not None:
+                return np.asarray(grid, dtype=np.float64)
+            return np.geomspace(start / 10, start * 10, config.grid_size)
+
+        gs, gb = axis(config.grid_sigma2, config.start[0]), axis(config.grid_beta, config.start[1])
         norms = np.empty((gs.size, gb.size))
         for a, s2 in enumerate(gs):
             for b, bt in enumerate(gb):
@@ -503,16 +548,7 @@ def cl2_fit(pattern: PointPattern, k: int = 1, config: Cl2Config | None = None) 
                     norms[a, b] = math.inf
         a, b = np.unravel_index(int(np.argmin(norms)), norms.shape)
         on_boundary = a in (0, gs.size - 1) or b in (0, gb.size - 1)
-        score = ws.score(float(gs[a]), float(gb[b]), k, config)
-        return Cl2Result(
-            sigma2=float(gs[a]),
-            beta=float(gb[b]),
-            k=k,
-            score=score,
-            score_norm=float(np.linalg.norm(score)),
-            converged=True,
-            on_boundary=bool(on_boundary),
-        )
+        return result(float(gs[a]), float(gb[b]), True, bool(on_boundary))
 
     def objective(x: np.ndarray) -> float:
         x = np.clip(x, -_LOG_BOUND, _LOG_BOUND)
@@ -533,17 +569,7 @@ def cl2_fit(pattern: PointPattern, k: int = 1, config: Cl2Config | None = None) 
         options={"xatol": config.x_tol, "fatol": 1e-12, "maxiter": config.max_iter},
     )
     x = np.clip(res.x, -_LOG_BOUND, _LOG_BOUND)
-    s2, bt = float(math.exp(x[0])), float(math.exp(x[1]))
-    score = ws.score(s2, bt, k, config)
-    return Cl2Result(
-        sigma2=s2,
-        beta=bt,
-        k=k,
-        score=score,
-        score_norm=float(np.linalg.norm(score)),
-        converged=bool(res.success),
-        on_boundary=None,
-    )
+    return result(float(math.exp(x[0])), float(math.exp(x[1])), bool(res.success), None)
 
 
 # -- simulation study -------------------------------------------------------

@@ -64,6 +64,22 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _load_json(path: Path, what: str):
+    if not path.exists():
+        raise ValidationError(f"{what} file not found: {path}")
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{what} file {path} is not valid JSON: {exc}") from None
+
+
+def _bad_row(path: Path, reader, expected: str, row) -> ValidationError:
+    return ValidationError(
+        f"{path}, line {reader.line_num}: expected {expected}, got {','.join(row)!r}"
+    )
+
+
 def _parse_id(text: str):
     try:
         return int(text)
@@ -103,11 +119,7 @@ def load_network(source) -> LinearNetwork:
     elif hasattr(source, "read"):
         doc = json.load(source)
     else:
-        path = Path(source)
-        if not path.exists():
-            raise ValidationError(f"network file not found: {path}")
-        with open(path) as f:
-            doc = json.load(f)
+        doc = _load_json(Path(source), "network")
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
         raise ValidationError("network document must contain 'vertices' and 'edges'")
     try:
@@ -146,7 +158,10 @@ def load_pattern(path, net: LinearNetwork) -> PointPattern:
         for row in reader:
             if not row:
                 continue
-            points.append((_parse_id(row[0]), float(row[1])))
+            try:
+                points.append((_parse_id(row[0]), float(row[1])))
+            except (IndexError, ValueError):
+                raise _bad_row(path, reader, "'edge,offset'", row) from None
     return PointPattern(net, points)
 
 
@@ -166,30 +181,21 @@ def load_curves(path) -> list[SummaryCurve]:
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"curve file not found: {path}")
-    order: list[str] = []
-    rows: dict[str, list] = {}
+    rows: dict[str, list] = {}  # per kind, in order of first appearance
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header != ["kind", "r", "value", "defined"]:
             raise ValidationError(f"curve file {path} has unexpected header {header}")
-        for kind, r, v, d in reader:
-            if kind not in rows:
-                rows[kind] = []
-                order.append(kind)
-            rows[kind].append((float(r), float(v), bool(int(d))))
-    out = []
-    for kind in order:
-        data = rows[kind]
-        out.append(
-            SummaryCurve(
-                kind,
-                np.array([t[0] for t in data]),
-                np.array([t[1] for t in data]),
-                np.array([t[2] for t in data], dtype=bool),
-            )
-        )
-    return out
+        for row in reader:
+            try:
+                kind, r, v, d = row
+                values = (float(r), float(v), bool(int(d)))
+            except ValueError:
+                raise _bad_row(path, reader, "'kind,r,value,defined'", row) from None
+            rows.setdefault(kind, []).append(values)
+    # columns r (float), value (float), defined (bool)
+    return [SummaryCurve(kind, *map(np.array, zip(*data))) for kind, data in rows.items()]
 
 
 # -- fits ---------------------------------------------------------------------
@@ -215,10 +221,7 @@ def save_fit(fit: FitResult, path) -> None:
 
 def load_fit(path) -> FitResult:
     path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"fit file not found: {path}")
-    with open(path) as f:
-        doc = json.load(f)
+    doc = _load_json(path, "fit")
     try:
         return FitResult(
             rho_main=float(doc["rho_main"]),

@@ -415,6 +415,13 @@ def g_from_pairs(
     return 0.75 / b * out / pairs.total_length
 
 
+def _pattern_bandwidth(pattern: PointPattern, intensity=None) -> float:
+    """:func:`default_bandwidth` at the mean intensity over the pattern's points."""
+    rho, _ = _intensity_at_points(pattern.network, pattern, intensity)
+    mean_rho = float(rho.mean()) if rho.size else pattern.n / pattern.network.total_length
+    return default_bandwidth(mean_rho)
+
+
 def k_estimate(pattern: PointPattern, intensity=None, r=None) -> SummaryCurve:
     """Geometrically corrected empirical ``K`` function."""
     net = pattern.network
@@ -431,9 +438,7 @@ def g_estimate(
     net = pattern.network
     r = default_r_grid(net) if r is None else np.asarray(r, dtype=np.float64)
     if bandwidth is None:
-        rho, _ = _intensity_at_points(net, pattern, intensity)
-        mean_rho = float(rho.mean()) if rho.size else pattern.n / net.total_length
-        bandwidth = default_bandwidth(mean_rho)
+        bandwidth = _pattern_bandwidth(pattern, intensity)
     pairs = second_order_pairs(pattern, intensity)
     values = g_from_pairs(pairs, r, bandwidth)
     return SummaryCurve(

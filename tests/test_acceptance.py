@@ -244,9 +244,9 @@ def test_criterion_08_composite_likelihood_machinery(capsys):
         start = time.time()
         # score equals the central finite difference of the log composite
         # likelihood when the pair weight does not depend on the parameters
-        # (shared Monte Carlo seed makes both sides use the same sample)
+        # (shared quadrature nodes make both sides use the same rule)
         net = make_network("dendrite", seed=11, side_target=150.0)
-        cfg = Cl2Config(weight="fixed", r0=20.0, samples_per_pair=100, mc_seed=5)
+        cfg = Cl2Config(weight="fixed", r0=20.0)
         sigma2, beta = 3.0, 0.2
         h_s, h_b = 1e-4 * sigma2, 1e-4 * beta
         for seed in (101, 102, 103):

@@ -5,7 +5,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from linnetcox import lattice, leaf_distances, load_curves, load_fit, load_network, load_pattern
+from linnetcox import (
+    ValidationError,
+    fit_intensity_mle,
+    g_estimate,
+    k_estimate,
+    lattice,
+    leaf_distances,
+    load_curves,
+    load_fit,
+    load_network,
+    load_pattern,
+)
+from linnetcox import cli
 from linnetcox.cli import main
 
 
@@ -196,8 +208,7 @@ class TestFit:
         out = tmp_path / "cl2.json"
         rc = run(
             "fit", "--net", dendrite_file, "--pattern", pattern_file,
-            "--method", "cl2", "--weight", "fixed", "--r0", "15",
-            "--samples", "50", "--out", out,
+            "--method", "cl2", "--weight", "fixed", "--r0", "15", "--out", out,
         )
         assert rc == 0
         assert load_fit(out).method == "cl2"
@@ -267,6 +278,35 @@ class TestSummaries:
             "--rgrid", "0:30", "--out", tmp_path / "x.csv",
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("rgrid", [None, "0:30:121"])
+    def test_k_and_g_share_one_pair_set(self, tmp_path, dendrite_file, pattern_file, monkeypatch,
+                                         rgrid):
+        calls = []
+        original = cli.second_order_pairs
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "second_order_pairs", counted)
+        out = tmp_path / "curves.csv"
+        grid = ["--rgrid", rgrid] if rgrid else []
+        rc = run(
+            "summaries", "--net", dendrite_file, "--pattern", pattern_file,
+            "--which", "g,K", *grid, "--out", out,
+        )
+        assert rc == 0
+        assert len(calls) == 1
+        net = load_network(dendrite_file)
+        pattern = load_pattern(pattern_file, net)
+        intensity = fit_intensity_mle(pattern)
+        r = None if rgrid is None else np.linspace(0.0, 30.0, 121)
+        want = [g_estimate(pattern, intensity, r), k_estimate(pattern, intensity, r)]
+        for got, ref in zip(load_curves(out), want):
+            assert got.kind == ref.kind
+            assert np.array_equal(got.r, ref.r)
+            assert np.array_equal(got.values, ref.values)
 
 
 class TestKernelIntensity:
@@ -386,6 +426,49 @@ class TestSimstudy:
         capsys.readouterr()
 
 
+class TestMalformedInputs:
+    @pytest.mark.parametrize(
+        "body, line",
+        [("edge,offset\n0,1.0\n3\n", 3), ("edge,offset\n3,abc\n", 2)],
+        ids=["short-row", "non-numeric"],
+    )
+    def test_bad_pattern_row(self, tmp_path, dendrite_file, capsys, body, line):
+        pat = tmp_path / "bad.csv"
+        pat.write_text(body)
+        rc = run("summaries", "--net", dendrite_file, "--pattern", pat,
+                 "--out", tmp_path / "x.csv")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"bad.csv, line {line}" in err
+
+    def test_bad_network_json(self, tmp_path, pattern_file, capsys):
+        net = tmp_path / "bad.json"
+        net.write_text("{bad")
+        rc = run("summaries", "--net", net, "--pattern", pattern_file,
+                 "--out", tmp_path / "x.csv")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "bad.json" in err and "line 1" in err
+
+    def test_bad_fit_json(self, tmp_path, dendrite_file, pattern_file, capsys):
+        fit = tmp_path / "fit.json"
+        fit.write_text("{bad")
+        rc = run("envelope", "--net", dendrite_file, "--pattern", pattern_file,
+                 "--model", fit, "--sims", "3", "--out", tmp_path / "env.csv")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "fit.json" in err and "line 1" in err
+
+    @pytest.mark.parametrize(
+        "row", ["K,0.0,1.0", "K,0.0,abc,1"], ids=["short-row", "non-numeric"]
+    )
+    def test_bad_curve_row(self, tmp_path, row):
+        curves = tmp_path / "curves.csv"
+        curves.write_text(f"kind,r,value,defined\nK,0.0,0.0,1\n{row}\n")
+        with pytest.raises(ValidationError, match="curves.csv, line 3"):
+            load_curves(curves)
+
+
 class TestHarness:
     def test_missing_network_exits_2_without_outputs(self, tmp_path, capsys):
         out = tmp_path / "never"
@@ -401,6 +484,28 @@ class TestHarness:
         with pytest.raises(SystemExit):
             run("simulate-cox", "--net", "x.json", "--rho-ym", "1",
                 "--sigma2", "1", "--beta", "1", "--mode", "warp", "--out", tmp_path / "x")
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("LINNETCOX_METHOD", "mce_g"), ("LINNETCOX_SIMS", "abc"), ("LINNETCOX_SEED", "1.5")],
+    )
+    def test_bad_env_value_exits_2(self, tmp_path, dendrite_file, pattern_file, monkeypatch,
+                                   capsys, name, value):
+        monkeypatch.setenv(name, value)
+        out = tmp_path / "fit.json"
+        rc = run("fit", "--net", dendrite_file, "--pattern", pattern_file, "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert name in err
+        assert not out.exists()
+
+    def test_removed_monte_carlo_flags(self, tmp_path, dendrite_file, pattern_file):
+        for flag in ("--samples", "--mc-seed"):
+            with pytest.raises(SystemExit) as exc:
+                run("fit", "--net", dendrite_file, "--pattern", pattern_file,
+                    "--method", "cl2", flag, "5", "--out", tmp_path / "fit.json")
+            assert exc.value.code == 2
 
     def test_env_var_supplies_seed(self, tmp_path, dendrite_file, monkeypatch):
         flagged = tmp_path / "flag"

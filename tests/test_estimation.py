@@ -9,6 +9,7 @@ from linnetcox import (
     Cl2Config,
     CoxModel,
     Edge,
+    IntensityModel,
     LinearNetwork,
     MinContrastConfig,
     PointPattern,
@@ -27,10 +28,22 @@ from linnetcox import (
     pair_correlation,
     pair_correlation_gradient,
     simulate_cox,
+    simulate_poisson,
     simulation_study,
     two_step_fit,
 )
-from linnetcox.estimation import _cl2_weights
+from linnetcox.estimation import (
+    _UNIT_NODES,
+    _UNIT_WEIGHTS,
+    _Cl2Workspace,
+    _PairDistanceDensity,
+    _cl2_kernel,
+    _segment_pair_samples,
+)
+
+
+def _cl2_weights(d, sigma2, beta, k, cfg):
+    return _cl2_kernel(d, sigma2, beta, k, cfg)[3]
 
 
 @pytest.fixture(scope="module")
@@ -309,9 +322,9 @@ class TestCl2:
     def test_score_matches_likelihood_gradient(self, cl2_pattern):
         pattern = cl2_pattern
         # with the fixed-range weight the score is exactly the gradient of
-        # the log composite likelihood (same Monte Carlo sample via the
-        # shared seed), so central differences must agree
-        cfg = Cl2Config(weight="fixed", r0=20.0, samples_per_pair=100, mc_seed=5)
+        # the log composite likelihood (the same quadrature nodes at every
+        # parameter point), so central differences must agree
+        cfg = Cl2Config(weight="fixed", r0=20.0)
         s2, beta = 3.0, 0.2
         score = cl2_score(pattern, s2, beta, config=cfg)
         h_s, h_b = 1e-4 * s2, 1e-4 * beta
@@ -331,7 +344,7 @@ class TestCl2:
         # each component takes both signs across replicates
         reps = 10
         net = make_network("dendrite", seed=42, side_target=150.0)
-        cfg = Cl2Config(weight="fixed", r0=20.0, samples_per_pair=200, mc_seed=3)
+        cfg = Cl2Config(weight="fixed", r0=20.0)
         scores = np.array(
             [
                 cl2_score(
@@ -352,7 +365,6 @@ class TestCl2:
         cfg = Cl2Config(
             weight="fixed",
             r0=20.0,
-            samples_per_pair=50,
             search="grid",
             grid_sigma2=(1e-4, 2e-4, 3e-4),
             grid_beta=(10.0, 20.0, 30.0),
@@ -362,7 +374,7 @@ class TestCl2:
 
     def test_nelder_mead_runs(self, cl2_pattern):
         pattern = cl2_pattern
-        cfg = Cl2Config(weight="fixed", r0=15.0, samples_per_pair=50, max_iter=60)
+        cfg = Cl2Config(weight="fixed", r0=15.0, max_iter=60)
         res = cl2_fit(pattern, config=cfg)
         assert res.sigma2 > 0 and res.beta > 0
         assert res.score.shape == (2,)
@@ -376,13 +388,97 @@ class TestCl2:
         with pytest.raises(ValidationError):
             Cl2Config(epsilon=1.0)
         with pytest.raises(ValidationError):
-            Cl2Config(samples_per_pair=0)
-        with pytest.raises(ValidationError):
             Cl2Config(search="annealing")
 
     def test_needs_two_points(self, path10):
         with pytest.raises(ValidationError):
             cl2_score(PointPattern(path10, [(0, 5.0)]), 1.0, 1.0)
+
+
+class TestExactNormaliser:
+    @pytest.mark.parametrize(
+        "net",
+        [make_network("dendrite", seed=7), make_network("random-tree", seed=2, edges=200)],
+        ids=["dendrite", "tree200"],
+    )
+    def test_total_mass(self, net):
+        # H is linear between knots, so the trapezoid rule on the knots is
+        # exact; its mass is the squared expected count of the intensity
+        rho = np.where(net.edge_side, 1.2, 0.8)
+        H = _PairDistanceDensity(net, rho)
+        t = np.concatenate([[0.0], H.knots])
+        h = H(t)
+        mass = float(np.sum(np.diff(t) * (h[1:] + h[:-1]) / 2.0))
+        assert_allclose(mass, float(rho @ net.edge_length) ** 2, rtol=1e-12)
+        assert H(H.support + 1.0) == pytest.approx(0.0, abs=1e-9 * h.max())
+
+    def test_three_edge_line_closed_form(self):
+        # criterion 08's segment-pair closed forms for f0 = exp(-t)
+        lengths = (3.0, 4.0, 2.0)
+        net = LinearNetwork(
+            [Vertex(i) for i in range(4)],
+            [Edge(i, i, i + 1, lengths[i]) for i in range(3)],
+        )
+        oracle = sum(2.0 * (a - 1.0 + math.exp(-a)) for a in lengths)
+        for (i, j), gap in {(0, 1): 0.0, (1, 2): 0.0, (0, 2): lengths[1]}.items():
+            ends = (1 - math.exp(-lengths[i])) * (1 - math.exp(-lengths[j]))
+            oracle += 2.0 * math.exp(-gap) * ends
+        H = _PairDistanceDensity(net, np.ones(3))
+        t = H.support * _UNIT_NODES
+        got = float(np.sum(H.support * _UNIT_WEIGHTS * np.exp(-t) * H(t)))
+        assert_allclose(got, oracle, rtol=1e-6)
+
+    def test_normaliser_matches_monte_carlo(self):
+        # one branch type, so rho is constant and the Monte Carlo double
+        # integral of w * (g, grad g), times rho**2, estimates the normaliser
+        net = make_network("random-tree", seed=3, edges=10, length_range=(5.0, 25.0))
+        pattern = simulate_poisson(net, IntensityModel(0.4, 0.4), seed=3)
+        rho = pattern.n / net.total_length
+        points = [
+            (5.0, 0.1, Cl2Config()),
+            (1.0, 0.5, Cl2Config(weight="indicator")),
+            (3.0, 6.0, Cl2Config(weight="fixed", r0=20.0)),
+        ]
+        samples = 100_000
+        for seed, (s2, beta, cfg) in enumerate(points):
+            exact = _Cl2Workspace(pattern).normaliser(s2, beta, 1, cfg)
+            mean, var = np.zeros(3), np.zeros(3)
+            rng = np.random.default_rng(seed)
+            for d, factor in _segment_pair_samples(net, samples, rng):
+                g, dgs, dgb, w = _cl2_kernel(d, s2, beta, 1, cfg)
+                f = np.stack([w * g, w * dgs, w * dgb])
+                mean += factor * f.mean(axis=1)
+                var += factor**2 * f.var(axis=1, ddof=1) / samples
+
+            def weighted_g(d):
+                g, _, _, w = _cl2_kernel(d, s2, beta, 1, cfg)
+                return w * g
+
+            # the same draws as mc_double_integral's
+            assert_allclose(
+                mc_double_integral(net, weighted_g, samples, seed=seed), mean[0], rtol=1e-12
+            )
+            assert np.all(np.abs(exact - rho**2 * mean) < 3.0 * rho**2 * np.sqrt(var))
+
+    def test_fit_is_deterministic(self, cl2_pattern):
+        cfg = Cl2Config(weight="fixed", r0=15.0, max_iter=60)
+        a, b = cl2_fit(cl2_pattern, config=cfg), cl2_fit(cl2_pattern, config=cfg)
+        assert (a.sigma2, a.beta, a.converged) == (b.sigma2, b.beta, b.converged)
+        assert np.array_equal(a.score, b.score)
+
+    def test_no_random_numbers(self, cl2_pattern, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the composite likelihood drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        monkeypatch.setattr("linnetcox.estimation.as_generator", forbidden)
+        cl2_score(cl2_pattern, 2.0, 0.2)
+
+    def test_monte_carlo_knobs_removed(self):
+        with pytest.raises(TypeError):
+            Cl2Config(samples_per_pair=1)
+        with pytest.raises(TypeError):
+            Cl2Config(mc_seed=1)
 
 
 class TestSimulationStudy:
