@@ -79,22 +79,36 @@ def _bool_env(raw: str) -> bool:
     return raw.strip().lower() in ("1", "true", "yes", "on")
 
 
+class _AppendOverDefault(argparse._AppendAction):
+    """``action="append"`` whose first command-line value replaces the default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest, None) is self.default:
+            setattr(namespace, self.dest, [])
+        super().__call__(parser, namespace, values, option_string)
+
+
 def _add(parser, *flags, **kw):
-    """``add_argument`` with a type- and choice-checked ``LINNETCOX_<DEST>`` fallback."""
+    """``add_argument`` with a type- and choice-checked ``LINNETCOX_<DEST>`` fallback
+    (for an ``append`` flag a one-item list that command-line values replace)."""
     dest = kw.get("dest") or max(flags, key=len).lstrip("-").replace("-", "_")
     name = ENV_PREFIX + dest.upper()
     raw = os.environ.get(name)
+    append = kw.get("action") == "append"
+    if append:
+        kw["action"] = _AppendOverDefault
     if raw is not None:
         if kw.get("action") == "store_true":
             kw["default"] = _bool_env(raw)
         else:
             try:
-                kw["default"] = kw.get("type", str)(raw)
+                value = kw.get("type", str)(raw)
             except ValueError:
                 raise ValidationError(f"{name}={raw!r} is not a valid {dest} value") from None
             choices = kw.get("choices")
-            if choices is not None and kw["default"] not in choices:
+            if choices is not None and value not in choices:
                 raise ValidationError(f"{name}={raw!r}: choose from {', '.join(choices)}")
+            kw["default"] = [value] if append else value
         kw.pop("required", None)
     parser.add_argument(*flags, **kw)
 
@@ -206,7 +220,7 @@ def _cmd_simulate_cox(args, argv) -> None:
 
 def _fit_config(args):
     if args.method == "cl2":
-        cfg = {"weight": args.weight, "r0": args.r0, "epsilon": args.epsilon, "search": args.search}
+        cfg = {"weight": args.weight, "r0": args.r0, "epsilon": args.epsilon}
     else:
         cfg = {"r_min": args.rl, "r_max": args.ru, "power": args.p, "bandwidth": args.bandwidth}
     return _study_method_config(args.method, cfg)
@@ -220,10 +234,9 @@ def _cmd_fit(args, argv) -> None:
         fit = two_step_fit(pattern, k=args.k, config=config)
     else:
         res = cl2_fit(pattern, k=args.k, config=config)
-        converged = res.converged and not bool(res.on_boundary)
         fit = FitResult.from_observed(
-            fit_intensity_mle(pattern), res.sigma2, res.beta, args.k, res.score_norm, converged,
-            "cl2",
+            fit_intensity_mle(pattern), res.sigma2, res.beta, args.k, res.score_norm,
+            res.converged, "cl2",
         )
     save_fit(fit, args.out)
     _manifest(args, argv, args.out)
@@ -417,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "--weight", choices=["fixed", "indicator", "smooth"], default="smooth")
     _add(p, "--r0", type=float, default=None, help="range of the fixed weight")
     _add(p, "--epsilon", type=float, default=0.01)
-    _add(p, "--search", choices=["nelder-mead", "grid"], default="nelder-mead")
     _add(p, "--out", type=Path, default=Path("fit.json"))
     p.set_defaults(func=_cmd_fit)
 
@@ -472,10 +484,7 @@ def main(argv=None) -> int:
             format="%(levelname)s %(name)s: %(message)s",
         )
         args.func(args, argv)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ValidationError, OSError, UnicodeDecodeError) as exc:  # bad, unreadable or binary input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

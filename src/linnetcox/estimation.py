@@ -8,9 +8,9 @@ plugged in, either by
 * **minimum contrast**: minimise the integrated squared difference
   between an empirical second-order summary (``K`` or the pair
   correlation) raised to a power ``p`` and its model counterpart, or
-* **composite likelihood**: solve the estimating equation given by the
-  gradient of a second-order composite likelihood, where each point pair
-  is weighted by a fixed-range or adaptive weight. The normalising double
+* **composite likelihood**: maximise a second-order composite likelihood
+  with fixed-range pair weights, then, for the adaptive weights, solve
+  their score equation from there. The normalising double
   integral over all point pairs of the network is a one-dimensional
   integral against the intensity-weighted pair-distance density, which
   on a tree is piecewise linear and built exactly once per pattern.
@@ -24,7 +24,7 @@ model follow from the thinning relation
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import integrate, optimize
@@ -65,6 +65,12 @@ __all__ = [
 ]
 
 _LOG_BOUND = 30.0  # |log parameter| cap inside optimizers
+_SCORE_RTOL = 1e-6  # a converged score is this small against its pair sum
+
+
+def _pair_range(net: LinearNetwork, r: float | None) -> float:
+    """``r``, by default one tenth of the network length (contrast window, CL2 stage 1)."""
+    return 0.1 * net.total_length if r is None else r
 
 
 @dataclass(frozen=True)
@@ -223,7 +229,7 @@ def min_contrast(
     net = pattern.network
     if pattern.n == 0:
         raise ValidationError("cannot fit an empty pattern")
-    r_max = config.r_max if config.r_max is not None else 0.1 * net.total_length
+    r_max = _pair_range(net, config.r_max)
     if not (0 <= config.r_min < r_max):
         raise ValidationError("need 0 <= r_min < r_max")
     r = np.linspace(config.r_min, r_max, config.grid_size)
@@ -285,15 +291,16 @@ class Cl2Config:
     the weight is differentiable in the parameters. The normalising
     integral is computed exactly from the network's geometry, so the
     score has no sampling noise and runs are reproducible.
+
+    :func:`cl2_fit` starts at ``start``; its stage 1 uses the fixed weight
+    of range ``r0``, by default (adaptive weights only) one tenth of the
+    network length. ``max_iter`` caps each stage and ``x_tol`` is the
+    relative step at which stage 2's root search stops.
     """
 
     weight: str = "smooth"
     r0: float | None = None
     epsilon: float = 0.01
-    search: str = "nelder-mead"
-    grid_sigma2: tuple | None = None
-    grid_beta: tuple | None = None
-    grid_size: int = 21
     start: tuple[float, float] = (0.5, 0.5)
     max_iter: int = 500
     x_tol: float = 1e-6
@@ -305,8 +312,6 @@ class Cl2Config:
             raise ValidationError("fixed-range weight requires r0 > 0")
         if not 0.0 < self.epsilon < 1.0:
             raise ValidationError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.search not in ("nelder-mead", "grid"):
-            raise ValidationError(f"unknown search strategy {self.search!r}")
 
 
 @dataclass(frozen=True)
@@ -317,7 +322,6 @@ class Cl2Result:
     score: np.ndarray
     score_norm: float
     converged: bool
-    on_boundary: bool | None
 
 
 def _excess_at_zero(sigma2: float, k: int) -> float:
@@ -469,13 +473,16 @@ class _Cl2Workspace:
         g, dgs, dgb, w = _cl2_kernel(t, sigma2, beta, k, cfg)
         return (np.stack([g, dgs, dgb]) * (t_max * _UNIT_WEIGHTS * w * self.density(t))).sum(1)
 
-    def score(self, sigma2: float, beta: float, k: int, cfg: Cl2Config) -> np.ndarray:
+    def pair_sum(self, sigma2: float, beta: float, k: int, cfg: Cl2Config) -> np.ndarray:
+        """``sum w grad g / g`` over ordered pairs; no terms cancel (g is monotone)."""
         g, dgs, dgb, w = _cl2_kernel(self.pair_d, sigma2, beta, k, cfg)
         if not (w > 0).any():
             raise NumericalError("weight vanished on every observed pair")
         # ordered pairs: each unordered pair counts twice
-        pair_sum = 2.0 * np.array([(w * dgs / g).sum(), (w * dgb / g).sum()])
-        return pair_sum - self.normaliser(sigma2, beta, k, cfg)[1:]
+        return 2.0 * np.array([(w * dgs / g).sum(), (w * dgb / g).sum()])
+
+    def score(self, sigma2: float, beta: float, k: int, cfg: Cl2Config) -> np.ndarray:
+        return self.pair_sum(sigma2, beta, k, cfg) - self.normaliser(sigma2, beta, k, cfg)[1:]
 
     def likelihood(self, sigma2: float, beta: float, k: int, cfg: Cl2Config) -> float:
         g, _, _, w = _cl2_kernel(self.pair_d, sigma2, beta, k, cfg)
@@ -512,64 +519,48 @@ def composite_likelihood(
 
 
 def cl2_fit(pattern: PointPattern, k: int = 1, config: Cl2Config | None = None) -> Cl2Result:
-    """Estimate ``(sigma2, beta)`` by driving the score norm to zero.
+    """Estimate ``(sigma2, beta)`` by the second-order composite likelihood.
 
-    ``search="nelder-mead"`` (default) minimises the Euclidean norm of the
-    score in log-parameter space. ``search="grid"`` scans a rectangular
-    grid (geometric around the start values unless explicit grids are
-    given) and flags optima landing on the grid boundary instead of
-    silently returning them.
+    Both stages run in log-parameters. Stage 1 maximises the log composite
+    likelihood with the fixed weight of range ``r0`` (default one tenth of
+    the network length) by L-BFGS-B, the score being its exact gradient;
+    for ``weight="fixed"`` that is the estimate. The adaptive weights'
+    score is no gradient, so stage 2 solves score = 0 from there (Powell's
+    hybrid method). ``converged`` requires the last stage's success and
+    every score component within ``1e-6`` of its pair sum. The indicator
+    weight's score jumps where a pair crosses the cut, so it may have no
+    root and then reports ``converged=False``.
     """
     config = config or Cl2Config()
     ws = _Cl2Workspace(pattern)
+    fixed = replace(config, weight="fixed", r0=_pair_range(pattern.network, config.r0))
 
-    def result(s2: float, bt: float, converged: bool, on_boundary) -> Cl2Result:
-        score = ws.score(s2, bt, k, config)
-        norm = float(np.linalg.norm(score))
-        return Cl2Result(s2, bt, k, score, norm, converged, on_boundary)
+    def params(x: np.ndarray) -> tuple[float, float]:
+        s2, bt = np.exp(np.clip(x, -_LOG_BOUND, _LOG_BOUND))
+        return float(s2), float(bt)
 
-    if config.search == "grid":
-        def axis(grid, start: float) -> np.ndarray:
-            if grid is not None:
-                return np.asarray(grid, dtype=np.float64)
-            return np.geomspace(start / 10, start * 10, config.grid_size)
+    def negative_likelihood(x: np.ndarray):
+        s2, bt = params(x)
+        return -ws.likelihood(s2, bt, k, fixed), -ws.score(s2, bt, k, fixed) * np.array([s2, bt])
 
-        gs, gb = axis(config.grid_sigma2, config.start[0]), axis(config.grid_beta, config.start[1])
-        norms = np.empty((gs.size, gb.size))
-        for a, s2 in enumerate(gs):
-            for b, bt in enumerate(gb):
-                try:
-                    norms[a, b] = float(
-                        np.linalg.norm(ws.score(float(s2), float(bt), k, config))
-                    )
-                except NumericalError:
-                    # a degenerate grid point (e.g. every pair weight
-                    # vanished) is a bad candidate, not a fatal error
-                    norms[a, b] = math.inf
-        a, b = np.unravel_index(int(np.argmin(norms)), norms.shape)
-        on_boundary = a in (0, gs.size - 1) or b in (0, gb.size - 1)
-        return result(float(gs[a]), float(gb[b]), True, bool(on_boundary))
-
-    def objective(x: np.ndarray) -> float:
-        x = np.clip(x, -_LOG_BOUND, _LOG_BOUND)
-        try:
-            s = ws.score(math.exp(x[0]), math.exp(x[1]), k, config)
-        except NumericalError:
-            # push the search away from trial points where the adaptive
-            # weights vanish on every pair; the score at the returned
-            # optimum is still evaluated (and may raise) below. Large but
-            # finite so the simplex arithmetic stays warning-free.
-            return 1e300
-        return float(s @ s)
+    def relative_score(x: np.ndarray) -> np.ndarray:  # score / pair sum: one scale for both
+        s2, bt = params(x)
+        return 1.0 - ws.normaliser(s2, bt, k, config)[1:] / ws.pair_sum(s2, bt, k, config)
 
     res = optimize.minimize(
-        objective,
-        np.log(np.asarray(config.start, dtype=np.float64)),
-        method="Nelder-Mead",
-        options={"xatol": config.x_tol, "fatol": 1e-12, "maxiter": config.max_iter},
+        negative_likelihood, np.log(np.asarray(config.start, dtype=np.float64)), jac=True,
+        method="L-BFGS-B", bounds=[(-_LOG_BOUND, _LOG_BOUND)] * 2,
+        options={"maxiter": config.max_iter, "ftol": 1e-15, "gtol": 1e-10},
     )
-    x = np.clip(res.x, -_LOG_BOUND, _LOG_BOUND)
-    return result(float(math.exp(x[0])), float(math.exp(x[1])), bool(res.success), None)
+    if config.weight != "fixed":
+        res = optimize.root(  # factor: first step ~|x|, not hybr's default 100 |x|
+            relative_score, res.x, method="hybr",
+            options={"xtol": config.x_tol, "maxfev": config.max_iter, "factor": 1.0},
+        )
+    converged = bool(res.success) and bool(np.all(np.abs(relative_score(res.x)) <= _SCORE_RTOL))
+    s2, bt = params(res.x)
+    score = ws.score(s2, bt, k, config)
+    return Cl2Result(s2, bt, k, score, float(np.linalg.norm(score)), converged)
 
 
 # -- simulation study -------------------------------------------------------
@@ -630,15 +621,13 @@ class StudyResult:
 
 def _fit_one(pattern: PointPattern, method: str, cfg, k: int):
     if method in ("mce-g", "mce-k"):
-        if cfg is None:
-            cfg = MinContrastConfig(target="g" if method == "mce-g" else "K")
+        cfg = cfg or MinContrastConfig(target="g" if method == "mce-g" else "K")
         res = min_contrast(pattern, k=k, config=cfg)
-        return res.sigma2, res.beta, res.converged
-    if method == "cl2":
+    elif method == "cl2":
         res = cl2_fit(pattern, k=k, config=cfg)
-        ok = res.converged and not bool(res.on_boundary)
-        return res.sigma2, res.beta, ok
-    raise ValidationError(f"unknown study method {method!r}")
+    else:
+        raise ValidationError(f"unknown study method {method!r}")
+    return res.sigma2, res.beta, res.converged
 
 
 def simulation_study(runs, replicates: int, seed=None, caps=None) -> StudyResult:

@@ -213,6 +213,15 @@ class TestFit:
         assert rc == 0
         assert load_fit(out).method == "cl2"
 
+    def test_default_cl2_fit_is_interior_and_converged(self, tmp_path, dendrite_file,
+                                                       pattern_file):
+        out = tmp_path / "cl2.json"
+        rc = run("fit", "--net", dendrite_file, "--pattern", pattern_file,
+                 "--method", "cl2", "--out", out)
+        assert rc == 0
+        fit = load_fit(out)
+        assert fit.converged and fit.sigma2 >= 0.5 and fit.beta <= 5.0
+
     def test_fixed_weight_needs_r0(self, tmp_path, dendrite_file, pattern_file, capsys):
         rc = run(
             "fit", "--net", dendrite_file, "--pattern", pattern_file,
@@ -222,9 +231,9 @@ class TestFit:
         assert "r0" in capsys.readouterr().err
 
     def test_weights_can_all_vanish(self, tmp_path, capsys):
-        # two points 190 apart: at the search start the pair correlation
-        # excess is indistinguishable from zero, so the indicator weight
-        # discards every pair and the fit reports a numerical failure
+        # two points 190 apart on a path of length 200: no pair lies within
+        # the first stage's default range of 20, so its weight discards
+        # every pair and the fit reports a numerical failure
         net_file = tmp_path / "long.json"
         run("make-network", "--template", "path", "--knob", "length=200.0", "--out", net_file)
         pat_file = tmp_path / "two.csv"
@@ -459,6 +468,23 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "fit.json" in err and "line 1" in err
 
+    def test_unreadable_inputs(self, tmp_path, dendrite_file, pattern_file, capsys):
+        binary = tmp_path / "binary.csv"
+        binary.write_bytes(b"edge,offset\n0,1.0\xff\n")
+        not_a_dir = tmp_path / "plain"
+        not_a_dir.write_text("")
+        for net, pattern in [
+            (tmp_path, pattern_file),  # a directory
+            (dendrite_file, binary),  # not UTF-8
+            (dendrite_file, not_a_dir / "p.csv"),  # a path through a file
+        ]:
+            out = tmp_path / "x.csv"
+            rc = run("summaries", "--net", net, "--pattern", pattern, "--out", out)
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert not out.exists()
+
     @pytest.mark.parametrize(
         "row", ["K,0.0,1.0", "K,0.0,abc,1"], ids=["short-row", "non-numeric"]
     )
@@ -501,11 +527,26 @@ class TestHarness:
         assert not out.exists()
 
     def test_removed_monte_carlo_flags(self, tmp_path, dendrite_file, pattern_file):
-        for flag in ("--samples", "--mc-seed"):
+        for flag in ("--samples", "--mc-seed", "--search"):
             with pytest.raises(SystemExit) as exc:
                 run("fit", "--net", dendrite_file, "--pattern", pattern_file,
                     "--method", "cl2", flag, "5", "--out", tmp_path / "fit.json")
             assert exc.value.code == 2
+
+    def test_env_var_supplies_append_flag(self, tmp_path, monkeypatch):
+        def network(name, *knobs):
+            out = tmp_path / name
+            argv = ["make-network", "--template", "dendrite", "--out", out]
+            assert run(*argv, *(a for k in knobs for a in ("--knob", k))) == 0
+            return out.read_bytes()
+
+        flag_120 = network("flag120.json", "side_target=120")
+        flag_100 = network("flag100.json", "side_target=100")
+        assert flag_120 != flag_100
+        monkeypatch.setenv("LINNETCOX_KNOB", "side_target=120")
+        assert network("env.json") == flag_120
+        # a command-line value replaces the environment's, as for scalar flags
+        assert network("both.json", "side_target=100") == flag_100
 
     def test_env_var_supplies_seed(self, tmp_path, dendrite_file, monkeypatch):
         flagged = tmp_path / "flag"

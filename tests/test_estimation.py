@@ -30,6 +30,7 @@ from linnetcox import (
     simulate_cox,
     simulate_poisson,
     simulation_study,
+    spawn_generators,
     two_step_fit,
 )
 from linnetcox.estimation import (
@@ -360,25 +361,48 @@ class TestCl2:
         assert np.all(np.abs(scores.mean(axis=0)) < 3.5 * se)
         assert np.all(scores.min(axis=0) < 0) and np.all(scores.max(axis=0) > 0)
 
-    def test_grid_boundary_flagged(self, cl2_pattern):
-        pattern = cl2_pattern
-        cfg = Cl2Config(
-            weight="fixed",
-            r0=20.0,
-            search="grid",
-            grid_sigma2=(1e-4, 2e-4, 3e-4),
-            grid_beta=(10.0, 20.0, 30.0),
-        )
-        res = cl2_fit(pattern, config=cfg)
-        assert res.on_boundary
-
-    def test_nelder_mead_runs(self, cl2_pattern):
+    def test_lbfgsb_runs(self, cl2_pattern):
         pattern = cl2_pattern
         cfg = Cl2Config(weight="fixed", r0=15.0, max_iter=60)
         res = cl2_fit(pattern, config=cfg)
         assert res.sigma2 > 0 and res.beta > 0
         assert res.score.shape == (2,)
-        assert res.on_boundary is None
+
+    def test_fixed_weight_fit_is_a_likelihood_maximum(self, cl2_pattern):
+        cfg = Cl2Config(weight="fixed", r0=20.0)
+        res = cl2_fit(cl2_pattern, config=cfg)
+        assert res.converged
+        best = composite_likelihood(cl2_pattern, res.sigma2, res.beta, config=cfg)
+        for s2, bt in [
+            (1.01 * res.sigma2, res.beta),
+            (0.99 * res.sigma2, res.beta),
+            (res.sigma2, 1.01 * res.beta),
+            (res.sigma2, 0.99 * res.beta),
+        ]:
+            assert composite_likelihood(cl2_pattern, s2, bt, config=cfg) < best
+
+    def test_readme_pattern_avoids_the_sigma2_zero_root(self):
+        # the README's pattern (dendrite seed 7, its model, simulate-cox
+        # --seed 3): from the default start the old |score|^2 search ended
+        # at sigma2 ~ 2e-4, beta ~ 5e3 and still reported convergence
+        net = make_network("dendrite", seed=7)
+        gen = spawn_generators(3, 1)[0]
+        pattern = simulate_cox(net, CoxModel(0.8, 1.2, 5.0, 0.1), seed=gen).pattern
+        res = cl2_fit(pattern)
+        assert res.converged
+        assert res.sigma2 >= 0.5 and res.beta <= 5.0
+
+    def test_converged_needs_a_small_score(self):
+        # the indicator weight's score jumps where a pair crosses the cut;
+        # on this pattern the root search stops at such a jump and reports
+        # success, but the score there is far from zero
+        net = make_network("dendrite", seed=7)
+        pattern = simulate_cox(net, CoxModel(0.8, 1.2, 5.0, 0.1), seed=4).pattern
+        cfg = Cl2Config(weight="indicator")
+        res = cl2_fit(pattern, config=cfg)
+        pair_sum = _Cl2Workspace(pattern).pair_sum(res.sigma2, res.beta, 1, cfg)
+        assert np.abs(res.score / pair_sum).max() > 1e-3
+        assert not res.converged
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -387,8 +411,9 @@ class TestCl2:
             Cl2Config(weight="fixed")  # r0 missing
         with pytest.raises(ValidationError):
             Cl2Config(epsilon=1.0)
-        with pytest.raises(ValidationError):
-            Cl2Config(search="annealing")
+        for removed in ("search", "grid_sigma2", "grid_beta", "grid_size"):
+            with pytest.raises(TypeError):
+                Cl2Config(**{removed: None})
 
     def test_needs_two_points(self, path10):
         with pytest.raises(ValidationError):
