@@ -28,6 +28,7 @@ from ._version import __version__
 from .envelopes import envelope_pipeline
 from .errors import NumericalError, ValidationError
 from .estimation import (
+    _MCE_TARGETS,
     Cl2Config,
     FitResult,
     MinContrastConfig,
@@ -327,11 +328,10 @@ def _study_network(entry, base: Path):
 
 
 def _study_method_config(method: str, cfg: dict):
-    if method in ("mce-g", "mce-k"):
-        cfg.setdefault("target", "g" if method == "mce-g" else "K")
-        return MinContrastConfig(**cfg)
     if method == "cl2":
         return Cl2Config(**cfg)
+    if method in _MCE_TARGETS:
+        return MinContrastConfig(**{"target": _MCE_TARGETS[method], **cfg})
     raise ValidationError(f"unknown method {method!r} in design")
 
 
@@ -484,7 +484,7 @@ def main(argv=None) -> int:
             format="%(levelname)s %(name)s: %(message)s",
         )
         args.func(args, argv)
-    except (ValidationError, OSError, UnicodeDecodeError) as exc:  # bad, unreadable or binary input
+    except (ValidationError, OSError) as exc:  # bad or unreadable input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -66,6 +66,10 @@ __all__ = [
 
 _LOG_BOUND = 30.0  # |log parameter| cap inside optimizers
 _SCORE_RTOL = 1e-6  # a converged score is this small against its pair sum
+_CONTRAST_GRID = 512  # r values of the contrast integral
+_CONTRAST_OPTIONS = {"xatol": 1e-7, "fatol": 1e-14, "maxiter": 2000, "maxfev": 8000}  # Nelder-Mead
+_ROOT_X_TOL = 1e-6  # relative step at which CL2's stage-2 root search stops
+_MCE_TARGETS = {"mce-g": "g", "mce-k": "K"}  # minimum-contrast method -> curve
 
 
 def _pair_range(net: LinearNetwork, r: float | None) -> float:
@@ -89,11 +93,7 @@ class MinContrastConfig:
     r_max: float | None = None
     power: float = 1.0
     start: tuple[float, float] = (0.5, 0.5)
-    grid_size: int = 512
     bandwidth: float | None = None
-    max_iter: int = 2000
-    x_tol: float = 1e-7
-    f_tol: float = 1e-14
 
     def __post_init__(self):
         if self.target not in ("g", "K"):
@@ -185,12 +185,7 @@ def min_contrast_from_curve(
         objective,
         np.log(np.asarray(config.start, dtype=np.float64)),
         method="Nelder-Mead",
-        options={
-            "xatol": config.x_tol,
-            "fatol": config.f_tol,
-            "maxiter": config.max_iter,
-            "maxfev": 4 * config.max_iter,
-        },
+        options=_CONTRAST_OPTIONS,
     )
     x = np.clip(res.x, -_LOG_BOUND, _LOG_BOUND)
     return MinContrastResult(
@@ -232,7 +227,7 @@ def min_contrast(
     r_max = _pair_range(net, config.r_max)
     if not (0 <= config.r_min < r_max):
         raise ValidationError("need 0 <= r_min < r_max")
-    r = np.linspace(config.r_min, r_max, config.grid_size)
+    r = np.linspace(config.r_min, r_max, _CONTRAST_GRID)
     if intensity is None:
         intensity = fit_intensity_mle(pattern)
     pairs = second_order_pairs(pattern, intensity)
@@ -294,8 +289,7 @@ class Cl2Config:
 
     :func:`cl2_fit` starts at ``start``; its stage 1 uses the fixed weight
     of range ``r0``, by default (adaptive weights only) one tenth of the
-    network length. ``max_iter`` caps each stage and ``x_tol`` is the
-    relative step at which stage 2's root search stops.
+    network length. ``max_iter`` caps each stage.
     """
 
     weight: str = "smooth"
@@ -303,7 +297,6 @@ class Cl2Config:
     epsilon: float = 0.01
     start: tuple[float, float] = (0.5, 0.5)
     max_iter: int = 500
-    x_tol: float = 1e-6
 
     def __post_init__(self):
         if self.weight not in ("fixed", "indicator", "smooth"):
@@ -553,10 +546,18 @@ def cl2_fit(pattern: PointPattern, k: int = 1, config: Cl2Config | None = None) 
         options={"maxiter": config.max_iter, "ftol": 1e-15, "gtol": 1e-10},
     )
     if config.weight != "fixed":
-        res = optimize.root(  # factor: first step ~|x|, not hybr's default 100 |x|
-            relative_score, res.x, method="hybr",
-            options={"xtol": config.x_tol, "maxfev": config.max_iter, "factor": 1.0},
-        )
+        try:
+            res = optimize.root(  # factor: first step ~|x|, not hybr's default 100 |x|
+                relative_score, res.x, method="hybr",
+                options={"xtol": _ROOT_X_TOL, "maxfev": config.max_iter, "factor": 1.0},
+            )
+        except NumericalError as exc:
+            s2, bt = params(res.x)
+            raise NumericalError(
+                f"{exc} in stage 2, which started from stage 1's end sigma2={s2:.6g}, "
+                f"beta={bt:.6g} at range {fixed.r0:.6g}; a shorter stage-1 range "
+                "(Cl2Config.r0, fit --r0) may give stage 1 an interior maximum"
+            ) from None
     converged = bool(res.success) and bool(np.all(np.abs(relative_score(res.x)) <= _SCORE_RTOL))
     s2, bt = params(res.x)
     score = ws.score(s2, bt, k, config)
@@ -574,8 +575,9 @@ class StudyRun:
     """One row of a simulation-study design.
 
     ``methods`` maps a method name (``"mce-g"``, ``"mce-k"`` or ``"cl2"``)
-    to its configuration (:class:`MinContrastConfig` or
-    :class:`Cl2Config`). All methods see the same simulated patterns.
+    to its configuration: None for the defaults, a :class:`Cl2Config` for
+    cl2, or a :class:`MinContrastConfig` whose target is the one the name
+    says. All methods see the same simulated patterns.
     """
 
     name: str
@@ -584,6 +586,18 @@ class StudyRun:
     methods: dict
     mode: str = "exact"
     spacing: float = 1.0
+
+    def __post_init__(self):
+        for method, cfg in self.methods.items():
+            where = f"run {self.name!r}, method {method!r}"
+            if method not in ("cl2", *_MCE_TARGETS):
+                raise ValidationError(f"{where}: unknown method; use mce-g, mce-k or cl2")
+            kind = Cl2Config if method == "cl2" else MinContrastConfig
+            if not (cfg is None or isinstance(cfg, kind)):
+                raise ValidationError(f"{where}: needs a {kind.__name__}, got {type(cfg).__name__}")
+            if kind is MinContrastConfig and cfg is not None and cfg.target != _MCE_TARGETS[method]:
+                raise ValidationError(f"{where}: fits target {_MCE_TARGETS[method]!r}, "
+                                      f"but its config has target {cfg.target!r}")
 
 
 @dataclass(frozen=True)
@@ -620,13 +634,11 @@ class StudyResult:
 
 
 def _fit_one(pattern: PointPattern, method: str, cfg, k: int):
-    if method in ("mce-g", "mce-k"):
-        cfg = cfg or MinContrastConfig(target="g" if method == "mce-g" else "K")
-        res = min_contrast(pattern, k=k, config=cfg)
-    elif method == "cl2":
+    if method == "cl2":
         res = cl2_fit(pattern, k=k, config=cfg)
     else:
-        raise ValidationError(f"unknown study method {method!r}")
+        cfg = cfg or MinContrastConfig(target=_MCE_TARGETS[method])
+        res = min_contrast(pattern, k=k, config=cfg)
     return res.sigma2, res.beta, res.converged
 
 

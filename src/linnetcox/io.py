@@ -64,14 +64,25 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _load_json(path: Path, what: str):
+@contextmanager
+def _open_input(path: Path, what: str):
+    """Open an input file for reading; a missing file and undecodable text
+    raise :class:`ValidationError` naming the file."""
     if not path.exists():
         raise ValidationError(f"{what} file not found: {path}")
     try:
-        with open(path) as f:
+        with open(path, newline="") as f:
+            yield f
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{what} file {path} cannot be decoded: {exc}") from None
+
+
+def _load_json(path: Path, what: str):
+    with _open_input(path, what) as f:
+        try:
             return json.load(f)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{what} file {path} is not valid JSON: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{what} file {path} is not valid JSON: {exc}") from None
 
 
 def _bad_row(path: Path, reader, expected: str, row) -> ValidationError:
@@ -147,10 +158,8 @@ def save_pattern(pattern: PointPattern, path) -> None:
 
 def load_pattern(path, net: LinearNetwork) -> PointPattern:
     path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"pattern file not found: {path}")
     points = []
-    with open(path, newline="") as f:
+    with _open_input(path, "pattern") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["edge", "offset"]:
@@ -179,10 +188,8 @@ def save_curves(curves, path) -> None:
 
 def load_curves(path) -> list[SummaryCurve]:
     path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"curve file not found: {path}")
     rows: dict[str, list] = {}  # per kind, in order of first appearance
-    with open(path, newline="") as f:
+    with _open_input(path, "curve") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header != ["kind", "r", "value", "defined"]:

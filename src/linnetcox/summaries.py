@@ -474,28 +474,38 @@ class FgjCurves:
     J: SummaryCurve
 
 
-def _erosion_products(
-    sorted_dists: list[np.ndarray],
-    sorted_cumprods: list[np.ndarray],
-    point_leaf_dist: np.ndarray,
-    r: np.ndarray,
+def _erosion_curve(
+    dist: np.ndarray, factors: np.ndarray, leaf: np.ndarray, r: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sum of per-point products over reference points inside the eroded
-    set, together with how many reference points qualify at each r."""
-    total = np.zeros(r.shape)
-    denom = np.zeros(r.shape, dtype=np.int64)
-    for i in range(point_leaf_dist.size):
-        in_eroded = point_leaf_dist[i] > r
-        if not in_eroded.any():
-            continue
-        if sorted_dists[i].size:
-            cnt = np.searchsorted(sorted_dists[i], r, side="right")
-            prods = np.where(cnt > 0, sorted_cumprods[i][np.maximum(cnt - 1, 0)], 1.0)
-        else:
-            prods = np.ones(r.shape)
-        total += np.where(in_eroded, prods, 0.0)
-        denom += in_eroded
-    return total, denom
+    """``1 -`` the mean, over rows ``i`` with ``leaf[i] > r``, of the product
+    of ``factors[j]`` over ``dist[i, j] <= r``; NaN and not ``defined`` where
+    no row qualifies. Each row's products accumulate in distance order
+    behind a leading one; the column to read at ``r`` is ``#{d <= r}``,
+    counted by binning the row-sorted distances into ``r`` sorted once.
+    """
+    (m, n), shape, r = dist.shape, r.shape, r.ravel()
+    order = np.argsort(dist, axis=1, kind="stable")
+    sorted_dist = np.take_along_axis(dist, order, axis=1)
+    products = np.ones((m, n + 1))
+    products[:, 1:] = factors[order]
+    del order
+    np.cumprod(products, axis=1, out=products)
+    r_order = np.argsort(r, kind="stable")
+    # bin j of row i: distances with r_sorted[j - 1] < d <= r_sorted[j]
+    bins = np.searchsorted(r[r_order], sorted_dist)
+    del sorted_dist
+    bins += (r.size + 1) * np.arange(m)[:, None]
+    counts = np.bincount(bins.ravel(), minlength=m * (r.size + 1)).reshape(m, r.size + 1)
+    within = counts.cumsum(axis=1)[:, np.argsort(r_order)]  # #{d <= r}, in r's own order
+    eroded = leaf[:, None] > r
+    # rows add in order, which a plain sum over a lone contiguous column does
+    # not (it adds pairwise); the last running row is the total, if any row
+    running = np.where(eroded, np.take_along_axis(products, within, axis=1), 0.0).cumsum(axis=0)
+    total = running[-1:].sum(axis=0)
+    rows = eroded.sum(axis=0)
+    defined = rows > 0
+    values = np.where(defined, 1.0 - total / np.maximum(rows, 1), np.nan)
+    return values.reshape(shape), defined.reshape(shape)
 
 
 def fgj_estimates(
@@ -511,9 +521,12 @@ def fgj_estimates(
     match their classical stationary shapes, making departures
     diagnostic: ``J < 1`` indicates clustering.
 
-    Cells where an estimator's reference set is empty (or ``F == 1`` for
-    ``J``) are undefined: NaN values with ``defined`` False. An empty
-    pattern yields ``F == 0`` everywhere it is defined and no ``G``.
+    ``F`` and ``G`` each come from one pass over a whole distance matrix
+    (lattice by data; data by data with an infinite diagonal), for ``r`` in
+    any order and with repeats. Cells where an estimator's reference set is
+    empty or ``r < config.r_min`` (or ``F == 1`` for ``J``) are undefined:
+    NaN values with ``defined`` False. An empty pattern yields ``F == 0``
+    everywhere it is defined and no ``G``.
     """
     config = config or FgjConfig()
     net = pattern.network
@@ -522,7 +535,7 @@ def fgj_estimates(
         raise ValidationError("r must be nonnegative")
 
     rho, rho_inf = _intensity_at_points(net, pattern, config.intensity)
-    if pattern.n and not (rho > 0).all():
+    if not (rho > 0).all():
         raise ValidationError("intensity must be positive at every data point")
     rho_bar = config.rho_bar if config.rho_bar is not None else rho_inf
     if rho_bar is None:
@@ -534,53 +547,19 @@ def fgj_estimates(
     if pattern.n and rho_bar > rho.min() * (1 + 1e-12):
         raise ValidationError("rho_bar must not exceed the intensity at any data point")
 
-    factors = 1.0 - rho_bar / rho if pattern.n else np.empty(0)
+    factors = 1.0 - rho_bar / rho
+    grid = PointPattern(net, lattice(net, config.lattice_spacing))
+    # F from the lattice points; G from the data points, each point's own
+    # distance set to inf so that it sorts last and is never within r.
+    f_values, f_defined = _erosion_curve(pairwise_distances(net, grid, pattern), factors,
+                                         leaf_distances(net, grid), r)
+    d_data = distance_matrix(pattern)
+    np.fill_diagonal(d_data, np.inf)
+    g_values, g_defined = _erosion_curve(d_data, factors, leaf_distances(net, pattern), r)
 
-    grid = lattice(net, config.lattice_spacing)
-    grid_pat = PointPattern(net, grid)
-    grid_leaf = leaf_distances(net, grid_pat)
-    data_leaf = leaf_distances(net, pattern)
-
-    def row_tables(dist_rows: np.ndarray, drop_self: bool):
-        sd, sc = [], []
-        for i in range(dist_rows.shape[0]):
-            d = dist_rows[i]
-            f = factors
-            if drop_self:
-                keep = np.arange(d.size) != i
-                d, f = d[keep], f[keep]
-            order = np.argsort(d, kind="stable")
-            sd.append(d[order])
-            sc.append(np.cumprod(f[order]))
-        return sd, sc
-
-    # F: products seen from lattice points.
-    if pattern.n:
-        d_grid = pairwise_distances(net, grid_pat, pattern)
-    else:
-        d_grid = np.empty((grid_pat.n, 0))
-    sd, sc = row_tables(d_grid, drop_self=False)
-    tot, den = _erosion_products(sd, sc, grid_leaf, r)
-    f_defined = den > 0
-    f_values = np.full(r.shape, np.nan)
-    f_values[f_defined] = 1.0 - tot[f_defined] / den[f_defined]
-
-    # G: products seen from the data points themselves.
-    g_values = np.full(r.shape, np.nan)
-    g_defined = np.zeros(r.shape, dtype=bool)
-    if pattern.n:
-        d_data = distance_matrix(pattern)
-        sd, sc = row_tables(d_data, drop_self=True)
-        tot, den = _erosion_products(sd, sc, data_leaf, r)
-        g_defined = den > 0
-        g_values[g_defined] = 1.0 - tot[g_defined] / den[g_defined]
-
-    if config.r_min > 0:
-        cut = r >= config.r_min
-        f_defined = f_defined & cut
-        g_defined = g_defined & cut
-        f_values[~f_defined] = np.nan
-        g_values[~g_defined] = np.nan
+    early = r < config.r_min
+    for values, defined in ((f_values, f_defined), (g_values, g_defined)):
+        values[early], defined[early] = np.nan, False
 
     j_defined = f_defined & g_defined & (1.0 - f_values > 0)
     j_values = np.full(r.shape, np.nan)

@@ -434,6 +434,20 @@ class TestSimstudy:
         assert run("simstudy", "--design", entry, "--out", tmp_path / "r.csv") == 2
         capsys.readouterr()
 
+    def test_method_target_mismatch(self, tmp_path, capsys):
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps([{
+            "name": "run-1",
+            "network": {"template": "dendrite", "seed": 3, "side_target": 120.0},
+            "model": {"rho_y_main": 0.8, "rho_y_side": 1.2, "sigma2": 5.0, "beta": 0.1},
+            "methods": {"mce-k": {"target": "g"}},
+        }]))
+        out = tmp_path / "r.csv"
+        assert run("simstudy", "--design", design, "--reps", "1", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'mce-k'" in err and "target 'g'" in err
+        assert not out.exists()
+
 
 class TestMalformedInputs:
     @pytest.mark.parametrize(
@@ -449,6 +463,17 @@ class TestMalformedInputs:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"bad.csv, line {line}" in err
+
+    @pytest.mark.parametrize(
+        "load", [load_network, load_pattern, load_curves, load_fit],
+        ids=["network", "pattern", "curves", "fit"],
+    )
+    def test_undecodable_file_is_named(self, tmp_path, load):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"edge,offset\n0,1.0\xff\n")
+        args = (path,) if load in (load_network, load_curves, load_fit) else (path, None)
+        with pytest.raises(ValidationError, match="binary.txt cannot be decoded"):
+            load(*args)
 
     def test_bad_network_json(self, tmp_path, pattern_file, capsys):
         net = tmp_path / "bad.json"
@@ -471,18 +496,22 @@ class TestMalformedInputs:
     def test_unreadable_inputs(self, tmp_path, dendrite_file, pattern_file, capsys):
         binary = tmp_path / "binary.csv"
         binary.write_bytes(b"edge,offset\n0,1.0\xff\n")
+        binary_net = tmp_path / "binary.json"
+        binary_net.write_bytes(b'{"vertices": [], "edges": []\xff}')
         not_a_dir = tmp_path / "plain"
         not_a_dir.write_text("")
-        for net, pattern in [
-            (tmp_path, pattern_file),  # a directory
-            (dendrite_file, binary),  # not UTF-8
-            (dendrite_file, not_a_dir / "p.csv"),  # a path through a file
+        for net, pattern, named in [
+            (tmp_path, pattern_file, None),  # a directory
+            (dendrite_file, binary, binary),  # not UTF-8
+            (binary_net, pattern_file, binary_net),
+            (dendrite_file, not_a_dir / "p.csv", None),  # a path through a file
         ]:
             out = tmp_path / "x.csv"
             rc = run("summaries", "--net", net, "--pattern", pattern, "--out", out)
             assert rc == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
+            assert named is None or str(named) in err
             assert not out.exists()
 
     @pytest.mark.parametrize(

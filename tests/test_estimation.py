@@ -33,6 +33,7 @@ from linnetcox import (
     spawn_generators,
     two_step_fit,
 )
+from linnetcox.errors import NumericalError
 from linnetcox.estimation import (
     _UNIT_NODES,
     _UNIT_WEIGHTS,
@@ -77,6 +78,11 @@ def study_runs():
 
 
 class TestMinContrastFixedPoint:
+    def test_fixed_settings_are_not_fields(self):
+        for removed in ("grid_size", "max_iter", "x_tol", "f_tol"):
+            with pytest.raises(TypeError):
+                MinContrastConfig(**{removed: 1})
+
     def test_recovers_truth_from_exact_g_curve(self):
         r = np.linspace(0.0, 30.0, 512)
         truth = CoxModel(1.0, 1.0, 5.0, 0.1)
@@ -411,9 +417,25 @@ class TestCl2:
             Cl2Config(weight="fixed")  # r0 missing
         with pytest.raises(ValidationError):
             Cl2Config(epsilon=1.0)
-        for removed in ("search", "grid_sigma2", "grid_beta", "grid_size"):
+        for removed in ("search", "grid_sigma2", "grid_beta", "grid_size", "x_tol"):
             with pytest.raises(TypeError):
                 Cl2Config(**{removed: None})
+
+    def test_stage_two_failure_names_stage_one(self):
+        # criterion 07's design, simstudy --seed 2026, replicate 12: at the
+        # default range 0.1 |L| stage 1 drives beta to its bound, and the
+        # weight then vanishes on every pair in stage 2
+        net = make_network("dendrite", seed=4, side_target=650.0)
+        gen = spawn_generators(np.random.SeedSequence(2026).spawn(1)[0], 13)[12]
+        pattern = simulate_cox(net, CoxModel(0.8, 1.2, 5.0, 0.1), seed=gen).pattern
+        with pytest.raises(NumericalError) as err:
+            cl2_fit(pattern)
+        message = str(err.value)
+        assert message.startswith("weight vanished on every observed pair in stage 2")
+        assert "beta=2.17" in message and f"range {0.1 * net.total_length:.6g}" in message
+        assert "fit --r0" in message
+        res = cl2_fit(pattern, config=Cl2Config(r0=30.0))
+        assert res.sigma2 > 0.5 and res.beta < 5.0
 
     def test_needs_two_points(self, path10):
         with pytest.raises(ValidationError):
@@ -533,6 +555,26 @@ class TestSimulationStudy:
         counts = result.truncation[("run-1", "mce-g")]
         assert counts["sigma2_over"] + counts["failed"] == 2
         assert counts["beta_over"] + counts["failed"] == 2
+
+    @pytest.mark.parametrize(
+        "methods, complaint",
+        [
+            ({"mce-k": MinContrastConfig(r_max=30.0)}, "target 'g'"),
+            ({"mce-g": MinContrastConfig(target="K")}, "target 'K'"),
+            ({"cl2": MinContrastConfig()}, "needs a Cl2Config"),
+            ({"mce-g": Cl2Config()}, "needs a MinContrastConfig"),
+            ({"mce-x": None}, "unknown method"),
+        ],
+    )
+    def test_method_must_match_config(self, methods, complaint):
+        net = make_network("dendrite", seed=51, side_target=150.0)
+        with pytest.raises(ValidationError, match=complaint):
+            StudyRun("run-1", net, CoxModel(0.8, 1.2, 5.0, 0.1), methods)
+
+    def test_default_configs(self):
+        net = make_network("dendrite", seed=51, side_target=150.0)
+        run = StudyRun("run-1", net, CoxModel(0.8, 1.2, 5.0, 0.1), {"mce-k": None, "cl2": None})
+        assert run.methods == {"mce-k": None, "cl2": None}
 
     def test_estimates_accessor(self, study_runs):
         runs = study_runs

@@ -26,8 +26,12 @@ from linnetcox import (
     leaf_distances,
     make_network,
     pair_correlation,
+    pairwise_distances,
+    simulate_cox,
     simulate_poisson,
+    spawn_generators,
 )
+from linnetcox.network import distance_matrix
 from linnetcox.summaries import g_from_pairs, second_order_pairs
 
 from conftest import oracle_distances
@@ -414,6 +418,105 @@ class TestFgj:
         assert_allclose(
             got.F.values[got.F.defined], explicit.F.values[explicit.F.defined], rtol=1e-15
         )
+
+
+def fgj_row_loop(pattern, config, r):
+    """F, G and J by the former per-row loop: sort each row, drop the point's
+    own distance for G, and accumulate the eroded products row by row."""
+    net = pattern.network
+    r = default_r_grid(net) if r is None else np.asarray(r, dtype=np.float64)
+    rho = np.where(net.edge_side[pattern.edge_indices], config.intensity.side,
+                   config.intensity.main)
+    factors = 1.0 - config.intensity.min_positive(net) / rho
+    grid = PointPattern(net, lattice(net, config.lattice_spacing))
+
+    def curve(dist, leaf, drop_self):
+        total = np.zeros(r.shape)
+        denom = np.zeros(r.shape, dtype=np.int64)
+        for i in range(dist.shape[0]):
+            keep = np.arange(dist.shape[1]) != i if drop_self else slice(None)
+            d, f = dist[i][keep], factors[keep]
+            order = np.argsort(d, kind="stable")
+            d, cum = d[order], np.cumprod(f[order])
+            in_eroded = leaf[i] > r
+            if not in_eroded.any():
+                continue
+            cnt = np.searchsorted(d, r, side="right")
+            prods = np.where(cnt > 0, cum[np.maximum(cnt - 1, 0)], 1.0) if d.size else 1.0
+            total += np.where(in_eroded, prods, 0.0)
+            denom += in_eroded
+        defined = (denom > 0) & (r >= config.r_min)
+        values = np.full(r.shape, np.nan)
+        values[defined] = 1.0 - total[defined] / denom[defined]
+        return values, defined
+
+    F = curve(pairwise_distances(net, grid, pattern), leaf_distances(net, grid), False)
+    G = curve(distance_matrix(pattern), leaf_distances(net, pattern), True)
+    j_defined = F[1] & G[1] & (1.0 - F[0] > 0)
+    J = np.full(r.shape, np.nan)
+    J[j_defined] = (1.0 - G[0][j_defined]) / (1.0 - F[0][j_defined])
+    return {"F": F, "G": G, "J": (J, j_defined)}
+
+
+@pytest.fixture(scope="module")
+def fgj_patterns():
+    """The README pattern, it snapped to each edge's 1 um lattice (some
+    points land on vertices), a 900-point pattern at 5x the intensity, and
+    one- and zero-point patterns."""
+    net = make_network("dendrite", seed=7)
+    readme = simulate_cox(net, CoxModel(0.8, 1.2, 5.0, 0.1), seed=spawn_generators(3, 3)[0]).pattern
+    length = net.edge_length[readme.edge_indices]
+    steps = np.ceil(length)
+    snapped = np.round(readme.offsets / length * steps) * length / steps
+    dense = simulate_cox(net, CoxModel(4.0, 6.0, 5.0, 0.1), seed=5).pattern
+    keep = np.sort(np.random.default_rng(5).choice(dense.n, 900, replace=False))
+    pats = {
+        "readme": readme,
+        "snapped": PointPattern.from_indices(net, readme.edge_indices, snapped),
+        "dense": PointPattern.from_indices(net, dense.edge_indices[keep], dense.offsets[keep]),
+        "one": PointPattern.from_indices(net, readme.edge_indices[:1], readme.offsets[:1]),
+        "zero": PointPattern.from_indices(net, readme.edge_indices[:0], readme.offsets[:0]),
+    }
+    on_vertex = pats["snapped"].offsets == net.edge_length[pats["snapped"].edge_indices]
+    assert on_vertex.sum() == 10 and pats["dense"].n == 900
+    return pats
+
+
+FGJ_GRIDS = {
+    "default": None,
+    "linear": np.linspace(0.0, 30.0, 121),
+    "shuffled": np.random.default_rng(1).permutation(np.linspace(0.0, 30.0, 121)),
+    "repeats": np.array([5.0, 5.0, 0.0, 1e9]),
+    "one-value": np.array([7.5]),
+    "scalar": 7.5,
+}
+
+
+class TestFgjMatchesRowLoop:
+    """The whole-matrix F/G/J equals the per-row loop bit for bit."""
+
+    @staticmethod
+    def check(pattern, r, **config):
+        intensity = fit_intensity_mle(pattern) if pattern.n > 1 else IntensityModel(0.5, 0.5)
+        cfg = FgjConfig(intensity=intensity, **config)
+        got = fgj_estimates(pattern, cfg, r)
+        want = fgj_row_loop(pattern, cfg, r)
+        for name, (values, defined) in want.items():
+            curve = getattr(got, name)
+            assert np.array_equal(curve.values, values, equal_nan=True), name
+            assert np.array_equal(curve.defined, defined), name
+
+    @pytest.mark.parametrize("grid", list(FGJ_GRIDS))
+    @pytest.mark.parametrize("name", ["readme", "snapped", "dense", "one", "zero"])
+    def test_grids(self, fgj_patterns, name, grid):
+        self.check(fgj_patterns[name], FGJ_GRIDS[grid])
+
+    @pytest.mark.parametrize(
+        "config", [{"r_min": 2.0}, {"lattice_spacing": 0.3}, {"lattice_spacing": 1.0}]
+    )
+    @pytest.mark.parametrize("name", ["readme", "snapped", "dense", "one", "zero"])
+    def test_configs(self, fgj_patterns, name, config):
+        self.check(fgj_patterns[name], FGJ_GRIDS["shuffled"], **config)
 
 
 class TestGrids:
