@@ -365,6 +365,9 @@ def _cmd_simstudy(args, argv) -> None:
     for key, counts in result.truncation.items():
         if any(counts.values()):
             log.info("run %s method %s: %s", key[0], key[1], counts)
+    for f in result.failures:
+        log.info("run %s replicate %d method %s failed: %s: %s",
+                 f.run, f.replicate, f.method, f.error, f.message)
 
 
 # -- parser -------------------------------------------------------------------

@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import ValidationError
 from .models import CoxModel, IntensityModel
@@ -171,9 +170,11 @@ def rank_envelope(curve_set: CurveSet, alpha: float = 0.05) -> EnvelopeResult:
 
     cells = np.nonzero(curve_set.defined)[0]
     values = np.vstack([curve_set.data[cells], curve_set.sims[:, cells]])
-    count_le = stats.rankdata(values, method="max", axis=0)
-    count_ge = n - stats.rankdata(values, method="min", axis=0) + 1
-    ranks = np.minimum(count_le, count_ge).min(axis=1).astype(np.int64)
+    # min(#{curves <= value}, #{curves >= value}) per cell, from its sorted column
+    depth = [np.minimum(np.searchsorted(col, x, side="right"),
+                        n - np.searchsorted(col, x, side="left"))
+             for col, x in zip(np.sort(values.T, axis=1), values.T)]
+    ranks = np.min(depth, axis=0).astype(np.int64)
 
     r0 = int(ranks[0])
     p_conservative = float(np.count_nonzero(ranks <= r0) / n)

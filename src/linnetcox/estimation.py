@@ -24,10 +24,9 @@ model follow from the thinning relation
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import NumericalError, ValidationError
 from .models import CoxModel, IntensityModel
@@ -52,6 +51,7 @@ __all__ = [
     "Cl2Result",
     "StudyRun",
     "StudyRow",
+    "StudyFailure",
     "StudyResult",
     "min_contrast",
     "min_contrast_from_curve",
@@ -179,7 +179,10 @@ def min_contrast_from_curve(
         x = np.clip(x, -_LOG_BOUND, _LOG_BOUND)
         th = _theory_curve(config.target, r, math.exp(x[0]), math.exp(x[1]), k)
         diff = emp - th**config.power
-        return float(integrate.trapezoid(diff * diff, r))
+        sq = diff * diff
+        return float((np.diff(r) * (sq[1:] + sq[:-1]) / 2.0).sum())  # scipy's trapezoid
+
+    from scipy import optimize  # imported by the fits only: `import linnetcox` stays scipy-free
 
     res = optimize.minimize(
         objective,
@@ -524,6 +527,8 @@ def cl2_fit(pattern: PointPattern, k: int = 1, config: Cl2Config | None = None) 
     weight's score jumps where a pair crosses the cut, so it may have no
     root and then reports ``converged=False``.
     """
+    from scipy import optimize  # imported by the fits only: `import linnetcox` stays scipy-free
+
     config = config or Cl2Config()
     ws = _Cl2Workspace(pattern)
     fixed = replace(config, weight="fixed", r0=_pair_range(pattern.network, config.r0))
@@ -611,18 +616,28 @@ class StudyRow:
 
 
 @dataclass(frozen=True)
+class StudyFailure:
+    run: str
+    replicate: int
+    method: str
+    error: str  # the exception's class name
+    message: str
+
+
+@dataclass(frozen=True)
 class StudyResult:
     """Per-replicate estimates plus truncation and failure tallies.
 
     ``truncation[(run, method)]`` counts estimates exceeding the caps
     (the conventional display caps sigma2 > 15, beta > 5) and replicates
     where the fit raised, which are recorded as non-converged NaN rows
-    rather than aborting the study.
+    rather than aborting the study; ``failures`` says why each one raised.
     """
 
     rows: list
     truncation: dict
     caps: tuple[float, float]
+    failures: list = field(default_factory=list)
 
     def estimates(self, run: str, method: str) -> np.ndarray:
         vals = [
@@ -647,14 +662,16 @@ def simulation_study(runs, replicates: int, seed=None, caps=None) -> StudyResult
 
     Replicate streams are spawned per run from the master seed, so the
     result table is bitwise reproducible and independent of evaluation
-    order. Fit failures are recorded (NaN estimates, ``converged=False``)
-    and tallied, never fatal.
+    order. A fit that raises a :class:`ValidationError`,
+    :class:`NumericalError` or ``LinAlgError`` is recorded (NaN estimates,
+    ``converged=False``, a :class:`StudyFailure`) and tallied, never fatal.
     """
     if replicates < 0:
         raise ValidationError("replicates must be nonnegative")
     caps = caps or (SIGMA2_TRUNCATION, BETA_TRUNCATION)
     runs = list(runs)
     rows: list[StudyRow] = []
+    failures: list[StudyFailure] = []
     tally: dict = {}
     master = np.random.SeedSequence(seed) if not isinstance(seed, np.random.SeedSequence) else seed
     run_seeds = master.spawn(len(runs))
@@ -668,8 +685,10 @@ def simulation_study(runs, replicates: int, seed=None, caps=None) -> StudyResult
                 counts = tally[(run.name, method)]
                 try:
                     s2, bt, ok = _fit_one(sample.pattern, method, cfg, run.model.k)
-                except Exception:
+                except (ValidationError, NumericalError, np.linalg.LinAlgError) as exc:
                     rows.append(StudyRow(run.name, rep, method, float("nan"), float("nan"), False))
+                    failures.append(
+                        StudyFailure(run.name, rep, method, type(exc).__name__, str(exc)))
                     counts["failed"] += 1
                     continue
                 rows.append(StudyRow(run.name, rep, method, float(s2), float(bt), bool(ok)))
@@ -677,4 +696,4 @@ def simulation_study(runs, replicates: int, seed=None, caps=None) -> StudyResult
                     counts["sigma2_over"] += 1
                 if bt > caps[1]:
                     counts["beta_over"] += 1
-    return StudyResult(rows=rows, truncation=tally, caps=tuple(caps))
+    return StudyResult(rows=rows, truncation=tally, caps=tuple(caps), failures=failures)

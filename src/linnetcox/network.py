@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from .errors import ValidationError
 
@@ -147,30 +145,37 @@ class LinearNetwork:
         self.edge_length = length
         self.edge_side = side
 
+        self._incident: list[list[int]] = [[] for _ in range(nv)]
+        for i in range(ne):
+            self._incident[start[i]].append(i)
+            self._incident[end[i]].append(i)
+
         # Connectivity / acyclicity. A connected graph on nv vertices with
         # ne undirected edges is a tree iff ne == nv - 1.
-        adj = sparse.coo_matrix(
-            (length, (start, end)), shape=(nv, nv)
-        ).tocsr()
-        n_comp, _ = csgraph.connected_components(adj, directed=False)
+        up, order, stack, n_comp = [-2] * nv, [], [], 0  # up[v]: edge to v's parent, -1 at a root
+        for root in (int(start[0]), *range(nv)):  # rooted at edge 0's start, as the GRF draw expects
+            if up[root] == -2:  # no earlier search reached it: a new component
+                n_comp, up[root], stack = n_comp + 1, -1, [root]
+            while stack:  # depth first, so `order` is a preorder
+                v = stack.pop()
+                order.append(v)
+                for ei in self._incident[v]:
+                    w = int(start[ei] + end[ei]) - v
+                    if up[w] == -2:
+                        up[w] = ei
+                        stack.append(w)
         if n_comp > 1:
             raise ValidationError(f"network is disconnected ({n_comp} components)")
         if ne != nv - 1:
             raise ValidationError("network contains a cycle; only trees are supported")
 
-        self.vertex_distance_matrix = csgraph.shortest_path(adj, directed=False)
+        self._preorder, self._parent_edge = order, up
+        self.vertex_distance_matrix = self._tree_distances(order, up)
 
-        self.degrees = np.zeros(nv, dtype=np.int64)
-        np.add.at(self.degrees, start, 1)
-        np.add.at(self.degrees, end, 1)
+        self.degrees = np.array([len(inc) for inc in self._incident], dtype=np.int64)
         self.leaf_vertices = np.nonzero(self.degrees == 1)[0]
         # Distance from each vertex to the nearest degree-1 vertex.
         self.vertex_leaf_distance = self.vertex_distance_matrix[:, self.leaf_vertices].min(axis=1)
-
-        self._incident: list[list[int]] = [[] for _ in range(nv)]
-        for i in range(ne):
-            self._incident[start[i]].append(i)
-            self._incident[end[i]].append(i)
 
         # Canonical on-edge representation of each vertex: the incident
         # edge with the lowest id, and the offset of the vertex on it.
@@ -189,6 +194,29 @@ class LinearNetwork:
         self.total_length = float(length.sum())
         self.side_length = float(length[side].sum())
         self.main_length = self.total_length - self.side_length
+
+    def _tree_distances(self, order: list[int], up: list[int]) -> np.ndarray:
+        """V x V path lengths, summed edge by edge from the source as Dijkstra sums them.
+
+        ``t[target, source]`` in preorder positions, where each subtree is a
+        slice: reverse preorder extends the sources below each vertex up to
+        its parent, then preorder extends all other sources down to it.
+        """
+        nv = len(order)
+        pos = np.empty(nv, dtype=np.intp)
+        pos[order] = np.arange(nv)
+        edge = [up[v] for v in order[1:]]  # each non-root's edge to its parent, in preorder
+        par = [0] + pos[self.edge_start[edge] + self.edge_end[edge] - order[1:]].tolist()
+        w = [0.0] + self.edge_length[edge].tolist()
+        hi = list(range(1, nv + 1))  # end of each subtree's slice
+        t = np.zeros((nv, nv))
+        for i in range(nv - 1, 0, -1):
+            t[par[i], i : hi[i]] = t[i, i : hi[i]] + w[i]
+            hi[par[i]] = max(hi[par[i]], hi[i])
+        for i in range(1, nv):
+            t[i, :i] = t[par[i], :i] + w[i]
+            t[i, hi[i] :] = t[par[i], hi[i] :] + w[i]
+        return t[np.ix_(pos, pos)].T.copy()
 
     # -- basic queries ---------------------------------------------------
 
@@ -262,9 +290,7 @@ class LinearNetwork:
         off = np.asarray(off, dtype=np.float64).copy()
         if eidx.size == 0:
             return eidx, off
-        lo = off < 0.0
-        hi = off > self.edge_length[eidx]
-        if lo.any() or hi.any():
+        if not ((off >= 0.0) & (off <= self.edge_length[eidx])).all():  # NaN too
             raise ValidationError("point offset outside its edge")
         at_start = off == 0.0
         at_end = off == self.edge_length[eidx]
@@ -299,8 +325,6 @@ class PointPattern:
                 eid, o = p
             eidx[i] = network.edge_index(eid)
             off[i] = float(o)
-        if len(pts) and not ((off >= 0.0) & (off <= network.edge_length[eidx])).all():
-            raise ValidationError("point offset outside its edge")
         self.edge_indices, self.offsets = network._canonicalize_arrays(eidx, off)
 
     @classmethod

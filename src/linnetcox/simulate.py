@@ -158,16 +158,10 @@ def _conditional_draw(net, ue, uo, beta, z) -> np.ndarray:
         rho = math.exp(-beta * d)
         return rho * m, rho * rho * v - math.expm1(-2.0 * beta * d)
 
-    # Root the tree at edge 0's start. below[f] is the lowest index of an
-    # edge with sites among f and everything beyond it away from the root.
-    parent = {start[0]: -1}
-    order = [start[0]]
-    for w in order:
-        for f in incident[w]:
-            if f != parent[w]:
-                parent[far(f, w)] = f
-                order.append(far(f, w))
-    for u in reversed(order[1:]):
+    # The network's preorder is rooted at edge 0's start. below[f] is the lowest
+    # index of an edge with sites among f and everything beyond it away from the root.
+    parent = net._parent_edge
+    for u in reversed(net._preorder[1:]):
         up = parent[far(parent[u], u)]
         if up >= 0:
             below[up] = min(below[up], below[parent[u]])

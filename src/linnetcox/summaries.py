@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, sparse
-from scipy.sparse.linalg import splu
 
 from .errors import NumericalError, ValidationError
 from .models import CoxModel, IntensityModel
@@ -131,10 +129,8 @@ class IntensityEstimate:
         return out
 
     def integral(self) -> float:
-        total = 0.0
-        for off, val in zip(self.edge_offsets, self.edge_values):
-            total += float(integrate.trapezoid(val, off))
-        return total
+        return sum(float((np.diff(off) * (val[1:] + val[:-1]) / 2.0).sum())  # trapezoid rule
+                   for off, val in zip(self.edge_offsets, self.edge_values))
 
 
 def kernel_intensity(
@@ -168,6 +164,8 @@ def kernel_intensity(
         )
     if pattern.network is not net:
         raise ValidationError("pattern belongs to a different network")
+    from scipy import sparse  # imported here only: `import linnetcox` stays scipy-free
+    from scipy.sparse.linalg import splu
 
     nv = net.n_vertices
     # Node layout: vertices first, then interior nodes edge by edge.
@@ -314,6 +312,8 @@ def k_function(model: CoxModel, r) -> np.ndarray:
     if model.k <= 5:
         out = _k_closed_form(rr, model.sigma2, model.beta, model.k)
     else:
+        from scipy import integrate  # imported here only: `import linnetcox` stays scipy-free
+
         out = np.empty(rr.shape)
         for i, ri in enumerate(rr):
             val, _ = integrate.quad(

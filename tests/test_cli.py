@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from linnetcox import (
     load_network,
     load_pattern,
 )
+import linnetcox
 from linnetcox import cli
 from linnetcox.cli import main
 
@@ -601,3 +606,43 @@ class TestHarness:
         assert main(rerun) == 0
         for name in ("pattern_0000.csv", "pattern_0001.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def _fresh_scipy_modules(code: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter; the scipy modules it loaded."""
+    src = str(Path(linnetcox.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = code + "\nimport json, sys\nprint(json.dumps([m for m in sys.modules if m.startswith('scipy')]))"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestScipyStaysUnloaded:
+    """Steps that fit nothing start without paying for scipy's import."""
+
+    def test_import(self):
+        assert _fresh_scipy_modules("import linnetcox") == []
+
+    @pytest.mark.parametrize("step", ["make-network", "simulate-cox", "summaries", "envelope-K",
+                                      "envelope-FGJ"])
+    def test_cli_step(self, tmp_path, dendrite_file, pattern_file, step):
+        fit_file = tmp_path / "fit.json"
+        assert run("fit", "--net", dendrite_file, "--pattern", pattern_file, "--method", "mce-g",
+                   "--ru", "30", "--out", fit_file) == 0
+        common = ["--net", dendrite_file, "--pattern", pattern_file, "--out", tmp_path / "out.csv"]
+        argv = {
+            "make-network": ["make-network", "--template", "dendrite", "--seed", "7",
+                             "--out", tmp_path / "net.json"],
+            "simulate-cox": ["simulate-cox", "--net", dendrite_file, "--rho-ym", "0.8",
+                             "--sigma2", "5", "--beta", "0.1", "--reps", "2", "--seed", "3",
+                             "--out", tmp_path / "sim"],
+            "summaries": ["summaries", "--which", "K,g,F,G,J", "--rgrid", "0:30:31", *common],
+            "envelope-K": ["envelope", "--test", "K", "--model", fit_file, "--sims", "3",
+                           "--seed", "5", *common],
+            "envelope-FGJ": ["envelope", "--test", "FGJ", "--model", fit_file, "--sims", "3",
+                             "--seed", "5", *common],
+        }[step]
+        code = f"from linnetcox.cli import main\nassert main({[str(a) for a in argv]!r}) == 0"
+        assert _fresh_scipy_modules(code) == []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import stats
 
 from linnetcox import (
     CoxModel,
@@ -221,6 +222,55 @@ class TestRankEnvelope:
         masked = CurveSet(cs.r, cs.labels, cs.data, cs.sims, np.array([False]))
         with pytest.raises(ValidationError):
             rank_envelope(masked, alpha=0.2)
+
+
+def rankdata_envelope(curve_set, alpha):
+    """The rank test written with ``scipy.stats.rankdata``, as the reference."""
+    cells = np.nonzero(curve_set.defined)[0]
+    values = np.vstack([curve_set.data[cells], curve_set.sims[:, cells]])
+    n = values.shape[0]
+    count_le = stats.rankdata(values, method="max", axis=0)
+    count_ge = n - stats.rankdata(values, method="min", axis=0) + 1
+    ranks = np.minimum(count_le, count_ge).min(axis=1).astype(np.int64)
+    critical = int(np.sort(ranks)[int(np.floor(alpha * n + 1e-9))])
+    lower = np.full(curve_set.data.shape, np.nan)
+    upper = np.full(curve_set.data.shape, np.nan)
+    lower[cells] = values[ranks >= critical].min(axis=0)
+    upper[cells] = values[ranks >= critical].max(axis=0)
+    p_conservative = float(np.count_nonzero(ranks <= ranks[0]) / n)
+    p_liberal = float((np.count_nonzero(ranks[1:] < ranks[0]) + 1) / n)
+    return ranks, critical, p_liberal, p_conservative, lower, upper
+
+
+def _rank_case(name, rng):
+    n_sims, m = {"one simulation": (1, 9)}.get(name, (39, 25))
+    values = rng.normal(size=(n_sims + 1, m))
+    defined = np.ones(m, dtype=bool)
+    if name == "integer ties":
+        values = rng.integers(0, 3, size=values.shape).astype(np.float64)
+    elif name == "constant column":
+        values[:, [0, 7]] = 2.5
+    elif name == "masked cells":
+        defined = rng.random(m) < 0.6
+        values[:, ~defined] = np.nan
+    labels = np.array(["K"] * m, dtype=object)
+    return CurveSet(np.arange(float(m)), labels, values[0], values[1:], defined)
+
+
+@pytest.mark.filterwarnings("ignore:only 1 simulations")
+@pytest.mark.parametrize("case", ["continuous", "integer ties", "one simulation",
+                                  "constant column", "masked cells"])
+@pytest.mark.parametrize("alpha", [0.05, 0.3])
+def test_ranks_match_rankdata(case, alpha):
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        curve_set = _rank_case(case, rng)
+        res = rank_envelope(curve_set, alpha=alpha)
+        ranks, critical, p_lib, p_cons, lower, upper = rankdata_envelope(curve_set, alpha)
+        assert res.ranks.dtype == np.int64 and np.array_equal(res.ranks, ranks)
+        assert (res.critical_rank, res.p_liberal, res.p_conservative) == (critical, p_lib, p_cons)
+        assert np.array_equal(res.lower, lower, equal_nan=True)
+        assert np.array_equal(res.upper, upper, equal_nan=True)
 
 
 class TestPipeline:

@@ -33,8 +33,10 @@ from linnetcox import (
     spawn_generators,
     two_step_fit,
 )
+from linnetcox import estimation
 from linnetcox.errors import NumericalError
 from linnetcox.estimation import (
+    StudyFailure,
     _UNIT_NODES,
     _UNIT_WEIGHTS,
     _Cl2Workspace,
@@ -575,6 +577,36 @@ class TestSimulationStudy:
         net = make_network("dendrite", seed=51, side_target=150.0)
         run = StudyRun("run-1", net, CoxModel(0.8, 1.2, 5.0, 0.1), {"mce-k": None, "cl2": None})
         assert run.methods == {"mce-k": None, "cl2": None}
+
+    def test_failures_are_recorded(self, study_runs, monkeypatch):
+        real = estimation.min_contrast
+        errors = iter([None, NumericalError("no interior minimum"), None,
+                       np.linalg.LinAlgError("singular matrix")])
+
+        def flaky(pattern, k, config):
+            exc = next(errors)
+            if exc is not None:
+                raise exc
+            return real(pattern, k=k, config=config)
+
+        monkeypatch.setattr(estimation, "min_contrast", flaky)
+        result = simulation_study(study_runs, replicates=2, seed=1)
+        assert result.failures == [
+            StudyFailure("run-1", 0, "mce-k", "NumericalError", "no interior minimum"),
+            StudyFailure("run-1", 1, "mce-k", "LinAlgError", "singular matrix"),
+        ]
+        assert result.truncation[("run-1", "mce-k")]["failed"] == 2
+        failed = [row for row in result.rows if row.method == "mce-k"]
+        assert all(math.isnan(row.sigma2_hat) and not row.converged for row in failed)
+        assert all(math.isfinite(row.sigma2_hat) for row in result.rows if row.method == "mce-g")
+
+    def test_unexpected_errors_propagate(self, study_runs, monkeypatch):
+        def broken(pattern, k, config):
+            raise ZeroDivisionError("a bug, not a failed fit")
+
+        monkeypatch.setattr(estimation, "min_contrast", broken)
+        with pytest.raises(ZeroDivisionError):
+            simulation_study(study_runs, replicates=1, seed=1)
 
     def test_estimates_accessor(self, study_runs):
         runs = study_runs

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from linnetcox import (
     Edge,
@@ -99,6 +101,46 @@ class TestValidation:
         assert y_net.side_length == 9.0
 
 
+def dijkstra_vertex_distances(net):
+    """V x V distances by scipy's Dijkstra on the vertex graph."""
+    nv = net.n_vertices
+    adj = sparse.coo_matrix((net.edge_length, (net.edge_start, net.edge_end)), shape=(nv, nv))
+    return csgraph.shortest_path(adj.tocsr(), directed=False)
+
+
+class TestVertexDistances:
+    """The tree traversal forms each sum as Dijkstra does, so they agree bitwise."""
+
+    @pytest.mark.parametrize(
+        "template, seed, knobs",
+        [("dendrite", seed, {}) for seed in range(10)]
+        + [("random-tree", 0, {"edges": e}) for e in (1, 2, 3, 200, 2000)],
+    )
+    def test_equal_to_dijkstra(self, template, seed, knobs):
+        net = make_network(template, seed=seed, **knobs)
+        want = dijkstra_vertex_distances(net)
+        assert np.array_equal(net.vertex_distance_matrix, want)
+        assert net.vertex_distance_matrix.flags.c_contiguous
+        assert np.array_equal(net.vertex_leaf_distance, want[:, net.leaf_vertices].min(axis=1))
+
+    def test_string_ids(self):
+        for seed in range(5):
+            net = _chain_tree(seed)
+            assert np.array_equal(net.vertex_distance_matrix, dijkstra_vertex_distances(net))
+
+    def test_components_are_counted(self):
+        vertices = [Vertex(i) for i in range(6)]
+        forest = [Edge(0, 0, 1, 1.0), Edge(1, 2, 3, 1.0), Edge(2, 4, 5, 1.0)]
+        with pytest.raises(ValidationError, match=r"disconnected \(3 components\)"):
+            LinearNetwork(vertices, forest)
+        # A cycle in one component: the count still comes first.
+        cyclic = [Edge(0, 0, 1, 1.0), Edge(1, 1, 2, 1.0), Edge(2, 2, 0, 1.0), Edge(3, 3, 4, 1.0)]
+        with pytest.raises(ValidationError, match=r"\(3 components\)"):
+            LinearNetwork(vertices, cyclic)
+        with pytest.raises(ValidationError, match="network contains a cycle"):
+            LinearNetwork(vertices[:3], cyclic[:3])
+
+
 class TestCanonicalization:
     def test_junction_point_uses_lowest_edge_id(self, y_net):
         # O sits at offset 0 of all three arms; edge 0 is the canonical home.
@@ -120,6 +162,14 @@ class TestCanonicalization:
             y_net.point(0, 3.5)
         with pytest.raises(ValidationError):
             y_net.point(0, -0.1)
+
+    def test_offsets_outside_edge_rejected(self, y_net):
+        # NaN too, by both constructors
+        for off in (-0.1, 3.5, np.nan):
+            with pytest.raises(ValidationError, match="outside its edge"):
+                PointPattern(y_net, [(0, off)])
+            with pytest.raises(ValidationError, match="outside its edge"):
+                PointPattern.from_indices(y_net, np.array([0]), np.array([off]))
 
     def test_unorderable_edge_ids_at_junction(self):
         with pytest.raises(ValidationError, match="orderable"):
