@@ -28,12 +28,9 @@ from ._version import __version__
 from .envelopes import envelope_pipeline
 from .errors import NumericalError, ValidationError
 from .estimation import (
-    _MCE_TARGETS,
-    Cl2Config,
-    FitResult,
-    MinContrastConfig,
     StudyRun,
-    cl2_fit,
+    _method_config,
+    cl2_fit,  # noqa: F401  (perfbench/spans.py wraps it by this name)
     simulation_study,
     two_step_fit,
 )
@@ -123,8 +120,8 @@ def _parse_rgrid(text: str) -> np.ndarray:
         a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ValidationError(f"bad r grid {text!r}: {exc}") from None
-    if not (n >= 2 and b > a >= 0):
-        raise ValidationError(f"r grid needs 0 <= start < stop and count >= 2, got {text!r}")
+    if not (n >= 2 and np.inf > b > a >= 0):
+        raise ValidationError(f"r grid needs 0 <= start < stop < inf and count >= 2, got {text!r}")
     return np.linspace(a, b, n)
 
 
@@ -219,26 +216,14 @@ def _cmd_simulate_cox(args, argv) -> None:
     _replicate_patterns(args, argv, simulate_one, extra)
 
 
-def _fit_config(args):
-    if args.method == "cl2":
-        cfg = {"weight": args.weight, "r0": args.r0, "epsilon": args.epsilon}
-    else:
-        cfg = {"r_min": args.rl, "r_max": args.ru, "power": args.p, "bandwidth": args.bandwidth}
-    return _study_method_config(args.method, cfg)
-
-
 def _cmd_fit(args, argv) -> None:
     net = load_network(args.net)
     pattern = load_pattern(args.pattern, net)
-    config = _fit_config(args)
-    if args.method in ("mce-g", "mce-k"):
-        fit = two_step_fit(pattern, k=args.k, config=config)
-    else:
-        res = cl2_fit(pattern, k=args.k, config=config)
-        fit = FitResult.from_observed(
-            fit_intensity_mle(pattern), res.sigma2, res.beta, args.k, res.score_norm,
-            res.converged, "cl2",
-        )
+    flags = {"r_min": args.rl, "r_max": args.ru, "power": args.p, "bandwidth": args.bandwidth,
+             "weight": args.weight, "r0": args.r0, "epsilon": args.epsilon}
+    base = _method_config(args.method)  # its fields name the flags this method reads
+    config = _method_config(args.method, {f: v for f, v in flags.items() if hasattr(base, f)})
+    fit = two_step_fit(pattern, k=args.k, config=config)
     save_fit(fit, args.out)
     _manifest(args, argv, args.out)
     if not fit.converged:
@@ -327,26 +312,17 @@ def _study_network(entry, base: Path):
     raise ValidationError("design 'network' must be a file path or a template object")
 
 
-def _study_method_config(method: str, cfg: dict):
-    if method == "cl2":
-        return Cl2Config(**cfg)
-    if method in _MCE_TARGETS:
-        return MinContrastConfig(**{"target": _MCE_TARGETS[method], **cfg})
-    raise ValidationError(f"unknown method {method!r} in design")
-
-
 def _cmd_simstudy(args, argv) -> None:
     design_path = Path(args.design)
     design = _load_json(design_path, "design")
     if not isinstance(design, list) or not design:
         raise ValidationError("design file must hold a non-empty list of runs")
     runs = []
-    for entry in design:
+    for i, entry in enumerate(design):
+        methods = entry.get("methods", {"mce-g": {}}) if isinstance(entry, dict) else None
+        if not isinstance(methods, dict):
+            raise ValidationError(f"design entry {i} and its 'methods' must be JSON objects")
         try:
-            methods = {
-                name: _study_method_config(name, dict(cfg))
-                for name, cfg in entry.get("methods", {"mce-g": {}}).items()
-            }
             runs.append(
                 StudyRun(
                     name=entry["name"],

@@ -1,19 +1,22 @@
 """Fitting the thinned-Cox model to an observed pattern.
 
-Estimation is a two-step procedure. Branch intensities have a closed-form
-maximum-likelihood estimate (count over branch length). The interaction
-parameters ``(sigma2, beta)`` are then estimated with the intensities
-plugged in, either by
+Estimation is a two-step procedure, run by :func:`two_step_fit` (and for
+each replicate of :func:`simulation_study`). Branch intensities have a
+closed-form maximum-likelihood estimate (count over branch length). The
+interaction parameters ``(sigma2, beta)`` are then estimated with the
+intensities plugged in, by the method the config's class selects:
 
-* **minimum contrast**: minimise the integrated squared difference
-  between an empirical second-order summary (``K`` or the pair
-  correlation) raised to a power ``p`` and its model counterpart, or
-* **composite likelihood**: maximise a second-order composite likelihood
-  with fixed-range pair weights, then, for the adaptive weights, solve
-  their score equation from there. The normalising double
-  integral over all point pairs of the network is a one-dimensional
-  integral against the intensity-weighted pair-distance density, which
-  on a tree is piecewise linear and built exactly once per pattern.
+* **minimum contrast** (:class:`MinContrastConfig`): minimise the
+  integrated squared difference between an empirical second-order
+  summary (``K`` or the pair correlation) raised to a power ``p`` and its
+  model counterpart, or
+* **composite likelihood** (:class:`Cl2Config`): maximise a second-order
+  composite likelihood with fixed-range pair weights, then, for the
+  adaptive weights, solve their score equation from there. The
+  normalising double integral over all point pairs of the network is a
+  one-dimensional integral against the intensity-weighted pair-distance
+  density, which on a tree is piecewise linear and built exactly once
+  per pattern.
 
 Optimisation runs in ``log(sigma2), log(beta)`` space, which enforces
 positivity without constraints. Driving intensities of the fitted Cox
@@ -69,7 +72,11 @@ _SCORE_RTOL = 1e-6  # a converged score is this small against its pair sum
 _CONTRAST_GRID = 512  # r values of the contrast integral
 _CONTRAST_OPTIONS = {"xatol": 1e-7, "fatol": 1e-14, "maxiter": 2000, "maxfev": 8000}  # Nelder-Mead
 _ROOT_X_TOL = 1e-6  # relative step at which CL2's stage-2 root search stops
-_MCE_TARGETS = {"mce-g": "g", "mce-k": "K"}  # minimum-contrast method -> curve
+
+
+def _positive(*xs) -> bool:
+    """Every ``x`` is a finite number above zero (not a string or a sequence)."""
+    return all(isinstance(x, (int, float, np.integer, np.floating)) and 0 < x < np.inf for x in xs)
 
 
 def _pair_range(net: LinearNetwork, r: float | None) -> float:
@@ -100,10 +107,10 @@ class MinContrastConfig:
             raise ValidationError(f"contrast target must be 'g' or 'K', got {self.target!r}")
         if not self.power > 0:
             raise ValidationError(f"contrast exponent must be positive, got {self.power}")
-        if self.r_max is not None and not (0 <= self.r_min < self.r_max):
-            raise ValidationError("need 0 <= r_min < r_max")
-        if not (self.start[0] > 0 and self.start[1] > 0):
-            raise ValidationError("start values must be positive")
+        if self.r_max is not None and not (0 <= self.r_min < self.r_max < math.inf):
+            raise ValidationError("need 0 <= r_min < r_max < inf")
+        if not (len(self.start) == 2 and _positive(*self.start)):
+            raise ValidationError(f"start must be two positive finite numbers, got {self.start!r}")
 
 
 @dataclass(frozen=True)
@@ -202,24 +209,12 @@ def min_contrast_from_curve(
     )
 
 
-def _mean_intensity(net: LinearNetwork, pattern: PointPattern, intensity) -> float:
-    if intensity is None:
-        intensity = fit_intensity_mle(pattern)
-    if isinstance(intensity, IntensityModel):
-        return intensity.expected_count(net) / net.total_length
-    rho, _ = _intensity_at_points(net, pattern, intensity)
-    return float(rho.mean()) if rho.size else 0.0
-
-
 def min_contrast(
-    pattern: PointPattern,
-    k: int = 1,
-    config: MinContrastConfig | None = None,
-    intensity=None,
+    pattern: PointPattern, k: int = 1, config: MinContrastConfig | None = None
 ) -> MinContrastResult:
     """Fit ``(sigma2, beta)`` by minimum contrast on ``K`` or ``g``.
 
-    ``intensity`` defaults to the branch-wise maximum-likelihood plug-in.
+    Pairs are weighted by the branch-wise maximum-likelihood intensities.
     Non-convergence is reported through the ``converged`` flag, so study
     harnesses can tally it without aborting.
     """
@@ -231,29 +226,16 @@ def min_contrast(
     if not (0 <= config.r_min < r_max):
         raise ValidationError("need 0 <= r_min < r_max")
     r = np.linspace(config.r_min, r_max, _CONTRAST_GRID)
-    if intensity is None:
-        intensity = fit_intensity_mle(pattern)
+    intensity = fit_intensity_mle(pattern)
     pairs = second_order_pairs(pattern, intensity)
     if config.target == "g":
         bw = config.bandwidth
         if bw is None:
-            bw = default_bandwidth(_mean_intensity(net, pattern, intensity))
+            bw = default_bandwidth(intensity.expected_count(net) / net.total_length)
         emp = g_from_pairs(pairs, r, bw)
     else:
         emp = k_from_pairs(pairs, r)
     return min_contrast_from_curve(r, emp, k, config)
-
-
-def two_step_fit(
-    pattern: PointPattern, k: int = 1, config: MinContrastConfig | None = None
-) -> FitResult:
-    """Maximum-likelihood intensities, then minimum contrast for the rest."""
-    intensity = fit_intensity_mle(pattern)
-    mc = min_contrast(pattern, k=k, config=config, intensity=intensity)
-    method = "mce-g" if (config or MinContrastConfig()).target == "g" else "mce-k"
-    return FitResult.from_observed(
-        intensity, mc.sigma2, mc.beta, k, mc.objective, mc.converged, method
-    )
 
 
 # -- composite likelihood ---------------------------------------------------
@@ -308,6 +290,10 @@ class Cl2Config:
             raise ValidationError("fixed-range weight requires r0 > 0")
         if not 0.0 < self.epsilon < 1.0:
             raise ValidationError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        if not (len(self.start) == 2 and _positive(*self.start)):
+            raise ValidationError(f"start must be two positive finite numbers, got {self.start!r}")
+        if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
+            raise ValidationError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -569,6 +555,47 @@ def cl2_fit(pattern: PointPattern, k: int = 1, config: Cl2Config | None = None) 
     return Cl2Result(s2, bt, k, score, float(np.linalg.norm(score)), converged)
 
 
+# fit method -> (config class, contrast target): the one place names meet configs
+_METHODS = {"mce-g": (MinContrastConfig, "g"), "mce-k": (MinContrastConfig, "K"),
+            "cl2": (Cl2Config, None)}
+
+
+def _method_config(method: str, config=None):
+    """The checked config of fit ``method`` from None (the defaults), a dict
+    of fields, or a config of the class (and target) the name says."""
+    if method not in _METHODS:
+        raise ValidationError("unknown method; use mce-g, mce-k or cl2")
+    kind, target = _METHODS[method]
+    if config is None or isinstance(config, dict):
+        try:  # an unknown field, or a value of the wrong type
+            config = kind(**dict({"target": target} if target else {}, **(config or {})))
+        except TypeError as exc:
+            raise ValidationError(f"bad {kind.__name__}: {exc}") from None
+    elif not isinstance(config, kind):
+        raise ValidationError(f"needs a {kind.__name__}, got {type(config).__name__}")
+    if target is not None and config.target != target:
+        raise ValidationError(f"fits target {target!r}; its config has target {config.target!r}")
+    return config
+
+
+def two_step_fit(pattern: PointPattern, k: int = 1, config=None) -> FitResult:
+    """Maximum-likelihood branch intensities, then ``(sigma2, beta)`` by
+    :func:`min_contrast` for a :class:`MinContrastConfig` (the default) or by
+    :func:`cl2_fit`, its score norm the ``objective``, for a :class:`Cl2Config`."""
+    if not (isinstance(k, int) and k >= 1):
+        raise ValidationError(f"k must be an integer >= 1, got {k}")
+    config = config or MinContrastConfig()
+    if isinstance(config, Cl2Config):
+        res = cl2_fit(pattern, k=k, config=config)
+        objective, method = res.score_norm, "cl2"
+    else:
+        res = min_contrast(pattern, k=k, config=config)
+        objective, method = res.objective, f"mce-{config.target.lower()}"
+    return FitResult.from_observed(
+        fit_intensity_mle(pattern), res.sigma2, res.beta, k, objective, res.converged, method
+    )
+
+
 # -- simulation study -------------------------------------------------------
 
 SIGMA2_TRUNCATION = 15.0
@@ -580,9 +607,10 @@ class StudyRun:
     """One row of a simulation-study design.
 
     ``methods`` maps a method name (``"mce-g"``, ``"mce-k"`` or ``"cl2"``)
-    to its configuration: None for the defaults, a :class:`Cl2Config` for
-    cl2, or a :class:`MinContrastConfig` whose target is the one the name
-    says. All methods see the same simulated patterns.
+    to its configuration: None for the defaults, a dict of config fields,
+    a :class:`Cl2Config` for cl2, or a :class:`MinContrastConfig` whose
+    target is the one the name says. All methods see the same patterns,
+    simulated with ``mode`` and ``spacing``, and fitted by :func:`two_step_fit`.
     """
 
     name: str
@@ -593,16 +621,14 @@ class StudyRun:
     spacing: float = 1.0
 
     def __post_init__(self):
+        if not (self.mode in ("exact", "grid") and _positive(self.spacing)):
+            raise ValidationError(f"run {self.name!r}: needs mode 'exact' or 'grid' and a positive "
+                                  f"finite spacing, got {self.mode!r} and {self.spacing!r}")
         for method, cfg in self.methods.items():
-            where = f"run {self.name!r}, method {method!r}"
-            if method not in ("cl2", *_MCE_TARGETS):
-                raise ValidationError(f"{where}: unknown method; use mce-g, mce-k or cl2")
-            kind = Cl2Config if method == "cl2" else MinContrastConfig
-            if not (cfg is None or isinstance(cfg, kind)):
-                raise ValidationError(f"{where}: needs a {kind.__name__}, got {type(cfg).__name__}")
-            if kind is MinContrastConfig and cfg is not None and cfg.target != _MCE_TARGETS[method]:
-                raise ValidationError(f"{where}: fits target {_MCE_TARGETS[method]!r}, "
-                                      f"but its config has target {cfg.target!r}")
+            try:
+                _method_config(method, cfg)
+            except ValidationError as exc:
+                raise ValidationError(f"run {self.name!r}, method {method!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -648,13 +674,8 @@ class StudyResult:
         return np.array(vals).reshape(-1, 2)
 
 
-def _fit_one(pattern: PointPattern, method: str, cfg, k: int):
-    if method == "cl2":
-        res = cl2_fit(pattern, k=k, config=cfg)
-    else:
-        cfg = cfg or MinContrastConfig(target=_MCE_TARGETS[method])
-        res = min_contrast(pattern, k=k, config=cfg)
-    return res.sigma2, res.beta, res.converged
+def _fit_one(pattern: PointPattern, method: str, cfg, k: int) -> FitResult:
+    return two_step_fit(pattern, k, _method_config(method, cfg))
 
 
 def simulation_study(runs, replicates: int, seed=None, caps=None) -> StudyResult:
@@ -684,16 +705,16 @@ def simulation_study(runs, replicates: int, seed=None, caps=None) -> StudyResult
             for method, cfg in run.methods.items():
                 counts = tally[(run.name, method)]
                 try:
-                    s2, bt, ok = _fit_one(sample.pattern, method, cfg, run.model.k)
+                    fit = _fit_one(sample.pattern, method, cfg, run.model.k)
                 except (ValidationError, NumericalError, np.linalg.LinAlgError) as exc:
                     rows.append(StudyRow(run.name, rep, method, float("nan"), float("nan"), False))
                     failures.append(
                         StudyFailure(run.name, rep, method, type(exc).__name__, str(exc)))
                     counts["failed"] += 1
                     continue
-                rows.append(StudyRow(run.name, rep, method, float(s2), float(bt), bool(ok)))
-                if s2 > caps[0]:
+                rows.append(StudyRow(run.name, rep, method, fit.sigma2, fit.beta, fit.converged))
+                if fit.sigma2 > caps[0]:
                     counts["sigma2_over"] += 1
-                if bt > caps[1]:
+                if fit.beta > caps[1]:
                     counts["beta_over"] += 1
     return StudyResult(rows=rows, truncation=tally, caps=tuple(caps), failures=failures)

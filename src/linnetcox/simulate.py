@@ -63,6 +63,8 @@ def spawn_generators(seed, n: int) -> list[np.random.Generator]:
     is reproducible independently of how many replicates run or in which
     order they are consumed.
     """
+    if n < 0:
+        raise ValidationError(f"number of replicates must be nonnegative, got {n}")
     if isinstance(seed, np.random.SeedSequence):
         ss = seed
     else:

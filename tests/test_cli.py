@@ -158,6 +158,7 @@ class TestSimulate:
             (["--sigma2", "5", "--beta", "inf"], 2),
             (["--sigma2", "inf", "--beta", "0.1"], 2),
             (["--sigma2", "5", "--beta", "1e-320"], 3),
+            (["--sigma2", "5", "--beta", "0.1", "--reps", "-1"], 2),
         ],
     )
     def test_bad_field_parameters_exit_cleanly(
@@ -171,6 +172,13 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "x" / "pattern_0000.csv").exists()
+
+    def test_negative_poisson_reps_exit_2(self, tmp_path, dendrite_file, capsys):
+        rc = run("simulate-poisson", "--net", dendrite_file, "--rho-m", "0.8", "--reps", "-1",
+                 "--out", tmp_path / "x")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "-1" in err
 
     def test_save_pi_grid_format(self, tmp_path, dendrite_file):
         out = tmp_path / "grid"
@@ -235,6 +243,25 @@ class TestFit:
         assert rc == 2
         assert "r0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "method, flags, complaint",
+        [
+            ("mce-g", ["--k", "0"], "k must be"),
+            ("cl2", ["--k", "0"], "k must be"),
+            ("mce-g", ["--ru", "inf"], "r_max < inf"),
+            ("mce-k", ["--ru", "1e400"], "r_max < inf"),
+        ],
+    )
+    def test_bad_fit_flags_exit_2(self, tmp_path, dendrite_file, pattern_file, capsys, method,
+                                  flags, complaint):
+        out = tmp_path / "x.json"
+        rc = run("fit", "--net", dendrite_file, "--pattern", pattern_file,
+                 "--method", method, *flags, "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and complaint in err
+        assert not out.exists()
+
     def test_weights_can_all_vanish(self, tmp_path, capsys):
         # two points 190 apart on a path of length 200: no pair lies within
         # the first stage's default range of 20, so its weight discards
@@ -292,6 +319,16 @@ class TestSummaries:
             "--rgrid", "0:30", "--out", tmp_path / "x.csv",
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("rgrid", ["0:inf:5", "0:1e400:3", "nan:5:3"])
+    def test_unbounded_rgrid_rejected(self, tmp_path, dendrite_file, pattern_file, capsys,
+                                      rgrid):
+        out = tmp_path / "x.csv"
+        rc = run("summaries", "--net", dendrite_file, "--pattern", pattern_file,
+                 "--rgrid", rgrid, "--out", out)
+        assert rc == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("rgrid", [None, "0:30:121"])
     def test_k_and_g_share_one_pair_set(self, tmp_path, dendrite_file, pattern_file, monkeypatch,
@@ -451,6 +488,37 @@ class TestSimstudy:
         assert run("simstudy", "--design", design, "--reps", "1", "--out", out) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "'mce-k'" in err and "target 'g'" in err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "entry, complaint",
+        [
+            ("x", "entry 0"),
+            ({"methods": ["mce-g"]}, "entry 0"),
+            ({"methods": {"mce-g": {"start": [1]}}}, "start"),
+            ({"methods": {"cl2": {"start": [1]}}}, "start"),
+            ({"methods": {"cl2": {"max_iter": "x"}}}, "max_iter"),
+            ({"methods": {"cl2": {"max_iter": 0}}}, "max_iter"),
+            ({"mode": "grid", "spacing": "x"}, "spacing"),
+        ],
+        ids=["entry-not-object", "methods-list", "mce-start", "cl2-start", "max-iter-text",
+             "max-iter-zero", "grid-spacing-text"],
+    )
+    def test_malformed_design_exits_2(self, tmp_path, capsys, entry, complaint):
+        if isinstance(entry, dict):
+            entry = {
+                "name": "run-1",
+                "network": {"template": "dendrite", "seed": 3, "side_target": 120.0},
+                "model": {"rho_y_main": 0.8, "rho_y_side": 1.2, "sigma2": 5.0, "beta": 0.1},
+                **entry,
+            }
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps([entry]))
+        out = tmp_path / "r.csv"
+        assert run("simstudy", "--design", design, "--reps", "1", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and complaint in err
         assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from linnetcox.estimation import (
     _Cl2Workspace,
     _PairDistanceDensity,
     _cl2_kernel,
+    _method_config,
     _segment_pair_samples,
 )
 
@@ -143,6 +145,18 @@ class TestMinContrastFixedPoint:
         with pytest.raises(ValidationError):
             min_contrast(PointPattern(y_net, []))
 
+    @pytest.mark.parametrize("kind", [MinContrastConfig, Cl2Config])
+    @pytest.mark.parametrize("start", [(1.0,), (1.0, 2.0, 3.0), (0.5, math.inf),
+                                       (0.5, math.nan), (0.5, "1"), (0.5, -1.0)])
+    def test_start_is_two_positive_finite_numbers(self, kind, start):
+        with pytest.raises(ValidationError, match="start"):
+            kind(start=start)
+
+    @pytest.mark.parametrize("max_iter", [0, -3, 2.5, "x"])
+    def test_cl2_max_iter_is_a_positive_integer(self, max_iter):
+        with pytest.raises(ValidationError, match="max_iter"):
+            Cl2Config(max_iter=max_iter)
+
 
 class TestTwoStep:
     def test_rho_y_round_trip(self, two_step_result):
@@ -171,6 +185,25 @@ class TestTwoStep:
         obs = fit.model().observed_intensity()
         assert_allclose(obs.main, fit.rho_main, rtol=1e-12)
         assert_allclose(obs.side, fit.rho_side, rtol=1e-12)
+
+    @pytest.mark.parametrize("config", [MinContrastConfig(r_max=25.0), Cl2Config()],
+                             ids=["mce", "cl2"])
+    @pytest.mark.parametrize("k", [0, -1, 1.5])
+    def test_k_checked_before_fitting(self, config, k):
+        net = make_network("dendrite", seed=23, side_target=120.0)
+        sample = simulate_cox(net, CoxModel(1.0, 1.0, 5.0, 0.1), seed=23)
+        with pytest.raises(ValidationError, match="k must be"):
+            two_step_fit(sample.pattern, k=k, config=config)
+
+    def test_cl2_config_fits_by_composite_likelihood(self, cl2_pattern):
+        cfg = Cl2Config(weight="fixed", r0=15.0, max_iter=60)
+        res = cl2_fit(cl2_pattern, config=cfg)
+        fit = two_step_fit(cl2_pattern, config=cfg)
+        assert fit.method == "cl2"
+        assert (fit.sigma2, fit.beta, fit.converged) == (res.sigma2, res.beta, res.converged)
+        assert fit.objective == res.score_norm
+        mle = fit_intensity_mle(cl2_pattern)
+        assert (fit.rho_main, fit.rho_side) == (mle.main, mle.side)
 
     def test_method_label_tracks_target(self):
         net = make_network("dendrite", seed=23, side_target=120.0)
@@ -572,6 +605,43 @@ class TestSimulationStudy:
         net = make_network("dendrite", seed=51, side_target=150.0)
         with pytest.raises(ValidationError, match=complaint):
             StudyRun("run-1", net, CoxModel(0.8, 1.2, 5.0, 0.1), methods)
+
+    @pytest.mark.parametrize(
+        "methods, complaint",
+        [
+            ({"mce-g": {"r_max": 30.0, "lag": 1}}, "unexpected keyword argument 'lag'"),
+            ({"cl2": {"weight": "fixed"}}, "r0 > 0"),
+            ({"cl2": [1]}, "needs a Cl2Config, got list"),
+            ({"mce-k": {"target": "g"}}, "target 'g'"),
+        ],
+    )
+    def test_field_dicts_are_checked(self, methods, complaint):
+        net = make_network("dendrite", seed=51, side_target=150.0)
+        with pytest.raises(ValidationError, match=complaint):
+            StudyRun("run-1", net, CoxModel(0.8, 1.2, 5.0, 0.1), methods)
+
+    @pytest.mark.parametrize("mode, spacing", [("warp", 1.0), ("grid", "x"), ("grid", 0.0),
+                                               ("grid", math.inf)])
+    def test_mode_and_spacing_checked(self, mode, spacing):
+        net = make_network("dendrite", seed=51, side_target=150.0)
+        with pytest.raises(ValidationError, match="run 'run-1'.*spacing"):
+            StudyRun("run-1", net, CoxModel(0.8, 1.2, 5.0, 0.1), {"mce-g": None}, mode, spacing)
+
+    def test_field_dicts_fit_like_configs(self, study_runs):
+        methods = {"mce-g": {"r_max": 30.0}, "mce-k": {"r_max": 30.0}}
+        dicts = [replace(study_runs[0], methods=methods)]
+        a = simulation_study(study_runs, replicates=1, seed=4)
+        b = simulation_study(dicts, replicates=1, seed=4)
+        assert [repr(row) for row in a.rows] == [repr(row) for row in b.rows]
+
+    def test_method_configs(self):
+        assert _method_config("mce-k") == MinContrastConfig(target="K")
+        assert _method_config("mce-g", {"r_max": 30.0}) == MinContrastConfig(r_max=30.0)
+        assert _method_config("cl2", None) == Cl2Config()
+        cfg = Cl2Config(weight="fixed", r0=20.0)
+        assert _method_config("cl2", cfg) is cfg
+        with pytest.raises(ValidationError, match="unknown method"):
+            _method_config("mce-x")
 
     def test_default_configs(self):
         net = make_network("dendrite", seed=51, side_target=150.0)

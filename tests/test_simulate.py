@@ -259,6 +259,11 @@ class TestSpawn:
             assert np.array_equal(a.offsets, b.offsets)
         assert not np.array_equal(pats_a[0].offsets, pats_a[1].offsets)
 
+    def test_negative_count_rejected(self):
+        assert spawn_generators(42, 0) == []
+        with pytest.raises(ValidationError, match="nonnegative"):
+            spawn_generators(42, -1)
+
 
 class TestMaternThin:
     def test_pairs_within_h_are_both_deleted(self, path10):
