@@ -111,6 +111,8 @@ class MinContrastConfig:
             raise ValidationError("need 0 <= r_min < r_max < inf")
         if not (len(self.start) == 2 and _positive(*self.start)):
             raise ValidationError(f"start must be two positive finite numbers, got {self.start!r}")
+        if not (self.bandwidth is None or _positive(self.bandwidth)):
+            raise ValidationError(f"bandwidth must be positive and finite, got {self.bandwidth!r}")
 
 
 @dataclass(frozen=True)

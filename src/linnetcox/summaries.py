@@ -372,47 +372,66 @@ def second_order_pairs(pattern: PointPattern, intensity=None) -> PairData:
     return PairData(dist[off_diag], weights[off_diag], net.total_length, n)
 
 
-def k_from_pairs(pairs: PairData, r: np.ndarray) -> np.ndarray:
-    """Empirical ``K`` at radii ``r`` from precomputed pair data."""
+def _radii(r) -> np.ndarray:
+    """``r`` as a float array of its own shape, checked finite and nonnegative."""
     r = np.asarray(r, dtype=np.float64)
-    if pairs.distances.size == 0:
-        return np.zeros(r.shape)
-    order = np.argsort(pairs.distances, kind="stable")
-    d_sorted = pairs.distances[order]
-    cum_w = np.cumsum(pairs.weights[order])
-    idx = np.searchsorted(d_sorted, r, side="right")
-    out = np.where(idx > 0, cum_w[np.maximum(idx - 1, 0)], 0.0)
-    return out / pairs.total_length
+    if not (np.isfinite(r) & (r >= 0)).all():
+        raise ValidationError("r must be finite and nonnegative")
+    return r
+
+
+def k_from_pairs(pairs: PairData, r) -> np.ndarray:
+    """Empirical ``K`` at radii ``r`` (any shape) from precomputed pair data.
+    Pairs beyond ``max(r)`` would sort after all others and are never read."""
+    r = _radii(r)
+    keep = pairs.distances <= r.max(initial=0.0)
+    order = np.argsort(pairs.distances[keep], kind="stable")
+    cum_w = np.concatenate(([0.0], np.cumsum(pairs.weights[keep][order])))
+    idx = np.searchsorted(pairs.distances[keep][order], r, side="right")
+    return cum_w[idx] / pairs.total_length
 
 
 def g_from_pairs(
-    pairs: PairData, r: np.ndarray, bandwidth: float, chunk: int = 4096
+    pairs: PairData, r, bandwidth: float, chunk: int = 4096
 ) -> np.ndarray:
-    """Empirical pair correlation: Epanechnikov kernel, reflected at 0.
+    """Empirical pair correlation at radii ``r`` (any shape): Epanechnikov
+    kernel, reflected at 0.
 
     Reflection adds the mirrored kernel ``kappa(r + d)`` so mass that
     would smooth below ``r = 0`` is folded back, removing the boundary
     deficit near the origin.
+
+    Each chunk of pairs sums one zeroed (radii x pairs) block, filled only
+    inside the kernel's support: a pair's radii are bisected from the
+    sorted ``r`` over ``[d - 2b, d + 2b]`` (wide enough that rounding at
+    ``d +- b`` loses none), then kept where ``|r - d| <= b``; rows with
+    ``r <= b``, the only ones ``kappa(r + d)`` reaches, are filled densely.
+    Each row then sums as the full dense block does, to the same bits for
+    nonnegative distances and finite weights.
     """
-    r = np.asarray(r, dtype=np.float64)
-    if not bandwidth > 0:
-        raise ValidationError(f"bandwidth must be positive, got {bandwidth}")
-    out = np.zeros(r.shape)
-    if pairs.distances.size == 0:
-        return out
-    b = float(bandwidth)
-    keep = pairs.distances <= r.max() + b
-    d = pairs.distances[keep]
-    w = pairs.weights[keep]
+    r = _radii(r)
+    if not 0 < bandwidth < math.inf:
+        raise ValidationError(f"bandwidth must be positive and finite, got {bandwidth}")
+    b, flat = float(bandwidth), r.ravel()
+    keep = pairs.distances <= r.max(initial=0.0) + b
+    d, w = pairs.distances[keep], pairs.weights[keep]
+    order, near0 = np.argsort(flat, kind="stable"), flat <= b
+    out = np.zeros(flat.shape)
     for i0 in range(0, d.size, chunk):
-        dd = d[i0 : i0 + chunk][None, :]
-        ww = w[i0 : i0 + chunk][None, :]
-        x1 = r[:, None] - dd
-        x2 = r[:, None] + dd
-        kern = np.where(np.abs(x1) <= b, 1.0 - (x1 / b) ** 2, 0.0)
-        kern += np.where(np.abs(x2) <= b, 1.0 - (x2 / b) ** 2, 0.0)
-        out += (ww * kern).sum(axis=1)
-    return 0.75 / b * out / pairs.total_length
+        dd, ww = d[i0 : i0 + chunk], w[i0 : i0 + chunk]
+        lo = np.searchsorted(flat[order], dd - 2 * b)
+        n_in = np.searchsorted(flat[order], dd + 2 * b, side="right") - lo
+        cols = np.repeat(np.arange(dd.size), n_in)
+        rows = order[np.arange(cols.size) - np.repeat(np.cumsum(n_in) - n_in - lo, n_in)]
+        inside = np.abs(flat[rows] - dd[cols]) <= b
+        rows, cols = rows[inside], cols[inside]
+        block = np.zeros((flat.size, dd.size))
+        block[rows, cols] = ww[cols] * (1.0 - ((flat[rows] - dd[cols]) / b) ** 2)
+        x1, x2 = flat[near0, None] - dd, flat[near0, None] + dd
+        block[near0] = ww * (np.where(np.abs(x1) <= b, 1.0 - (x1 / b) ** 2, 0.0)
+                             + np.where(np.abs(x2) <= b, 1.0 - (x2 / b) ** 2, 0.0))
+        out += block.sum(axis=1)
+    return (0.75 / b * out / pairs.total_length).reshape(r.shape)
 
 
 def _pattern_bandwidth(pattern: PointPattern, intensity=None) -> float:
@@ -530,9 +549,7 @@ def fgj_estimates(
     """
     config = config or FgjConfig()
     net = pattern.network
-    r = default_r_grid(net) if r is None else np.asarray(r, dtype=np.float64)
-    if (r < 0).any():
-        raise ValidationError("r must be nonnegative")
+    r = default_r_grid(net) if r is None else _radii(r)
 
     rho, rho_inf = _intensity_at_points(net, pattern, config.intensity)
     if not (rho > 0).all():

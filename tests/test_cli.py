@@ -250,6 +250,7 @@ class TestFit:
             ("cl2", ["--k", "0"], "k must be"),
             ("mce-g", ["--ru", "inf"], "r_max < inf"),
             ("mce-k", ["--ru", "1e400"], "r_max < inf"),
+            ("mce-g", ["--bandwidth", "inf"], "bandwidth must be positive and finite"),
         ],
     )
     def test_bad_fit_flags_exit_2(self, tmp_path, dendrite_file, pattern_file, capsys, method,
@@ -312,6 +313,16 @@ class TestSummaries:
         )
         assert rc == 2
         assert "Z" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bandwidth", ["inf", "nan", "0"])
+    def test_bad_bandwidth_exits_2(self, tmp_path, dendrite_file, pattern_file, capsys, bandwidth):
+        out = tmp_path / "x.csv"
+        rc = run("summaries", "--net", dendrite_file, "--pattern", pattern_file,
+                 "--which", "g", "--bandwidth", bandwidth, "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "bandwidth" in err
+        assert not out.exists()
 
     def test_bad_rgrid_rejected(self, tmp_path, dendrite_file, pattern_file):
         rc = run(

@@ -152,6 +152,12 @@ class TestMinContrastFixedPoint:
         with pytest.raises(ValidationError, match="start"):
             kind(start=start)
 
+    @pytest.mark.parametrize("bandwidth", [math.inf, math.nan, 0.0, -1.0, "1"])
+    def test_bandwidth_is_none_or_positive_finite(self, bandwidth):
+        with pytest.raises(ValidationError, match="bandwidth"):
+            MinContrastConfig(bandwidth=bandwidth)
+        assert MinContrastConfig(bandwidth=None).bandwidth is None
+
     @pytest.mark.parametrize("max_iter", [0, -3, 2.5, "x"])
     def test_cl2_max_iter_is_a_positive_integer(self, max_iter):
         with pytest.raises(ValidationError, match="max_iter"):

@@ -32,7 +32,7 @@ from linnetcox import (
     spawn_generators,
 )
 from linnetcox.network import distance_matrix
-from linnetcox.summaries import g_from_pairs, second_order_pairs
+from linnetcox.summaries import PairData, g_from_pairs, k_from_pairs, second_order_pairs
 
 from conftest import oracle_distances
 
@@ -289,6 +289,161 @@ class TestGHat:
             net.edge_side[pat.edge_indices], rho.side, rho.main
         ).mean()
         assert_allclose(g.metadata["bandwidth"], 0.15 / math.sqrt(mean_rho), rtol=1e-12)
+
+
+def g_dense_loop(pairs, r, bandwidth, chunk=4096):
+    """g by the former dense loop: every kernel value of every chunk's full
+    (radii x pairs) block, summed row by row."""
+    r = np.asarray(r, dtype=np.float64)
+    out = np.zeros(r.shape)
+    if pairs.distances.size == 0:
+        return out
+    b = float(bandwidth)
+    keep = pairs.distances <= r.max() + b
+    d = pairs.distances[keep]
+    w = pairs.weights[keep]
+    for i0 in range(0, d.size, chunk):
+        dd = d[i0 : i0 + chunk][None, :]
+        ww = w[i0 : i0 + chunk][None, :]
+        x1 = r[:, None] - dd
+        x2 = r[:, None] + dd
+        kern = np.where(np.abs(x1) <= b, 1.0 - (x1 / b) ** 2, 0.0)
+        kern += np.where(np.abs(x2) <= b, 1.0 - (x2 / b) ** 2, 0.0)
+        out += (ww * kern).sum(axis=1)
+    return 0.75 / b * out / pairs.total_length
+
+
+def k_full_sort(pairs, r):
+    """K by the former full sort of every pair."""
+    r = np.asarray(r, dtype=np.float64)
+    if pairs.distances.size == 0:
+        return np.zeros(r.shape)
+    order = np.argsort(pairs.distances, kind="stable")
+    cum_w = np.cumsum(pairs.weights[order])
+    idx = np.searchsorted(pairs.distances[order], r, side="right")
+    return np.where(idx > 0, cum_w[np.maximum(idx - 1, 0)], 0.0) / pairs.total_length
+
+
+@pytest.fixture(scope="module")
+def pair_sets(fgj_patterns):
+    """(pairs, bandwidth) of the README pattern, two criterion-07 patterns
+    and one Poisson pattern of criterion 05 (there with b = 0.5)."""
+    c07 = make_network("dendrite", seed=4, side_target=650.0)
+    tree = make_network("random-tree", seed=2, edges=200)
+    pats = {"readme": fgj_patterns["readme"]}
+    for seed in (1, 2):
+        pats[f"c07-{seed}"] = simulate_cox(c07, CoxModel(0.8, 1.2, 5.0, 0.1), seed=seed).pattern
+    sets = {
+        name: (second_order_pairs(p, fit_intensity_mle(p)),
+               default_bandwidth(p.n / p.network.total_length))
+        for name, p in pats.items()
+    }
+    sets["c05"] = (second_order_pairs(simulate_poisson(tree, 0.5, seed=1000), 0.5), 0.5)
+    return sets
+
+
+def edge_radii(pairs, b, count=16):
+    """Radii one to three ulps either side of ``d - b`` and ``d + b`` for
+    ``count`` pair distances, and those exact sums themselves."""
+    d = pairs.distances[:: max(1, pairs.distances.size // count)][:count]
+    r = [d - b, d + b]
+    for edge in (d - b, d + b):
+        for toward in (-np.inf, np.inf):
+            x = edge
+            for _ in range(3):
+                x = np.nextafter(x, toward)
+                r.append(x)
+    r = np.concatenate(r)
+    return r[r >= 0]
+
+
+SPARSE_GRIDS = {
+    "contrast": lambda b: np.linspace(0.0, 30.0, 512),
+    "summaries": lambda b: np.linspace(0.0, 30.0, 121),
+    "c05": lambda b: np.linspace(1.0, 25.0, 25),
+    "near-zero": lambda b: np.linspace(0.0, 3.0 * b, 64),
+    "shuffled": lambda b: np.random.default_rng(2).permutation(np.linspace(0.0, 30.0, 512)),
+    "repeats": lambda b: np.array([5.0, 5.0, 0.0, b, b, 29.0, 0.0]),
+}
+
+
+class TestGMatchesDenseLoop:
+    """g computed only inside the kernel's support, and K from the pairs it
+    can count, equal the former dense loop and full sort bit for bit."""
+
+    @staticmethod
+    def check(pairs, r, b):
+        assert np.array_equal(g_from_pairs(pairs, r, b), g_dense_loop(pairs, r, b), equal_nan=True)
+        assert np.array_equal(k_from_pairs(pairs, r), k_full_sort(pairs, r), equal_nan=True)
+
+    @pytest.mark.parametrize("grid", list(SPARSE_GRIDS))
+    @pytest.mark.parametrize("name", ["readme", "c07-1", "c07-2", "c05"])
+    def test_grids(self, pair_sets, name, grid):
+        pairs, b = pair_sets[name]
+        self.check(pairs, SPARSE_GRIDS[grid](b), b)
+
+    @pytest.mark.parametrize("name", ["readme", "c07-1", "c05"])
+    def test_radii_at_support_edges(self, pair_sets, name):
+        pairs, b = pair_sets[name]
+        self.check(pairs, edge_radii(pairs, b), b)
+        self.check(pairs, edge_radii(pairs, 0.5 * b), 0.5 * b)
+
+    @pytest.mark.parametrize("b", [0.7, 30e-14, 1e-300])
+    def test_short_pairs_at_support_edges(self, b):
+        # r - d is inexact only where d < r / 2: at short pairs' support
+        # edges rounding decides whether |r - d| <= b
+        rng = np.random.default_rng(3)
+        pairs = PairData(rng.uniform(0.0, b, 500), rng.uniform(0.5, 2.0, 500), 577.0, 500)
+        self.check(pairs, edge_radii(pairs, b, count=500), b)
+
+    @pytest.mark.parametrize("name", ["readme", "c05"])
+    def test_extreme_bandwidths(self, pair_sets, name):
+        pairs, _ = pair_sets[name]
+        r = np.concatenate([np.linspace(0.0, 30.0, 121), np.sort(pairs.distances[:50])])
+        self.check(pairs, r, 2.0 * pairs.distances.max())
+        with np.errstate(over="ignore"):  # (r -+ d) / b outside the support
+            self.check(pairs, r, 1e-300)
+        self.check(pairs, edge_radii(pairs, 1e-14 * 30.0), 1e-14 * 30.0)
+
+    @pytest.mark.parametrize("n", [1, 4096, 4097, 9000])
+    def test_chunk_edges(self, n):
+        rng = np.random.default_rng(n)
+        pairs = PairData(np.sort(rng.uniform(0.0, 30.0, n))[rng.permutation(n)],
+                         rng.uniform(0.5, 2.0, n), 577.0, n)
+        r = np.linspace(0.0, 30.0, 512)
+        assert np.count_nonzero(pairs.distances <= r.max() + 0.7) == n
+        self.check(pairs, r, 0.7)
+        self.check(pairs, r[::-1], 0.7)
+
+    def test_no_pairs(self):
+        empty = PairData(np.empty(0), np.empty(0), 10.0, 1)
+        self.check(empty, np.linspace(0.0, 5.0, 11), 0.5)
+
+
+class TestPairEstimatorInputs:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, -1e-300])
+    def test_bad_radii_raise(self, pair_sets, bad):
+        pairs, b = pair_sets["readme"]
+        r = np.array([0.0, 1.0, bad, 5.0])
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            k_from_pairs(pairs, r)
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            g_from_pairs(pairs, r, b)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -0.5])
+    def test_bad_bandwidth_raises(self, pair_sets, bad):
+        pairs, _ = pair_sets["readme"]
+        with pytest.raises(ValidationError, match="bandwidth"):
+            g_from_pairs(pairs, np.linspace(0.0, 5.0, 6), bad)
+
+    def test_any_shape(self, pair_sets):
+        pairs, b = pair_sets["readme"]
+        r = np.linspace(0.0, 30.0, 12)
+        for f in (lambda x: k_from_pairs(pairs, x), lambda x: g_from_pairs(pairs, x, b)):
+            flat = f(r)
+            assert np.array_equal(f(r.reshape(3, 4)), flat.reshape(3, 4))
+            scalar = f(7.5)
+            assert np.shape(scalar) == () and scalar == f(np.array([7.5]))[0]
 
 
 def fgj_oracle(pattern, rho_at_points, rho_bar, r_grid, spacing):
