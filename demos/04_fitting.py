@@ -3,11 +3,10 @@
 Step one estimates branch-wise intensities by maximum likelihood. Step
 two recovers the clustering parameters ``(sigma2, beta)`` either by
 minimum contrast — matching the empirical pair correlation or K
-function to its closed form — or by the second-order composite
-likelihood: maximise it with a fixed-range pair weight, then solve the
-score equations of the adaptive weight from that maximum. The demo fits
-one simulated pattern with all three variants and then runs a small
-replication study.
+function to its closed form — or by maximising the second-order
+composite likelihood of the point pairs within a fixed range, by default
+five mean point spacings. The demo fits one simulated pattern with all
+three variants and then runs a small replication study.
 """
 
 from pathlib import Path

@@ -220,7 +220,7 @@ def _cmd_fit(args, argv) -> None:
     net = load_network(args.net)
     pattern = load_pattern(args.pattern, net)
     flags = {"r_min": args.rl, "r_max": args.ru, "power": args.p, "bandwidth": args.bandwidth,
-             "weight": args.weight, "r0": args.r0, "epsilon": args.epsilon}
+             "r0": args.r0}
     base = _method_config(args.method)  # its fields name the flags this method reads
     config = _method_config(args.method, {f: v for f, v in flags.items() if hasattr(base, f)})
     fit = two_step_fit(pattern, k=args.k, config=config)
@@ -406,9 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "--ru", type=float, default=None, help="upper contrast limit (default 0.1|L|)")
     _add(p, "--p", type=float, default=1.0, help="contrast exponent")
     _add(p, "--bandwidth", type=float, default=None, help="pair-correlation bandwidth")
-    _add(p, "--weight", choices=["fixed", "indicator", "smooth"], default="smooth")
-    _add(p, "--r0", type=float, default=None, help="range of the fixed weight")
-    _add(p, "--epsilon", type=float, default=0.01)
+    _add(p, "--r0", type=float, default=None,
+         help="cl2: pair range of the composite likelihood (default 5|L|/n)")
     _add(p, "--out", type=Path, default=Path("fit.json"))
     p.set_defaults(func=_cmd_fit)
 

@@ -10,13 +10,12 @@ intensities plugged in, by the method the config's class selects:
   integrated squared difference between an empirical second-order
   summary (``K`` or the pair correlation) raised to a power ``p`` and its
   model counterpart, or
-* **composite likelihood** (:class:`Cl2Config`): maximise a second-order
-  composite likelihood with fixed-range pair weights, then, for the
-  adaptive weights, solve their score equation from there. The
-  normalising double integral over all point pairs of the network is a
-  one-dimensional integral against the intensity-weighted pair-distance
-  density, which on a tree is piecewise linear and built exactly once
-  per pattern.
+* **composite likelihood** (:class:`Cl2Config`): maximise the
+  second-order composite likelihood of the point pairs within a fixed
+  range. Its normalising double integral over all point pairs of the
+  network is a one-dimensional integral against the intensity-weighted
+  pair-distance density, which on a tree is piecewise linear and built
+  exactly once per pattern.
 
 Optimisation runs in ``log(sigma2), log(beta)`` space, which enforces
 positivity without constraints. Driving intensities of the fitted Cox
@@ -27,14 +26,14 @@ model follow from the thinning relation
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .models import CoxModel, IntensityModel
 from .network import LinearNetwork, PointPattern, distance_matrix
-from .simulate import as_generator, simulate_cox, spawn_generators
+from .simulate import simulate_cox, spawn_generators
 from .summaries import (
     default_bandwidth,
     fit_intensity_mle,
@@ -63,7 +62,6 @@ __all__ = [
     "composite_likelihood",
     "cl2_score",
     "cl2_fit",
-    "mc_double_integral",
     "simulation_study",
 ]
 
@@ -71,17 +69,11 @@ _LOG_BOUND = 30.0  # |log parameter| cap inside optimizers
 _SCORE_RTOL = 1e-6  # a converged score is this small against its pair sum
 _CONTRAST_GRID = 512  # r values of the contrast integral
 _CONTRAST_OPTIONS = {"xatol": 1e-7, "fatol": 1e-14, "maxiter": 2000, "maxfev": 8000}  # Nelder-Mead
-_ROOT_X_TOL = 1e-6  # relative step at which CL2's stage-2 root search stops
 
 
 def _positive(*xs) -> bool:
     """Every ``x`` is a finite number above zero (not a string or a sequence)."""
     return all(isinstance(x, (int, float, np.integer, np.floating)) and 0 < x < np.inf for x in xs)
-
-
-def _pair_range(net: LinearNetwork, r: float | None) -> float:
-    """``r``, by default one tenth of the network length (contrast window, CL2 stage 1)."""
-    return 0.1 * net.total_length if r is None else r
 
 
 @dataclass(frozen=True)
@@ -224,7 +216,7 @@ def min_contrast(
     net = pattern.network
     if pattern.n == 0:
         raise ValidationError("cannot fit an empty pattern")
-    r_max = _pair_range(net, config.r_max)
+    r_max = 0.1 * net.total_length if config.r_max is None else config.r_max
     if not (0 <= config.r_min < r_max):
         raise ValidationError("need 0 <= r_min < r_max")
     r = np.linspace(config.r_min, r_max, _CONTRAST_GRID)
@@ -266,32 +258,21 @@ def pair_correlation_gradient(t, sigma2: float, beta: float, k: int = 1):
 class Cl2Config:
     """Settings of the second-order composite likelihood.
 
-    ``weight`` selects which point pairs inform the score: ``"fixed"``
-    keeps pairs within range ``r0``; ``"indicator"`` keeps pairs whose
-    relative pair-correlation excess ``|g(d) - 1| / |g(0) - 1|`` exceeds
-    ``epsilon``; ``"smooth"`` replaces that hard cut by a smooth bump so
-    the weight is differentiable in the parameters. The normalising
-    integral is computed exactly from the network's geometry, so the
-    score has no sampling noise and runs are reproducible.
-
-    :func:`cl2_fit` starts at ``start``; its stage 1 uses the fixed weight
-    of range ``r0``, by default (adaptive weights only) one tenth of the
-    network length. ``max_iter`` caps each stage.
+    The likelihood counts the point pairs within distance ``r0``, by
+    default five mean point spacings, ``5 |L| / n`` for ``n`` points on a
+    network of length ``|L|``. Its normalising integral is computed
+    exactly from the network's geometry, so it has no sampling noise and
+    runs are reproducible. :func:`cl2_fit` starts at ``start`` and stops
+    after at most ``max_iter`` iterations.
     """
 
-    weight: str = "smooth"
     r0: float | None = None
-    epsilon: float = 0.01
     start: tuple[float, float] = (0.5, 0.5)
     max_iter: int = 500
 
     def __post_init__(self):
-        if self.weight not in ("fixed", "indicator", "smooth"):
-            raise ValidationError(f"unknown weight kind {self.weight!r}")
-        if self.weight == "fixed" and not (self.r0 is not None and self.r0 > 0):
-            raise ValidationError("fixed-range weight requires r0 > 0")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValidationError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        if not (self.r0 is None or _positive(self.r0)):
+            raise ValidationError(f"need None or a finite r0 > 0, got {self.r0!r}")
         if not (len(self.start) == 2 and _positive(*self.start)):
             raise ValidationError(f"start must be two positive finite numbers, got {self.start!r}")
         if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
@@ -308,38 +289,17 @@ class Cl2Result:
     converged: bool
 
 
-def _excess_at_zero(sigma2: float, k: int) -> float:
-    """``g(0) - 1 = (1 - alpha) ** (-k/2) - 1``, accurate for small ``sigma2``."""
-    m = math.expm1(-0.5 * k * math.log1p(-((sigma2 / (1.0 + sigma2)) ** 2)))
-    if not m > 0:
-        raise NumericalError("pair correlation excess at zero vanished; weights are all zero")
-    return m
+def _cl2_range(pattern: PointPattern, config: Cl2Config) -> float:
+    """``config.r0``, by default five mean point spacings ``5 |L| / n``."""
+    return 5.0 * pattern.network.total_length / pattern.n if config.r0 is None else config.r0
 
 
-def _weight_range(sigma2: float, beta: float, k: int, cfg: Cl2Config) -> float:
-    """Lag beyond which the pair weight is zero: ``r0``, or where ``g - 1``
-    falls to ``epsilon (g(0) - 1)``, i.e. ``alpha exp(-2 beta t) = cut``."""
-    if cfg.weight == "fixed":
-        return cfg.r0
-    cut = -math.expm1(-2.0 / k * math.log1p(cfg.epsilon * _excess_at_zero(sigma2, k)))
-    return math.log((sigma2 / (1.0 + sigma2)) ** 2 / cut) / (2.0 * beta)
-
-
-def _cl2_kernel(t: np.ndarray, sigma2: float, beta: float, k: int, cfg: Cl2Config):
-    """``(g, dg/dsigma2, dg/dbeta, w)`` at lags ``t``, the weight read off ``g``."""
+def _cl2_kernel(t: np.ndarray, sigma2: float, beta: float, k: int, r0: float):
+    """``(g, dg/dsigma2, dg/dbeta, w)`` at lags ``t``, the weight one within ``r0``."""
     if not (0.0 < sigma2 < math.inf and 0.0 < beta < math.inf):
         raise ValidationError("sigma2 and beta must be positive and finite")
     g, dgs, dgb = pair_correlation_gradient(t, sigma2, beta, k)
-    if cfg.weight == "fixed":
-        return g, dgs, dgb, (t <= cfg.r0).astype(np.float64)
-    ratio = (g - 1.0) / _excess_at_zero(sigma2, k)
-    keep = ratio > cfg.epsilon
-    if cfg.weight == "indicator":
-        return g, dgs, dgb, keep.astype(np.float64)
-    # smooth bump exp(1 / (h**2 - 1)) in h = epsilon / ratio, zero for h >= 1
-    with np.errstate(divide="ignore", over="ignore"):
-        bump = np.exp(1.0 / ((cfg.epsilon / ratio) ** 2 - 1.0))
-    return g, dgs, dgb, np.where(keep, bump, 0.0)
+    return g, dgs, dgb, (t <= r0).astype(np.float64)
 
 
 class _PairDistanceDensity:
@@ -386,55 +346,6 @@ def _unit_rule(panels: int = 64, order: int = 8) -> tuple[np.ndarray, np.ndarray
 _UNIT_NODES, _UNIT_WEIGHTS = _unit_rule()
 
 
-def _segment_pair_samples(net: LinearNetwork, samples: int, rng):
-    """Uniform pair distances per unordered segment pair.
-
-    Yields ``(distances, area_factor)`` with ``area_factor`` already
-    doubled for distinct pairs (the decomposition covers both orders).
-    Distances are exact: within one segment ``|x - y|``; across segments
-    the shared routing through edge endpoints.
-    """
-    D = net.vertex_distance_matrix
-    for i in range(net.n_edges):
-        li = net.edge_length[i]
-        si, ti = net.edge_start[i], net.edge_end[i]
-        for j in range(i, net.n_edges):
-            lj = net.edge_length[j]
-            x = rng.random(samples) * li
-            y = rng.random(samples) * lj
-            if i == j:
-                yield np.abs(x - y), li * lj
-                continue
-            sj, tj = net.edge_start[j], net.edge_end[j]
-            d = np.minimum.reduce(
-                [
-                    x + y + D[si, sj],
-                    x + (lj - y) + D[si, tj],
-                    (li - x) + y + D[ti, sj],
-                    (li - x) + (lj - y) + D[ti, tj],
-                ]
-            )
-            yield d, 2.0 * li * lj
-
-
-def mc_double_integral(net: LinearNetwork, f0, samples_per_pair: int = 1000, seed=None) -> float:
-    """Monte Carlo estimate of ``∫∫ f0(d(u, v)) du dv`` over the network.
-
-    The double integral decomposes over segment pairs; on each pair the
-    integrand is sampled at uniform offsets, using the direct distance
-    ``|x - y|`` within a segment and endpoint routing across segments.
-    Unbiased, and deterministic for a given seed. ``f0`` must accept a
-    vector of distances.
-    """
-    if samples_per_pair < 1:
-        raise ValidationError("need at least one sample per segment pair")
-    rng = as_generator(seed)
-    total = 0.0
-    for d, factor in _segment_pair_samples(net, samples_per_pair, rng):
-        total += factor * float(np.mean(f0(d)))
-    return total
-
-
 class _Cl2Workspace:
     """Pattern-level quantities reused across score evaluations."""
 
@@ -450,34 +361,34 @@ class _Cl2Workspace:
         rho_edge = np.where(net.edge_side, intensity.side, intensity.main)
         self.density = _PairDistanceDensity(net, rho_edge)
 
-    def normaliser(self, sigma2: float, beta: float, k: int, cfg: Cl2Config) -> np.ndarray:
-        """``∫ w (g, dg/dsigma2, dg/dbeta) H`` on ``[0, min(weight range, diameter)]``."""
-        t_max = min(_weight_range(sigma2, beta, k, cfg), self.density.support)
+    def normaliser(self, sigma2: float, beta: float, k: int, r0: float) -> np.ndarray:
+        """``∫ (g, dg/dsigma2, dg/dbeta) H`` on ``[0, min(r0, diameter)]``."""
+        t_max = min(r0, self.density.support)
         t = t_max * _UNIT_NODES
-        g, dgs, dgb, w = _cl2_kernel(t, sigma2, beta, k, cfg)
+        g, dgs, dgb, w = _cl2_kernel(t, sigma2, beta, k, r0)
         return (np.stack([g, dgs, dgb]) * (t_max * _UNIT_WEIGHTS * w * self.density(t))).sum(1)
 
-    def pair_sum(self, sigma2: float, beta: float, k: int, cfg: Cl2Config) -> np.ndarray:
+    def pair_sum(self, sigma2: float, beta: float, k: int, r0: float) -> np.ndarray:
         """``sum w grad g / g`` over ordered pairs; no terms cancel (g is monotone)."""
-        g, dgs, dgb, w = _cl2_kernel(self.pair_d, sigma2, beta, k, cfg)
+        g, dgs, dgb, w = _cl2_kernel(self.pair_d, sigma2, beta, k, r0)
         if not (w > 0).any():
             raise NumericalError("weight vanished on every observed pair")
         # ordered pairs: each unordered pair counts twice
         return 2.0 * np.array([(w * dgs / g).sum(), (w * dgb / g).sum()])
 
-    def score(self, sigma2: float, beta: float, k: int, cfg: Cl2Config) -> np.ndarray:
-        return self.pair_sum(sigma2, beta, k, cfg) - self.normaliser(sigma2, beta, k, cfg)[1:]
+    def score(self, sigma2: float, beta: float, k: int, r0: float) -> np.ndarray:
+        return self.pair_sum(sigma2, beta, k, r0) - self.normaliser(sigma2, beta, k, r0)[1:]
 
-    def likelihood(self, sigma2: float, beta: float, k: int, cfg: Cl2Config) -> float:
-        g, _, _, w = _cl2_kernel(self.pair_d, sigma2, beta, k, cfg)
+    def likelihood(self, sigma2: float, beta: float, k: int, r0: float) -> float:
+        g, _, _, w = _cl2_kernel(self.pair_d, sigma2, beta, k, r0)
         pair_sum = 2.0 * float((w * (self.pair_log_rr + np.log(g))).sum())
-        return pair_sum - float(self.normaliser(sigma2, beta, k, cfg)[0])
+        return pair_sum - float(self.normaliser(sigma2, beta, k, r0)[0])
 
 
 def cl2_score(
     pattern: PointPattern, sigma2: float, beta: float, k: int = 1, config: Cl2Config | None = None
 ) -> np.ndarray:
-    """Composite-likelihood score (estimating function) at ``(sigma2, beta)``.
+    """Composite-likelihood score, the gradient of :func:`composite_likelihood`.
 
     The pair sum uses ``w * grad g / g`` over ordered pairs of data
     points; the compensating double integral of ``w * rho * rho * grad g``
@@ -485,75 +396,51 @@ def cl2_score(
     exact pair-distance density ``H``, evaluated by a fixed composite
     Gauss-Legendre rule. Near the truth the expected score is zero.
     """
-    config = config or Cl2Config()
-    return _Cl2Workspace(pattern).score(sigma2, beta, k, config)
+    ws = _Cl2Workspace(pattern)
+    return ws.score(sigma2, beta, k, _cl2_range(pattern, config or Cl2Config()))
 
 
 def composite_likelihood(
     pattern: PointPattern, sigma2: float, beta: float, k: int = 1, config: Cl2Config | None = None
 ) -> float:
-    """Log second-order composite likelihood at ``(sigma2, beta)``.
-
-    With the fixed-range weight its gradient is exactly the score; the
-    adaptive weights depend on the parameters, in which case the score is
-    an estimating function rather than this function's gradient.
-    """
-    config = config or Cl2Config()
-    return _Cl2Workspace(pattern).likelihood(sigma2, beta, k, config)
+    """Log second-order composite likelihood at ``(sigma2, beta)``: the log
+    pair correlation summed over the pairs within ``r0``, less its
+    normalising integral over all point pairs of the network."""
+    ws = _Cl2Workspace(pattern)
+    return ws.likelihood(sigma2, beta, k, _cl2_range(pattern, config or Cl2Config()))
 
 
 def cl2_fit(pattern: PointPattern, k: int = 1, config: Cl2Config | None = None) -> Cl2Result:
-    """Estimate ``(sigma2, beta)`` by the second-order composite likelihood.
+    """Estimate ``(sigma2, beta)`` by maximising the composite likelihood.
 
-    Both stages run in log-parameters. Stage 1 maximises the log composite
-    likelihood with the fixed weight of range ``r0`` (default one tenth of
-    the network length) by L-BFGS-B, the score being its exact gradient;
-    for ``weight="fixed"`` that is the estimate. The adaptive weights'
-    score is no gradient, so stage 2 solves score = 0 from there (Powell's
-    hybrid method). ``converged`` requires the last stage's success and
-    every score component within ``1e-6`` of its pair sum. The indicator
-    weight's score jumps where a pair crosses the cut, so it may have no
-    root and then reports ``converged=False``.
+    L-BFGS-B maximises the log composite likelihood of the pairs within
+    ``r0`` (default ``5 |L| / n``) in log-parameters from ``start``, with
+    the score as its exact gradient. Maximising the likelihood, rather
+    than solving score = 0, keeps the fit off the score's spurious root at
+    ``sigma2 -> 0``. ``converged`` means every score component at the
+    estimate is within ``1e-6`` of its pair sum, whatever L-BFGS-B's stop
+    reason: its line search can fail at the float floor of a score that
+    is already that small.
     """
     from scipy import optimize  # imported by the fits only: `import linnetcox` stays scipy-free
 
     config = config or Cl2Config()
     ws = _Cl2Workspace(pattern)
-    fixed = replace(config, weight="fixed", r0=_pair_range(pattern.network, config.r0))
-
-    def params(x: np.ndarray) -> tuple[float, float]:
-        s2, bt = np.exp(np.clip(x, -_LOG_BOUND, _LOG_BOUND))
-        return float(s2), float(bt)
+    r0 = _cl2_range(pattern, config)
 
     def negative_likelihood(x: np.ndarray):
-        s2, bt = params(x)
-        return -ws.likelihood(s2, bt, k, fixed), -ws.score(s2, bt, k, fixed) * np.array([s2, bt])
-
-    def relative_score(x: np.ndarray) -> np.ndarray:  # score / pair sum: one scale for both
-        s2, bt = params(x)
-        return 1.0 - ws.normaliser(s2, bt, k, config)[1:] / ws.pair_sum(s2, bt, k, config)
+        s2, bt = np.exp(np.clip(x, -_LOG_BOUND, _LOG_BOUND))
+        return -ws.likelihood(s2, bt, k, r0), -ws.score(s2, bt, k, r0) * np.array([s2, bt])
 
     res = optimize.minimize(
         negative_likelihood, np.log(np.asarray(config.start, dtype=np.float64)), jac=True,
         method="L-BFGS-B", bounds=[(-_LOG_BOUND, _LOG_BOUND)] * 2,
         options={"maxiter": config.max_iter, "ftol": 1e-15, "gtol": 1e-10},
     )
-    if config.weight != "fixed":
-        try:
-            res = optimize.root(  # factor: first step ~|x|, not hybr's default 100 |x|
-                relative_score, res.x, method="hybr",
-                options={"xtol": _ROOT_X_TOL, "maxfev": config.max_iter, "factor": 1.0},
-            )
-        except NumericalError as exc:
-            s2, bt = params(res.x)
-            raise NumericalError(
-                f"{exc} in stage 2, which started from stage 1's end sigma2={s2:.6g}, "
-                f"beta={bt:.6g} at range {fixed.r0:.6g}; a shorter stage-1 range "
-                "(Cl2Config.r0, fit --r0) may give stage 1 an interior maximum"
-            ) from None
-    converged = bool(res.success) and bool(np.all(np.abs(relative_score(res.x)) <= _SCORE_RTOL))
-    s2, bt = params(res.x)
-    score = ws.score(s2, bt, k, config)
+    s2, bt = (float(v) for v in np.exp(np.clip(res.x, -_LOG_BOUND, _LOG_BOUND)))
+    score = ws.score(s2, bt, k, r0)
+    # strict: on the beta bound the score and its pair sum both vanish
+    converged = bool(np.all(np.abs(score) < _SCORE_RTOL * np.abs(ws.pair_sum(s2, bt, k, r0))))
     return Cl2Result(s2, bt, k, score, float(np.linalg.norm(score)), converged)
 
 

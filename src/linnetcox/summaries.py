@@ -269,9 +269,9 @@ def pair_correlation(model: CoxModel, t) -> np.ndarray:
     ``(1 - alpha * exp(-2 beta t)) ** (-k/2)`` with
     ``alpha = (sigma2 / (1 + sigma2)) ** 2``. Decreases from
     ``(1 - alpha) ** (-k/2)`` at 0 to 1, so the model is clustered at
-    short range.
+    short range. Lags must be finite and nonnegative.
     """
-    t = np.asarray(t, dtype=np.float64)
+    t = _radii(t)
     a = _alpha(model.sigma2)
     x = -np.expm1(math.log(a) - 2.0 * model.beta * t)
     return x ** (-model.k / 2.0)
@@ -304,11 +304,10 @@ def k_function(model: CoxModel, r) -> np.ndarray:
 
     ``K(r)`` integrates the pair correlation from 0 to ``r``; for a
     Poisson process it equals ``r``. Closed forms are used for
-    ``k <= 5``; larger ``k`` falls back to adaptive quadrature.
+    ``k <= 5``; larger ``k`` falls back to adaptive quadrature. Radii
+    must be finite and nonnegative.
     """
-    rr = np.atleast_1d(np.asarray(r, dtype=np.float64))
-    if (rr < 0).any():
-        raise ValidationError("r must be nonnegative")
+    rr = np.atleast_1d(_radii(r))
     if model.k <= 5:
         out = _k_closed_form(rr, model.sigma2, model.beta, model.k)
     else:
@@ -428,8 +427,9 @@ def g_from_pairs(
         block = np.zeros((flat.size, dd.size))
         block[rows, cols] = ww[cols] * (1.0 - ((flat[rows] - dd[cols]) / b) ** 2)
         x1, x2 = flat[near0, None] - dd, flat[near0, None] + dd
-        block[near0] = ww * (np.where(np.abs(x1) <= b, 1.0 - (x1 / b) ** 2, 0.0)
-                             + np.where(np.abs(x2) <= b, 1.0 - (x2 / b) ** 2, 0.0))
+        with np.errstate(over="ignore"):  # (x / b) ** 2 outside the support, discarded
+            block[near0] = ww * (np.where(np.abs(x1) <= b, 1.0 - (x1 / b) ** 2, 0.0)
+                                 + np.where(np.abs(x2) <= b, 1.0 - (x2 / b) ** 2, 0.0))
         out += block.sum(axis=1)
     return (0.75 / b * out / pairs.total_length).reshape(r.shape)
 

@@ -35,7 +35,6 @@ from linnetcox import (
     lattice,
     leaf_distances,
     make_network,
-    mc_double_integral,
     pair_correlation,
     rank_envelope,
     retention_field,
@@ -47,7 +46,7 @@ from linnetcox import (
 from linnetcox.envelopes import CurveSet
 from linnetcox.summaries import g_from_pairs, k_from_pairs, second_order_pairs
 
-from conftest import oracle_distances
+from conftest import mc_double_integral, oracle_distances
 
 
 def _verdict(number, body, capsys):
@@ -246,7 +245,7 @@ def test_criterion_08_composite_likelihood_machinery(capsys):
         # likelihood when the pair weight does not depend on the parameters
         # (shared quadrature nodes make both sides use the same rule)
         net = make_network("dendrite", seed=11, side_target=150.0)
-        cfg = Cl2Config(weight="fixed", r0=20.0)
+        cfg = Cl2Config(r0=20.0)
         sigma2, beta = 3.0, 0.2
         h_s, h_b = 1e-4 * sigma2, 1e-4 * beta
         for seed in (101, 102, 103):

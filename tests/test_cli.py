@@ -221,7 +221,7 @@ class TestFit:
         out = tmp_path / "cl2.json"
         rc = run(
             "fit", "--net", dendrite_file, "--pattern", pattern_file,
-            "--method", "cl2", "--weight", "fixed", "--r0", "15", "--out", out,
+            "--method", "cl2", "--r0", "15", "--out", out,
         )
         assert rc == 0
         assert load_fit(out).method == "cl2"
@@ -235,14 +235,6 @@ class TestFit:
         fit = load_fit(out)
         assert fit.converged and fit.sigma2 >= 0.5 and fit.beta <= 5.0
 
-    def test_fixed_weight_needs_r0(self, tmp_path, dendrite_file, pattern_file, capsys):
-        rc = run(
-            "fit", "--net", dendrite_file, "--pattern", pattern_file,
-            "--method", "cl2", "--weight", "fixed", "--out", tmp_path / "x.json",
-        )
-        assert rc == 2
-        assert "r0" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "method, flags, complaint",
         [
@@ -251,6 +243,9 @@ class TestFit:
             ("mce-g", ["--ru", "inf"], "r_max < inf"),
             ("mce-k", ["--ru", "1e400"], "r_max < inf"),
             ("mce-g", ["--bandwidth", "inf"], "bandwidth must be positive and finite"),
+            ("cl2", ["--r0", "-5"], "r0 > 0"),
+            ("cl2", ["--r0", "nan"], "r0 > 0"),
+            ("cl2", ["--r0", "inf"], "r0 > 0"),
         ],
     )
     def test_bad_fit_flags_exit_2(self, tmp_path, dendrite_file, pattern_file, capsys, method,
@@ -265,15 +260,15 @@ class TestFit:
 
     def test_weights_can_all_vanish(self, tmp_path, capsys):
         # two points 190 apart on a path of length 200: no pair lies within
-        # the first stage's default range of 20, so its weight discards
-        # every pair and the fit reports a numerical failure
+        # range 20, so the weight discards every pair and the fit reports a
+        # numerical failure
         net_file = tmp_path / "long.json"
         run("make-network", "--template", "path", "--knob", "length=200.0", "--out", net_file)
         pat_file = tmp_path / "two.csv"
         pat_file.write_text("edge,offset\n0,5.0\n0,195.0\n")
         rc = run(
             "fit", "--net", net_file, "--pattern", pat_file,
-            "--method", "cl2", "--weight", "indicator", "--out", tmp_path / "x.json",
+            "--method", "cl2", "--r0", "20", "--out", tmp_path / "x.json",
         )
         assert rc == 3
         assert "weight" in capsys.readouterr().err
@@ -512,9 +507,10 @@ class TestSimstudy:
             ({"methods": {"cl2": {"max_iter": "x"}}}, "max_iter"),
             ({"methods": {"cl2": {"max_iter": 0}}}, "max_iter"),
             ({"mode": "grid", "spacing": "x"}, "spacing"),
+            ({"methods": {"cl2": {"weight": "smooth"}}}, "weight"),
         ],
         ids=["entry-not-object", "methods-list", "mce-start", "cl2-start", "max-iter-text",
-             "max-iter-zero", "grid-spacing-text"],
+             "max-iter-zero", "grid-spacing-text", "cl2-weight"],
     )
     def test_malformed_design_exits_2(self, tmp_path, capsys, entry, complaint):
         if isinstance(entry, dict):
@@ -640,7 +636,7 @@ class TestHarness:
         assert not out.exists()
 
     def test_removed_monte_carlo_flags(self, tmp_path, dendrite_file, pattern_file):
-        for flag in ("--samples", "--mc-seed", "--search"):
+        for flag in ("--samples", "--mc-seed", "--search", "--weight", "--epsilon"):
             with pytest.raises(SystemExit) as exc:
                 run("fit", "--net", dendrite_file, "--pattern", pattern_file,
                     "--method", "cl2", flag, "5", "--out", tmp_path / "fit.json")

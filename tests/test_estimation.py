@@ -23,7 +23,6 @@ from linnetcox import (
     fit_intensity_mle,
     k_function,
     make_network,
-    mc_double_integral,
     min_contrast,
     min_contrast_from_curve,
     pair_correlation,
@@ -43,13 +42,15 @@ from linnetcox.estimation import (
     _Cl2Workspace,
     _PairDistanceDensity,
     _cl2_kernel,
+    _cl2_range,
     _method_config,
-    _segment_pair_samples,
 )
 
+from conftest import _segment_pair_samples, mc_double_integral
 
-def _cl2_weights(d, sigma2, beta, k, cfg):
-    return _cl2_kernel(d, sigma2, beta, k, cfg)[3]
+
+def _cl2_weights(d, sigma2, beta, k, r0):
+    return _cl2_kernel(d, sigma2, beta, k, r0)[3]
 
 
 @pytest.fixture(scope="module")
@@ -202,7 +203,7 @@ class TestTwoStep:
             two_step_fit(sample.pattern, k=k, config=config)
 
     def test_cl2_config_fits_by_composite_likelihood(self, cl2_pattern):
-        cfg = Cl2Config(weight="fixed", r0=15.0, max_iter=60)
+        cfg = Cl2Config(r0=15.0, max_iter=60)
         res = cl2_fit(cl2_pattern, config=cfg)
         fit = two_step_fit(cl2_pattern, config=cfg)
         assert fit.method == "cl2"
@@ -256,37 +257,8 @@ class TestPairCorrelationGradient:
 
 class TestWeights:
     def test_fixed_range(self):
-        cfg = Cl2Config(weight="fixed", r0=10.0)
-        w = _cl2_weights(np.array([0.0, 9.9, 10.0, 10.1]), 2.0, 0.5, 1, cfg)
+        w = _cl2_weights(np.array([0.0, 9.9, 10.0, 10.1]), 2.0, 0.5, 1, 10.0)
         assert_allclose(w, [1.0, 1.0, 1.0, 0.0])
-
-    def test_indicator_at_zero_distance(self):
-        cfg = Cl2Config(weight="indicator", epsilon=0.01)
-        w = _cl2_weights(np.array([0.0]), 3.0, 0.5, 1, cfg)
-        assert w[0] == 1.0
-
-    def test_indicator_vanishes_far_out(self):
-        cfg = Cl2Config(weight="indicator", epsilon=0.01)
-        w = _cl2_weights(np.array([500.0]), 3.0, 0.5, 1, cfg)
-        assert w[0] == 0.0
-
-    def test_smooth_boundary_values(self):
-        # at zero distance the bump argument is epsilon itself, so with a
-        # tiny epsilon the weight approaches exp(-1); far out (relative
-        # pair-correlation excess below epsilon) it is exactly zero
-        cfg = Cl2Config(weight="smooth", epsilon=1e-6)
-        w0 = _cl2_weights(np.array([0.0]), 3.0, 0.5, 1, cfg)
-        assert_allclose(w0[0], math.exp(-1.0), rtol=1e-9)
-        cfg2 = Cl2Config(weight="smooth", epsilon=0.5)
-        far = _cl2_weights(np.array([200.0]), 3.0, 0.5, 1, cfg2)
-        assert far[0] == 0.0
-
-    def test_smooth_is_continuous_in_distance(self):
-        cfg = Cl2Config(weight="smooth", epsilon=0.05)
-        d = np.linspace(0.0, 60.0, 2000)
-        w = _cl2_weights(d, 3.0, 0.3, 1, cfg)
-        assert np.all((w >= 0) & (w <= 1))
-        assert np.abs(np.diff(w)).max() < 0.05
 
 
 class TestMcIntegral:
@@ -372,7 +344,7 @@ class TestCl2:
         # with the fixed-range weight the score is exactly the gradient of
         # the log composite likelihood (the same quadrature nodes at every
         # parameter point), so central differences must agree
-        cfg = Cl2Config(weight="fixed", r0=20.0)
+        cfg = Cl2Config(r0=20.0)
         s2, beta = 3.0, 0.2
         score = cl2_score(pattern, s2, beta, config=cfg)
         h_s, h_b = 1e-4 * s2, 1e-4 * beta
@@ -392,7 +364,7 @@ class TestCl2:
         # each component takes both signs across replicates
         reps = 10
         net = make_network("dendrite", seed=42, side_target=150.0)
-        cfg = Cl2Config(weight="fixed", r0=20.0)
+        cfg = Cl2Config(r0=20.0)
         scores = np.array(
             [
                 cl2_score(
@@ -410,13 +382,13 @@ class TestCl2:
 
     def test_lbfgsb_runs(self, cl2_pattern):
         pattern = cl2_pattern
-        cfg = Cl2Config(weight="fixed", r0=15.0, max_iter=60)
+        cfg = Cl2Config(r0=15.0, max_iter=60)
         res = cl2_fit(pattern, config=cfg)
         assert res.sigma2 > 0 and res.beta > 0
         assert res.score.shape == (2,)
 
     def test_fixed_weight_fit_is_a_likelihood_maximum(self, cl2_pattern):
-        cfg = Cl2Config(weight="fixed", r0=20.0)
+        cfg = Cl2Config(r0=20.0)
         res = cl2_fit(cl2_pattern, config=cfg)
         assert res.converged
         best = composite_likelihood(cl2_pattern, res.sigma2, res.beta, config=cfg)
@@ -439,44 +411,59 @@ class TestCl2:
         assert res.converged
         assert res.sigma2 >= 0.5 and res.beta <= 5.0
 
-    def test_converged_needs_a_small_score(self):
-        # the indicator weight's score jumps where a pair crosses the cut;
-        # on this pattern the root search stops at such a jump and reports
-        # success, but the score there is far from zero
-        net = make_network("dendrite", seed=7)
-        pattern = simulate_cox(net, CoxModel(0.8, 1.2, 5.0, 0.1), seed=4).pattern
-        cfg = Cl2Config(weight="indicator")
-        res = cl2_fit(pattern, config=cfg)
-        pair_sum = _Cl2Workspace(pattern).pair_sum(res.sigma2, res.beta, 1, cfg)
-        assert np.abs(res.score / pair_sum).max() > 1e-3
-        assert not res.converged
-
     def test_config_validation(self):
-        with pytest.raises(ValidationError):
-            Cl2Config(weight="boxcar")
-        with pytest.raises(ValidationError):
-            Cl2Config(weight="fixed")  # r0 missing
-        with pytest.raises(ValidationError):
-            Cl2Config(epsilon=1.0)
-        for removed in ("search", "grid_sigma2", "grid_beta", "grid_size", "x_tol"):
+        for r0 in (0.0, -5.0, math.nan, math.inf, "20"):
+            with pytest.raises(ValidationError, match="r0 > 0"):
+                Cl2Config(r0=r0)
+        assert Cl2Config().r0 is None
+        for removed in ("search", "grid_sigma2", "grid_beta", "grid_size", "x_tol", "weight",
+                        "epsilon"):
             with pytest.raises(TypeError):
                 Cl2Config(**{removed: None})
 
-    def test_stage_two_failure_names_stage_one(self):
-        # criterion 07's design, simstudy --seed 2026, replicate 12: at the
-        # default range 0.1 |L| stage 1 drives beta to its bound, and the
-        # weight then vanishes on every pair in stage 2
+    def test_criterion_07_replicate_12_converges(self):
+        # criterion 07's design, simstudy --seed 2026, replicate 12: one
+        # tenth of the network length as the range drives beta to its
+        # bound; five mean spacings, the default, give an interior maximum
         net = make_network("dendrite", seed=4, side_target=650.0)
         gen = spawn_generators(np.random.SeedSequence(2026).spawn(1)[0], 13)[12]
         pattern = simulate_cox(net, CoxModel(0.8, 1.2, 5.0, 0.1), seed=gen).pattern
-        with pytest.raises(NumericalError) as err:
-            cl2_fit(pattern)
-        message = str(err.value)
-        assert message.startswith("weight vanished on every observed pair in stage 2")
-        assert "beta=2.17" in message and f"range {0.1 * net.total_length:.6g}" in message
-        assert "fit --r0" in message
-        res = cl2_fit(pattern, config=Cl2Config(r0=30.0))
+        res = cl2_fit(pattern)
+        assert res.converged
         assert res.sigma2 > 0.5 and res.beta < 5.0
+
+    def test_fit_on_the_beta_bound_is_not_converged(self):
+        # started past it, L-BFGS-B stops on the bound log beta = 30,
+        # where the score and its pair sum both vanish
+        net = make_network("dendrite", seed=7)
+        pattern = simulate_cox(net, CoxModel(0.8, 1.2, 5.0, 0.1),
+                               seed=spawn_generators(3, 1)[0]).pattern
+        res = cl2_fit(pattern, config=Cl2Config(start=(0.5, 1e14)))
+        assert res.beta == math.exp(estimation._LOG_BOUND)
+        assert np.all(res.score == 0.0) and not res.converged
+
+    def test_fit_running_off_to_beta_zero_is_not_converged(self):
+        # criterion 07's replicate 12 at range 0.1 |L| (the old default's
+        # first stage) heads for beta -> 0 and stops with a large score
+        net = make_network("dendrite", seed=4, side_target=650.0)
+        gen = spawn_generators(np.random.SeedSequence(2026).spawn(1)[0], 13)[12]
+        pattern = simulate_cox(net, CoxModel(0.8, 1.2, 5.0, 0.1), seed=gen).pattern
+        res = cl2_fit(pattern, config=Cl2Config(r0=0.1 * net.total_length))
+        assert res.beta < 1e-8 and not res.converged
+
+    def test_line_search_failure_with_a_small_score_converges(self):
+        # 5x the README intensity, replicates 3 and 4 of seed 77: L-BFGS-B
+        # ends with ABNORMAL (a line search failing at the float floor of
+        # its 1e-15 ftol) with every score component ~3e-9 of its pair sum
+        net = make_network("dendrite", seed=7)
+        gens = spawn_generators(np.random.SeedSequence(77).spawn(1)[0], 30)
+        for rep in (3, 4):
+            pattern = simulate_cox(net, CoxModel(4.0, 6.0, 5.0, 0.1), seed=gens[rep]).pattern
+            res = cl2_fit(pattern)
+            pair_sum = _Cl2Workspace(pattern).pair_sum(
+                res.sigma2, res.beta, 1, _cl2_range(pattern, Cl2Config()))
+            assert np.abs(res.score / pair_sum).max() < 1e-6
+            assert res.converged
 
     def test_needs_two_points(self, path10):
         with pytest.raises(ValidationError):
@@ -524,22 +511,23 @@ class TestExactNormaliser:
         rho = pattern.n / net.total_length
         points = [
             (5.0, 0.1, Cl2Config()),
-            (1.0, 0.5, Cl2Config(weight="indicator")),
-            (3.0, 6.0, Cl2Config(weight="fixed", r0=20.0)),
+            (1.0, 0.5, Cl2Config(r0=8.0)),
+            (3.0, 6.0, Cl2Config(r0=20.0)),
         ]
         samples = 100_000
         for seed, (s2, beta, cfg) in enumerate(points):
-            exact = _Cl2Workspace(pattern).normaliser(s2, beta, 1, cfg)
+            r0 = _cl2_range(pattern, cfg)
+            exact = _Cl2Workspace(pattern).normaliser(s2, beta, 1, r0)
             mean, var = np.zeros(3), np.zeros(3)
             rng = np.random.default_rng(seed)
             for d, factor in _segment_pair_samples(net, samples, rng):
-                g, dgs, dgb, w = _cl2_kernel(d, s2, beta, 1, cfg)
+                g, dgs, dgb, w = _cl2_kernel(d, s2, beta, 1, r0)
                 f = np.stack([w * g, w * dgs, w * dgb])
                 mean += factor * f.mean(axis=1)
                 var += factor**2 * f.var(axis=1, ddof=1) / samples
 
             def weighted_g(d):
-                g, _, _, w = _cl2_kernel(d, s2, beta, 1, cfg)
+                g, _, _, w = _cl2_kernel(d, s2, beta, 1, r0)
                 return w * g
 
             # the same draws as mc_double_integral's
@@ -549,7 +537,7 @@ class TestExactNormaliser:
             assert np.all(np.abs(exact - rho**2 * mean) < 3.0 * rho**2 * np.sqrt(var))
 
     def test_fit_is_deterministic(self, cl2_pattern):
-        cfg = Cl2Config(weight="fixed", r0=15.0, max_iter=60)
+        cfg = Cl2Config(r0=15.0, max_iter=60)
         a, b = cl2_fit(cl2_pattern, config=cfg), cl2_fit(cl2_pattern, config=cfg)
         assert (a.sigma2, a.beta, a.converged) == (b.sigma2, b.beta, b.converged)
         assert np.array_equal(a.score, b.score)
@@ -559,7 +547,6 @@ class TestExactNormaliser:
             raise AssertionError("the composite likelihood drew random numbers")
 
         monkeypatch.setattr(np.random, "default_rng", forbidden)
-        monkeypatch.setattr("linnetcox.estimation.as_generator", forbidden)
         cl2_score(cl2_pattern, 2.0, 0.2)
 
     def test_monte_carlo_knobs_removed(self):
@@ -616,7 +603,7 @@ class TestSimulationStudy:
         "methods, complaint",
         [
             ({"mce-g": {"r_max": 30.0, "lag": 1}}, "unexpected keyword argument 'lag'"),
-            ({"cl2": {"weight": "fixed"}}, "r0 > 0"),
+            ({"cl2": {"r0": -5.0}}, "r0 > 0"),
             ({"cl2": [1]}, "needs a Cl2Config, got list"),
             ({"mce-k": {"target": "g"}}, "target 'g'"),
         ],
@@ -644,7 +631,7 @@ class TestSimulationStudy:
         assert _method_config("mce-k") == MinContrastConfig(target="K")
         assert _method_config("mce-g", {"r_max": 30.0}) == MinContrastConfig(r_max=30.0)
         assert _method_config("cl2", None) == Cl2Config()
-        cfg = Cl2Config(weight="fixed", r0=20.0)
+        cfg = Cl2Config(r0=20.0)
         assert _method_config("cl2", cfg) is cfg
         with pytest.raises(ValidationError, match="unknown method"):
             _method_config("mce-x")

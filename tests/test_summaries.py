@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -429,12 +430,27 @@ class TestPairEstimatorInputs:
             k_from_pairs(pairs, r)
         with pytest.raises(ValidationError, match="finite and nonnegative"):
             g_from_pairs(pairs, r, b)
+        # the model's curves check their lags the same way
+        model = CoxModel(0.8, 1.2, 5.0, 0.1)
+        for curve in (pair_correlation, k_function):
+            for lags in (r, bad):
+                with pytest.raises(ValidationError, match="finite and nonnegative"):
+                    curve(model, lags)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -0.5])
     def test_bad_bandwidth_raises(self, pair_sets, bad):
         pairs, _ = pair_sets["readme"]
         with pytest.raises(ValidationError, match="bandwidth"):
             g_from_pairs(pairs, np.linspace(0.0, 5.0, 6), bad)
+
+    def test_tiny_bandwidth_warns_nothing(self, pair_sets):
+        # (r -+ d) / b overflows outside the kernel's support, where the
+        # value is discarded
+        pairs, _ = pair_sets["readme"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = g_from_pairs(pairs, np.linspace(0.0, 30.0, 121), 1e-300)
+        assert np.isfinite(g).all()
 
     def test_any_shape(self, pair_sets):
         pairs, b = pair_sets["readme"]
