@@ -25,6 +25,7 @@ model follow from the thinning relation
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -203,6 +204,34 @@ def min_contrast_from_curve(
     )
 
 
+def _mle_pairs(pattern: PointPattern):
+    """Branch-wise maximum-likelihood intensities and the pair data they weight."""
+    intensity = fit_intensity_mle(pattern)
+    return intensity, second_order_pairs(pattern, intensity)
+
+
+def _min_contrast(pattern: PointPattern, k: int, config: MinContrastConfig | None, pairs):
+    """:func:`min_contrast` on the ``(intensity, PairData)`` that ``pairs()``
+    returns, so a study replicate builds them once for all its mce fits."""
+    config = config or MinContrastConfig()
+    net = pattern.network
+    if pattern.n == 0:
+        raise ValidationError("cannot fit an empty pattern")
+    r_max = 0.1 * net.total_length if config.r_max is None else config.r_max
+    if not (0 <= config.r_min < r_max):
+        raise ValidationError("need 0 <= r_min < r_max")
+    r = np.linspace(config.r_min, r_max, _CONTRAST_GRID)
+    intensity, data = pairs()
+    if config.target == "g":
+        bw = config.bandwidth
+        if bw is None:
+            bw = default_bandwidth(intensity.expected_count(net) / net.total_length)
+        emp = g_from_pairs(data, r, bw)
+    else:
+        emp = k_from_pairs(data, r)
+    return min_contrast_from_curve(r, emp, k, config)
+
+
 def min_contrast(
     pattern: PointPattern, k: int = 1, config: MinContrastConfig | None = None
 ) -> MinContrastResult:
@@ -212,24 +241,7 @@ def min_contrast(
     Non-convergence is reported through the ``converged`` flag, so study
     harnesses can tally it without aborting.
     """
-    config = config or MinContrastConfig()
-    net = pattern.network
-    if pattern.n == 0:
-        raise ValidationError("cannot fit an empty pattern")
-    r_max = 0.1 * net.total_length if config.r_max is None else config.r_max
-    if not (0 <= config.r_min < r_max):
-        raise ValidationError("need 0 <= r_min < r_max")
-    r = np.linspace(config.r_min, r_max, _CONTRAST_GRID)
-    intensity = fit_intensity_mle(pattern)
-    pairs = second_order_pairs(pattern, intensity)
-    if config.target == "g":
-        bw = config.bandwidth
-        if bw is None:
-            bw = default_bandwidth(intensity.expected_count(net) / net.total_length)
-        emp = g_from_pairs(pairs, r, bw)
-    else:
-        emp = k_from_pairs(pairs, r)
-    return min_contrast_from_curve(r, emp, k, config)
+    return _min_contrast(pattern, k, config, lambda: _mle_pairs(pattern))
 
 
 # -- composite likelihood ---------------------------------------------------
@@ -471,6 +483,11 @@ def two_step_fit(pattern: PointPattern, k: int = 1, config=None) -> FitResult:
     """Maximum-likelihood branch intensities, then ``(sigma2, beta)`` by
     :func:`min_contrast` for a :class:`MinContrastConfig` (the default) or by
     :func:`cl2_fit`, its score norm the ``objective``, for a :class:`Cl2Config`."""
+    return _two_step_fit(pattern, k, config, lambda: _mle_pairs(pattern))
+
+
+def _two_step_fit(pattern: PointPattern, k: int, config, pairs) -> FitResult:
+    """:func:`two_step_fit` whose minimum contrast reads ``pairs()``."""
     if not (isinstance(k, int) and k >= 1):
         raise ValidationError(f"k must be an integer >= 1, got {k}")
     config = config or MinContrastConfig()
@@ -478,7 +495,7 @@ def two_step_fit(pattern: PointPattern, k: int = 1, config=None) -> FitResult:
         res = cl2_fit(pattern, k=k, config=config)
         objective, method = res.score_norm, "cl2"
     else:
-        res = min_contrast(pattern, k=k, config=config)
+        res = _min_contrast(pattern, k, config, pairs)
         objective, method = res.objective, f"mce-{config.target.lower()}"
     return FitResult.from_observed(
         fit_intensity_mle(pattern), res.sigma2, res.beta, k, objective, res.converged, method
@@ -563,8 +580,8 @@ class StudyResult:
         return np.array(vals).reshape(-1, 2)
 
 
-def _fit_one(pattern: PointPattern, method: str, cfg, k: int) -> FitResult:
-    return two_step_fit(pattern, k, _method_config(method, cfg))
+def _fit_one(pattern: PointPattern, method: str, cfg, k: int, pairs) -> FitResult:
+    return _two_step_fit(pattern, k, _method_config(method, cfg), pairs)
 
 
 def simulation_study(runs, replicates: int, seed=None, caps=None) -> StudyResult:
@@ -591,10 +608,13 @@ def simulation_study(runs, replicates: int, seed=None, caps=None) -> StudyResult
         rep_gens = spawn_generators(run_seed, replicates)
         for rep, gen in enumerate(rep_gens):
             sample = simulate_cox(run.network, run.model, mode=run.mode, spacing=run.spacing, seed=gen)
+            # the mce methods share one build of the pair data; a build that
+            # raises is not cached, so each of them records the failure
+            pairs = functools.cache(functools.partial(_mle_pairs, sample.pattern))
             for method, cfg in run.methods.items():
                 counts = tally[(run.name, method)]
                 try:
-                    fit = _fit_one(sample.pattern, method, cfg, run.model.k)
+                    fit = _fit_one(sample.pattern, method, cfg, run.model.k, pairs)
                 except (ValidationError, NumericalError, np.linalg.LinAlgError) as exc:
                     rows.append(StudyRow(run.name, rep, method, float("nan"), float("nan"), False))
                     failures.append(

@@ -429,12 +429,18 @@ def _pairwise_core(net, e1, o1, e2, o2) -> np.ndarray:
     return out
 
 
+_DISTANCE_CHUNK = 1 << 18  # entries per row chunk of pairwise_distances (2 MiB)
+
+
 def pairwise_distances(net: LinearNetwork, pts_a, pts_b=None) -> np.ndarray:
     """Matrix of shortest-path distances between two point collections.
 
     Distances combine each point's offsets to its edge endpoints with the
     precomputed vertex-to-vertex distances; points sharing an edge use the
-    direct along-edge distance. Rows are chunked to bound memory.
+    direct along-edge distance. Rows are computed in chunks of about
+    ``_DISTANCE_CHUNK`` entries (at least one row), so the n x m
+    temporaries of a chunk stay cache-sized; every entry comes from the
+    same arithmetic whatever the chunking.
     """
     e1, o1 = _point_arrays(net, pts_a)
     e2, o2 = _point_arrays(net, pts_b) if pts_b is not None else (e1, o1)
@@ -442,7 +448,7 @@ def pairwise_distances(net: LinearNetwork, pts_a, pts_b=None) -> np.ndarray:
     out = np.empty((n, m), dtype=np.float64)
     if n == 0 or m == 0:
         return out
-    chunk = max(1, int(4_000_000 // m))
+    chunk = max(1, _DISTANCE_CHUNK // m)
     for i0 in range(0, n, chunk):
         sl = slice(i0, min(i0 + chunk, n))
         out[sl] = _pairwise_core(net, e1[sl], o1[sl], e2, o2)

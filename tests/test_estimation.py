@@ -642,17 +642,17 @@ class TestSimulationStudy:
         assert run.methods == {"mce-k": None, "cl2": None}
 
     def test_failures_are_recorded(self, study_runs, monkeypatch):
-        real = estimation.min_contrast
+        real = estimation._min_contrast
         errors = iter([None, NumericalError("no interior minimum"), None,
                        np.linalg.LinAlgError("singular matrix")])
 
-        def flaky(pattern, k, config):
+        def flaky(pattern, k, config, pairs):
             exc = next(errors)
             if exc is not None:
                 raise exc
-            return real(pattern, k=k, config=config)
+            return real(pattern, k, config, pairs)
 
-        monkeypatch.setattr(estimation, "min_contrast", flaky)
+        monkeypatch.setattr(estimation, "_min_contrast", flaky)
         result = simulation_study(study_runs, replicates=2, seed=1)
         assert result.failures == [
             StudyFailure("run-1", 0, "mce-k", "NumericalError", "no interior minimum"),
@@ -663,11 +663,36 @@ class TestSimulationStudy:
         assert all(math.isnan(row.sigma2_hat) and not row.converged for row in failed)
         assert all(math.isfinite(row.sigma2_hat) for row in result.rows if row.method == "mce-g")
 
+    def test_pair_data_built_once_per_replicate(self, study_runs, monkeypatch):
+        real, built = estimation.second_order_pairs, []
+
+        def counted(pattern, intensity=None):
+            built.append(pattern)
+            return real(pattern, intensity)
+
+        monkeypatch.setattr(estimation, "second_order_pairs", counted)
+        result = simulation_study(study_runs, replicates=3, seed=1)
+        assert len(built) == 3 and len({id(p) for p in built}) == 3
+        assert len(result.rows) == 6 and result.failures == []
+
+    def test_pair_data_failure_is_recorded_by_each_method(self, study_runs, monkeypatch):
+        message = "sphere count vanished at an observed pair distance"
+
+        def vanished(pattern, intensity=None):
+            raise NumericalError(message)
+
+        monkeypatch.setattr(estimation, "second_order_pairs", vanished)
+        result = simulation_study(study_runs, replicates=2, seed=1)
+        assert result.failures == [StudyFailure("run-1", rep, method, "NumericalError", message)
+                                   for rep in (0, 1) for method in ("mce-g", "mce-k")]
+        assert all(math.isnan(row.sigma2_hat) and not row.converged for row in result.rows)
+        assert result.truncation[("run-1", "mce-g")]["failed"] == 2
+
     def test_unexpected_errors_propagate(self, study_runs, monkeypatch):
-        def broken(pattern, k, config):
+        def broken(pattern, k, config, pairs):
             raise ZeroDivisionError("a bug, not a failed fit")
 
-        monkeypatch.setattr(estimation, "min_contrast", broken)
+        monkeypatch.setattr(estimation, "_min_contrast", broken)
         with pytest.raises(ZeroDivisionError):
             simulation_study(study_runs, replicates=1, seed=1)
 

@@ -19,7 +19,7 @@ from linnetcox import (
     simplify_tree,
     sphere_count,
 )
-from linnetcox.network import distance_matrix
+from linnetcox.network import _DISTANCE_CHUNK, _pairwise_core, distance_matrix
 
 from conftest import oracle_distances, random_points
 
@@ -221,6 +221,35 @@ class TestDistances:
         got = pairwise_distances(net, (ea, oa), (eb, ob))
         want = oracle_distances(net, list(zip(ea, oa)) + list(zip(eb, ob)))[:7, 7:]
         assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    @staticmethod
+    def vertex_heavy_points(net, n, rng):
+        """Random points, a quarter of them on vertices (offset 0 or the
+        edge's length), on few edges so that many pairs share one."""
+        eidx, off = random_points(net, n, rng)
+        ends = rng.random(n) < 0.25
+        off[ends] = np.where(rng.random(ends.sum()) < 0.5, 0.0, net.edge_length[eidx[ends]])
+        return eidx, off
+
+    @pytest.mark.parametrize("shape", ["below", "at", "above", "self above", "one row"])
+    def test_chunks_match_row_by_row(self, shape):
+        # n * m just below, at and just above the chunk budget, and m
+        # beyond it, where each chunk is a single row
+        net = make_network("dendrite", seed=7)
+        rng = np.random.default_rng(len(shape))
+        side = int(np.sqrt(_DISTANCE_CHUNK))
+        n, m = {"below": (side - 1, side), "at": (side, side), "above": (side + 1, side),
+                "self above": (side + 1, side + 1), "one row": (3, _DISTANCE_CHUNK + 1)}[shape]
+        ea, oa = self.vertex_heavy_points(net, n, rng)
+        if shape == "self above":
+            got, (eb, ob) = pairwise_distances(net, (ea, oa)), (ea, oa)
+        else:
+            eb, ob = self.vertex_heavy_points(net, m, rng)
+            got = pairwise_distances(net, (ea, oa), (eb, ob))
+        want = np.vstack([_pairwise_core(net, ea[i : i + 1], oa[i : i + 1], eb, ob)
+                          for i in range(n)])
+        assert np.array_equal(got, want)
+        assert (ea[:, None] == eb[None, :]).any() and (oa == 0.0).any()
 
     def test_leaf_distances(self, y_net):
         pts = PointPattern(y_net, [(0, 2.0), (1, 1.0), (2, 5.0)])

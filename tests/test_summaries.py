@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -33,7 +34,7 @@ from linnetcox import (
     spawn_generators,
 )
 from linnetcox.network import distance_matrix
-from linnetcox.summaries import PairData, g_from_pairs, k_from_pairs, second_order_pairs
+from linnetcox.summaries import _G_SLAB, PairData, g_from_pairs, k_from_pairs, second_order_pairs
 
 from conftest import oracle_distances
 
@@ -368,6 +369,9 @@ SPARSE_GRIDS = {
 }
 
 
+SLAB_HEIGHT = _G_SLAB // 4096  # rows of the slab g sums a full chunk's rows in
+
+
 class TestGMatchesDenseLoop:
     """g computed only inside the kernel's support, and K from the pairs it
     can count, equal the former dense loop and full sort bit for bit."""
@@ -419,6 +423,57 @@ class TestGMatchesDenseLoop:
     def test_no_pairs(self):
         empty = PairData(np.empty(0), np.empty(0), 10.0, 1)
         self.check(empty, np.linspace(0.0, 5.0, 11), 0.5)
+
+    @staticmethod
+    def uniform_pairs(n, seed=0):
+        rng = np.random.default_rng(seed)
+        return PairData(rng.uniform(0.0, 30.0, n), rng.uniform(0.5, 2.0, n), 577.0, n)
+
+    @pytest.mark.parametrize("count", [1] + [k * SLAB_HEIGHT + e for k in (1, 2) for e in (-1, 0, 1)])
+    def test_slab_edges(self, count):
+        # radii counts around one and two slab heights, over two full chunks
+        pairs, r = self.uniform_pairs(9000), np.linspace(30.0, 0.0, count)
+        self.check(pairs, r, 0.7)
+        self.check(pairs, r[::-1], 0.7)
+
+    @pytest.mark.parametrize("width", [127, 128, 129])
+    def test_narrow_last_chunk(self, width):
+        # a last chunk of 128 pairs gives a slab of exactly 512 rows: one
+        # slab holds every radius at 127 and 128, two are needed at 129
+        assert _G_SLAB // 128 == 512
+        pairs, r = self.uniform_pairs(4096 + width, seed=width), np.linspace(0.0, 30.0, 512)
+        self.check(pairs, r, 0.7)
+        self.check(pairs, r[::-1], 0.7)
+
+    def test_reversed_repeated_and_2d_radii(self):
+        pairs, r = self.uniform_pairs(5000), np.linspace(0.0, 30.0, 160)
+        self.check(pairs, r[::-1], 0.7)
+        self.check(pairs, np.repeat(r, 3), 0.7)
+        for radii in (r.reshape(10, 16), r.reshape(16, 10).T, np.repeat(r[::-1], 2).reshape(20, 16)):
+            want = g_dense_loop(pairs, radii.ravel(), 0.7).reshape(radii.shape)
+            assert np.array_equal(g_from_pairs(pairs, radii, 0.7), want)
+
+    def test_rows_within_bandwidth_of_zero_across_a_slab_edge(self):
+        # rows with r <= b, filled densely, on both sides of the first slab
+        # edge and inside later slabs too
+        h, b = SLAB_HEIGHT, 0.7
+        r = np.linspace(0.0, 30.0, 3 * h + 5)
+        r[h - 2 : h + 2] = [0.3, 0.0, b, 0.1]
+        r[2 * h + 1] = 0.5
+        pairs = self.uniform_pairs(9000, seed=4)
+        self.check(pairs, r, b)
+        self.check(pairs, r[::-1], b)
+
+    def test_working_memory_does_not_grow_with_the_radii(self):
+        # the former dense (radii x pairs) block alone was 16.8 MB here
+        pairs, r = self.uniform_pairs(4096, seed=1), np.linspace(0.0, 30.0, 512)
+        tracemalloc.start()
+        try:
+            g_from_pairs(pairs, r, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestPairEstimatorInputs:
