@@ -173,8 +173,9 @@ def _replicate_patterns(args, argv, simulate_one, extra=None) -> None:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     gens = spawn_generators(args.seed, args.reps)
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
+    workers = min(args.threads, args.reps, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(simulate_one, gens))
     else:
         results = [simulate_one(g) for g in gens]
@@ -355,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Point processes on tree networks: simulation, fitting, model checks.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    _add(parser, "--threads", type=int, default=1, help="worker threads for replicate loops")
+    _add(parser, "--threads", type=int, default=1,
+         help="worker threads for replicate loops (at most one per replicate and CPU)")
     _add(
         parser,
         "--log-level",
@@ -457,6 +459,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = build_parser().parse_args(argv)  # LINNETCOX_* values are checked here
+        if args.threads < 1:
+            raise ValidationError(f"--threads must be at least 1, got {args.threads}")
         logging.basicConfig(
             level=getattr(logging, args.log_level.upper(), logging.WARNING),
             format="%(levelname)s %(name)s: %(message)s",

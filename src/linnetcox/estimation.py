@@ -12,10 +12,10 @@ intensities plugged in, by the method the config's class selects:
   model counterpart, or
 * **composite likelihood** (:class:`Cl2Config`): maximise the
   second-order composite likelihood of the point pairs within a fixed
-  range. Its normalising double integral over all point pairs of the
-  network is a one-dimensional integral against the intensity-weighted
-  pair-distance density, which on a tree is piecewise linear and built
-  exactly once per pattern.
+  range ``r0``, the only pairs it keeps. Its normalising double integral
+  over the network's point pairs within ``r0`` is a one-dimensional
+  integral against the intensity-weighted pair-distance density, which on
+  a tree is piecewise linear and built exactly once per pattern.
 
 Optimisation runs in ``log(sigma2), log(beta)`` space, which enforces
 positivity without constraints. Driving intensities of the fitted Cox
@@ -301,19 +301,6 @@ class Cl2Result:
     converged: bool
 
 
-def _cl2_range(pattern: PointPattern, config: Cl2Config) -> float:
-    """``config.r0``, by default five mean point spacings ``5 |L| / n``."""
-    return 5.0 * pattern.network.total_length / pattern.n if config.r0 is None else config.r0
-
-
-def _cl2_kernel(t: np.ndarray, sigma2: float, beta: float, k: int, r0: float):
-    """``(g, dg/dsigma2, dg/dbeta, w)`` at lags ``t``, the weight one within ``r0``."""
-    if not (0.0 < sigma2 < math.inf and 0.0 < beta < math.inf):
-        raise ValidationError("sigma2 and beta must be positive and finite")
-    g, dgs, dgb = pair_correlation_gradient(t, sigma2, beta, k)
-    return g, dgs, dgb, (t <= r0).astype(np.float64)
-
-
 class _PairDistanceDensity:
     """``H(t) = sum_ij rho_i rho_j l_i l_j h_ij(t)``, so ``∫∫ f(d) rho rho = ∫ f H``.
 
@@ -359,42 +346,57 @@ _UNIT_NODES, _UNIT_WEIGHTS = _unit_rule()
 
 
 class _Cl2Workspace:
-    """Pattern-level quantities reused across score evaluations."""
+    """The composite likelihood's data at range ``r0``: the unordered point pairs
+    within it, and the normaliser's nodes with their quadrature weights times ``H``."""
 
-    def __init__(self, pattern: PointPattern):
-        if pattern.n < 2:
-            raise ValidationError("composite likelihood needs at least two points")
+    def __init__(self, pattern: PointPattern, r0: float):
         net = pattern.network
         intensity = fit_intensity_mle(pattern)
         rho, _ = _intensity_at_points(net, pattern, intensity)
-        i, j = np.triu_indices(pattern.n, 1)  # each unordered pair once
-        self.pair_d = distance_matrix(pattern)[i, j]
+        d = distance_matrix(pattern)
+        i, j = np.nonzero(np.triu(d <= r0, 1))  # each pair within r0 once, row by row
+        self.pair_d = d[i, j]
         self.pair_log_rr = np.log(rho[i] * rho[j])
         rho_edge = np.where(net.edge_side, intensity.side, intensity.main)
-        self.density = _PairDistanceDensity(net, rho_edge)
+        density = _PairDistanceDensity(net, rho_edge)
+        t_max = min(r0, density.support)
+        self.nodes = t_max * _UNIT_NODES
+        self.node_weights = t_max * _UNIT_WEIGHTS * density(self.nodes)
 
-    def normaliser(self, sigma2: float, beta: float, k: int, r0: float) -> np.ndarray:
+    def normaliser(self, sigma2: float, beta: float, k: int) -> np.ndarray:
         """``∫ (g, dg/dsigma2, dg/dbeta) H`` on ``[0, min(r0, diameter)]``."""
-        t_max = min(r0, self.density.support)
-        t = t_max * _UNIT_NODES
-        g, dgs, dgb, w = _cl2_kernel(t, sigma2, beta, k, r0)
-        return (np.stack([g, dgs, dgb]) * (t_max * _UNIT_WEIGHTS * w * self.density(t))).sum(1)
+        g, dgs, dgb = pair_correlation_gradient(self.nodes, sigma2, beta, k)
+        return (np.stack([g, dgs, dgb]) * self.node_weights).sum(1)
 
-    def pair_sum(self, sigma2: float, beta: float, k: int, r0: float) -> np.ndarray:
-        """``sum w grad g / g`` over ordered pairs; no terms cancel (g is monotone)."""
-        g, dgs, dgb, w = _cl2_kernel(self.pair_d, sigma2, beta, k, r0)
-        if not (w > 0).any():
-            raise NumericalError("weight vanished on every observed pair")
+    def pair_sum(self, sigma2: float, beta: float, k: int) -> np.ndarray:
+        """``sum grad g / g`` over ordered pairs; no terms cancel (g is monotone)."""
+        if self.pair_d.size == 0:
+            raise NumericalError("weight vanished on every observed pair: none lies within r0")
+        g, dgs, dgb = pair_correlation_gradient(self.pair_d, sigma2, beta, k)
         # ordered pairs: each unordered pair counts twice
-        return 2.0 * np.array([(w * dgs / g).sum(), (w * dgb / g).sum()])
+        return 2.0 * np.array([(dgs / g).sum(), (dgb / g).sum()])
 
-    def score(self, sigma2: float, beta: float, k: int, r0: float) -> np.ndarray:
-        return self.pair_sum(sigma2, beta, k, r0) - self.normaliser(sigma2, beta, k, r0)[1:]
+    def score(self, sigma2: float, beta: float, k: int) -> np.ndarray:
+        return self.pair_sum(sigma2, beta, k) - self.normaliser(sigma2, beta, k)[1:]
 
-    def likelihood(self, sigma2: float, beta: float, k: int, r0: float) -> float:
-        g, _, _, w = _cl2_kernel(self.pair_d, sigma2, beta, k, r0)
-        pair_sum = 2.0 * float((w * (self.pair_log_rr + np.log(g))).sum())
-        return pair_sum - float(self.normaliser(sigma2, beta, k, r0)[0])
+    def likelihood(self, sigma2: float, beta: float, k: int) -> float:
+        g, _, _ = pair_correlation_gradient(self.pair_d, sigma2, beta, k)
+        pair_sum = 2.0 * float((self.pair_log_rr + np.log(g)).sum())
+        return pair_sum - float(self.normaliser(sigma2, beta, k)[0])
+
+
+def _cl2_workspace(pattern: PointPattern, config: Cl2Config | None) -> _Cl2Workspace:
+    """The workspace at ``config.r0``, by default five mean point spacings ``5 |L| / n``."""
+    if pattern.n < 2:
+        raise ValidationError("composite likelihood needs at least two points")
+    config = config or Cl2Config()
+    r0 = 5.0 * pattern.network.total_length / pattern.n if config.r0 is None else config.r0
+    return _Cl2Workspace(pattern, r0)
+
+
+def _check_parameters(sigma2: float, beta: float) -> None:
+    if not (0.0 < sigma2 < math.inf and 0.0 < beta < math.inf):
+        raise ValidationError("sigma2 and beta must be positive and finite")
 
 
 def cl2_score(
@@ -402,14 +404,14 @@ def cl2_score(
 ) -> np.ndarray:
     """Composite-likelihood score, the gradient of :func:`composite_likelihood`.
 
-    The pair sum uses ``w * grad g / g`` over ordered pairs of data
-    points; the compensating double integral of ``w * rho * rho * grad g``
-    over all point pairs of the network is ``∫ w grad g H`` against the
-    exact pair-distance density ``H``, evaluated by a fixed composite
-    Gauss-Legendre rule. Near the truth the expected score is zero.
+    The pair sum uses ``grad g / g`` over the ordered pairs of data points
+    within ``r0``; the compensating double integral of ``rho rho grad g``
+    over the network's point pairs within ``r0`` is ``∫ grad g H`` on
+    ``[0, r0]`` against the exact pair-distance density ``H``, by a fixed
+    composite Gauss-Legendre rule. Near the truth the expected score is zero.
     """
-    ws = _Cl2Workspace(pattern)
-    return ws.score(sigma2, beta, k, _cl2_range(pattern, config or Cl2Config()))
+    _check_parameters(sigma2, beta)
+    return _cl2_workspace(pattern, config).score(sigma2, beta, k)
 
 
 def composite_likelihood(
@@ -417,9 +419,9 @@ def composite_likelihood(
 ) -> float:
     """Log second-order composite likelihood at ``(sigma2, beta)``: the log
     pair correlation summed over the pairs within ``r0``, less its
-    normalising integral over all point pairs of the network."""
-    ws = _Cl2Workspace(pattern)
-    return ws.likelihood(sigma2, beta, k, _cl2_range(pattern, config or Cl2Config()))
+    normalising integral over the network's point pairs within ``r0``."""
+    _check_parameters(sigma2, beta)
+    return _cl2_workspace(pattern, config).likelihood(sigma2, beta, k)
 
 
 def cl2_fit(pattern: PointPattern, k: int = 1, config: Cl2Config | None = None) -> Cl2Result:
@@ -437,12 +439,11 @@ def cl2_fit(pattern: PointPattern, k: int = 1, config: Cl2Config | None = None) 
     from scipy import optimize  # imported by the fits only: `import linnetcox` stays scipy-free
 
     config = config or Cl2Config()
-    ws = _Cl2Workspace(pattern)
-    r0 = _cl2_range(pattern, config)
+    ws = _cl2_workspace(pattern, config)
 
     def negative_likelihood(x: np.ndarray):
         s2, bt = np.exp(np.clip(x, -_LOG_BOUND, _LOG_BOUND))
-        return -ws.likelihood(s2, bt, k, r0), -ws.score(s2, bt, k, r0) * np.array([s2, bt])
+        return -ws.likelihood(s2, bt, k), -ws.score(s2, bt, k) * np.array([s2, bt])
 
     res = optimize.minimize(
         negative_likelihood, np.log(np.asarray(config.start, dtype=np.float64)), jac=True,
@@ -450,9 +451,9 @@ def cl2_fit(pattern: PointPattern, k: int = 1, config: Cl2Config | None = None) 
         options={"maxiter": config.max_iter, "ftol": 1e-15, "gtol": 1e-10},
     )
     s2, bt = (float(v) for v in np.exp(np.clip(res.x, -_LOG_BOUND, _LOG_BOUND)))
-    score = ws.score(s2, bt, k, r0)
+    score = ws.score(s2, bt, k)
     # strict: on the beta bound the score and its pair sum both vanish
-    converged = bool(np.all(np.abs(score) < _SCORE_RTOL * np.abs(ws.pair_sum(s2, bt, k, r0))))
+    converged = bool(np.all(np.abs(score) < _SCORE_RTOL * np.abs(ws.pair_sum(s2, bt, k))))
     return Cl2Result(s2, bt, k, score, float(np.linalg.norm(score)), converged)
 
 

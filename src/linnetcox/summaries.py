@@ -4,8 +4,7 @@ Implements both directions of the comparison that drives model fitting and
 testing:
 
 * *theoretical* second-order functions of the thinned-Cox model — the pair
-  correlation ``g0`` and its integral ``K`` (closed forms for ``k <= 5``,
-  quadrature beyond);
+  correlation ``g0`` and its integral ``K`` (a closed form for every ``k``);
 * *empirical* estimators from an observed pattern — intensity (maximum
   likelihood per branch, or kernel-smoothed via heat diffusion on the
   network), the geometrically corrected ``K`` and pair-correlation
@@ -278,52 +277,37 @@ def pair_correlation(model: CoxModel, t) -> np.ndarray:
 
 
 def _k_closed_form(r: np.ndarray, sigma2: float, beta: float, k: int) -> np.ndarray:
+    """``K(r) = r + (F(x(r)) - F(x(0))) / c`` with ``x(t) = 1 - a e^{-2 beta t}``.
+
+    From ``dt = dx / (2 beta (1 - x))`` and ``1 / (x**m (1 - x)) = 1 / (1 - x)
+    + sum_{j=1}^{m} x**-j``: for even ``k``, ``F = log x - sum_{j<k/2} 1 / (j
+    x**j)`` and ``c = 2 beta``; for odd ``k``, ``F = log1p(s) - sum_{p=1,3,...,
+    k-2} 1 / (p s**p)`` in ``s = sqrt(x)`` and ``c = beta``. The r array goes
+    through numpy, ``x(0)`` through ``math``.
+    """
     a = _alpha(sigma2)
+    odd = k % 2
+
+    def primitive(x, log, log1p, sqrt):
+        base = sqrt(x) if odd else x
+        out = log1p(base) if odd else log(base)
+        for p in range(1, k - 1, 2) if odd else range(1, k // 2):
+            out = out - 1.0 / (p * base**p)
+        return out
+
     x = -np.expm1(math.log(a) - 2.0 * beta * r)   # 1 - a e^{-2 b r}, stably
-    x0 = 1.0 - a
-    if k == 1:
-        s, s0 = np.sqrt(x), math.sqrt(x0)
-        return r + (np.log1p(s) - math.log1p(s0)) / beta
-    if k == 2:
-        return r + (np.log(x) - math.log(x0)) / (2.0 * beta)
-    if k == 3:
-        s, s0 = np.sqrt(x), math.sqrt(x0)
-        return r + (np.log1p(s) - 1.0 / s - math.log1p(s0) + 1.0 / s0) / beta
-    if k == 4:
-        return r + (np.log(x) - 1.0 / x - math.log(x0) + 1.0 / x0) / (2.0 * beta)
-    if k == 5:
-        s, s0 = np.sqrt(x), math.sqrt(x0)
-        term = np.log1p(s) - 1.0 / s - 1.0 / (3.0 * s**3)
-        term0 = math.log1p(s0) - 1.0 / s0 - 1.0 / (3.0 * s0**3)
-        return r + (term - term0) / beta
-    raise ValidationError(f"no closed form for k={k}")
+    at_zero = primitive(1.0 - a, math.log, math.log1p, math.sqrt)
+    return r + (primitive(x, np.log, np.log1p, np.sqrt) - at_zero) / (beta if odd else 2.0 * beta)
 
 
 def k_function(model: CoxModel, r) -> np.ndarray:
     """Cumulative second-order function ``K(r)`` of the thinned-Cox model.
 
     ``K(r)`` integrates the pair correlation from 0 to ``r``; for a
-    Poisson process it equals ``r``. Closed forms are used for
-    ``k <= 5``; larger ``k`` falls back to adaptive quadrature. Radii
-    must be finite and nonnegative.
+    Poisson process it equals ``r``. It has a closed form for every
+    ``k``. Radii must be finite and nonnegative.
     """
-    rr = np.atleast_1d(_radii(r))
-    if model.k <= 5:
-        out = _k_closed_form(rr, model.sigma2, model.beta, model.k)
-    else:
-        from scipy import integrate  # imported here only: `import linnetcox` stays scipy-free
-
-        out = np.empty(rr.shape)
-        for i, ri in enumerate(rr):
-            val, _ = integrate.quad(
-                lambda t: float(pair_correlation(model, t)),
-                0.0,
-                float(ri),
-                epsabs=1e-12,
-                epsrel=1e-10,
-                limit=200,
-            )
-            out[i] = val
+    out = _k_closed_form(np.atleast_1d(_radii(r)), model.sigma2, model.beta, model.k)
     if np.isscalar(r) or getattr(r, "ndim", 0) == 0:
         return float(out[0])
     return out
@@ -390,12 +374,11 @@ def k_from_pairs(pairs: PairData, r) -> np.ndarray:
     return cum_w[idx] / pairs.total_length
 
 
+_G_CHUNK = 4096  # pairs per g block; the width of every summed row, so it fixes the bits
 _G_SLAB = 1 << 16  # elements of the slab g sums a chunk's rows in (512 KiB)
 
 
-def g_from_pairs(
-    pairs: PairData, r, bandwidth: float, chunk: int = 4096
-) -> np.ndarray:
+def g_from_pairs(pairs: PairData, r, bandwidth: float) -> np.ndarray:
     """Empirical pair correlation at radii ``r`` (any shape): Epanechnikov
     kernel, reflected at 0.
 
@@ -403,16 +386,17 @@ def g_from_pairs(
     would smooth below ``r = 0`` is folded back, removing the boundary
     deficit near the origin.
 
-    Each chunk of pairs is a (radii x pairs) block filled only inside the
-    kernel's support: a pair's radii are bisected from the sorted ``r``
-    over ``[d - 2b, d + 2b]`` (wide enough that rounding at ``d +- b``
-    loses none), then kept where ``|r - d| <= b``; rows with ``r <= b``,
-    the only ones ``kappa(r + d)`` reaches, are filled densely. The block
-    is never held whole: its rows are zeroed, filled and summed a slab of
-    about ``_G_SLAB`` elements at a time, so the working memory stays near
-    ``_G_SLAB`` plus the kernel's support entries, whatever the number of
-    radii. Each row still sums as one contiguous row of the full dense
-    block, to the same bits for nonnegative distances and finite weights.
+    Each chunk of ``_G_CHUNK`` pairs is a (radii x pairs) block filled
+    only inside the kernel's support: a pair's radii are bisected from the
+    sorted ``r`` over ``[d - 2b, d + 2b]`` (wide enough that rounding at
+    ``d +- b`` loses none), then kept where ``|r - d| <= b``; rows with
+    ``r <= b``, the only ones ``kappa(r + d)`` reaches, are filled densely.
+    The block is never held whole: its rows are zeroed, filled and summed a
+    slab of about ``_G_SLAB`` elements at a time, so the working memory
+    stays near ``_G_SLAB`` plus the kernel's support entries, whatever the
+    number of radii. Each row still sums as one contiguous row of the full
+    dense block, to the same bits for nonnegative distances and finite
+    weights.
     """
     r = _radii(r)
     if not 0 < bandwidth < math.inf:
@@ -422,8 +406,8 @@ def g_from_pairs(
     d, w = pairs.distances[keep], pairs.weights[keep]
     order, near0 = np.argsort(flat, kind="stable"), np.flatnonzero(flat <= b)
     out = np.zeros(flat.shape)
-    for i0 in range(0, d.size, chunk):
-        dd, ww = d[i0 : i0 + chunk], w[i0 : i0 + chunk]
+    for i0 in range(0, d.size, _G_CHUNK):
+        dd, ww = d[i0 : i0 + _G_CHUNK], w[i0 : i0 + _G_CHUNK]
         lo = np.searchsorted(flat[order], dd - 2 * b)
         n_in = np.searchsorted(flat[order], dd + 2 * b, side="right") - lo
         cols = np.repeat(np.arange(dd.size), n_in)

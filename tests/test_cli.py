@@ -144,6 +144,45 @@ class TestSimulate:
             name = f"pattern_{rep:04d}.csv"
             assert (serial / name).read_bytes() == (threaded / name).read_bytes()
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, tmp_path, dendrite_file, capsys, threads):
+        rc = run("--threads", threads, "simulate-poisson", "--net", dendrite_file,
+                 "--rho-m", "0.5", "--out", tmp_path / "x")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--threads" in err and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "threads, reps, cpus, workers",
+        [(1000, 3, 8, 3), (1000, 20, 8, 8), (2, 3, 8, 2), (4, 3, 1, None), (1, 3, 8, None)],
+    )
+    def test_pool_bounded_by_replicates_and_cpus(
+        self, tmp_path, dendrite_file, monkeypatch, threads, reps, cpus, workers
+    ):
+        started = []
+
+        class Recorder:  # records the pool size and maps serially: no thread starts
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        rc = run("--threads", threads, "simulate-poisson", "--net", dendrite_file,
+                 "--rho-m", "0.5", "--reps", reps, "--out", tmp_path / "x")
+        assert rc == 0
+        assert started == ([] if workers is None else [workers])
+        assert len(list((tmp_path / "x").glob("pattern_*.csv"))) == reps
+
     def test_save_pi_requires_grid_mode(self, tmp_path, dendrite_file, capsys):
         rc = run(
             "simulate-cox", "--net", dendrite_file, "--rho-ym", "0.8",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -41,16 +42,13 @@ from linnetcox.estimation import (
     _UNIT_WEIGHTS,
     _Cl2Workspace,
     _PairDistanceDensity,
-    _cl2_kernel,
-    _cl2_range,
+    _cl2_workspace,
     _method_config,
 )
+from linnetcox.network import distance_matrix
+from linnetcox.summaries import _intensity_at_points
 
 from conftest import _segment_pair_samples, mc_double_integral
-
-
-def _cl2_weights(d, sigma2, beta, k, r0):
-    return _cl2_kernel(d, sigma2, beta, k, r0)[3]
 
 
 @pytest.fixture(scope="module")
@@ -255,10 +253,80 @@ class TestPairCorrelationGradient:
         assert np.all(dgb <= 0)
 
 
-class TestWeights:
-    def test_fixed_range(self):
-        w = _cl2_weights(np.array([0.0, 9.9, 10.0, 10.1]), 2.0, 0.5, 1, 10.0)
-        assert_allclose(w, [1.0, 1.0, 1.0, 0.0])
+def all_pairs_reference(pattern, r0, sigma2, beta, k=1):
+    """The pair sum and the likelihood's pair term by the former all-pairs
+    formulation: g at every unordered pair, times the weight ``d <= r0``."""
+    i, j = np.triu_indices(pattern.n, 1)
+    d = distance_matrix(pattern)[i, j]
+    rho, _ = _intensity_at_points(pattern.network, pattern, fit_intensity_mle(pattern))
+    w = (d <= r0).astype(np.float64)
+    g, dgs, dgb = pair_correlation_gradient(d, sigma2, beta, k)
+    pair_sum = 2.0 * np.array([(w * dgs / g).sum(), (w * dgb / g).sum()])
+    return pair_sum, 2.0 * float((w * (np.log(rho[i] * rho[j]) + np.log(g))).sum())
+
+
+class TestCl2Workspace:
+    POINTS = [(0.5, 0.5), (5.0, 0.1), (2.0, 0.03), (20.0, 1.0), (1e-3, 5.0)]
+
+    def check_against_reference(self, pattern, r0):
+        ws = _Cl2Workspace(pattern, r0)
+        for s2, beta in self.POINTS:
+            pair_sum, log_sum = all_pairs_reference(pattern, r0, s2, beta)
+            assert_allclose(ws.pair_sum(s2, beta, 1), pair_sum, rtol=1e-14)
+            want = log_sum - float(ws.normaliser(s2, beta, 1)[0])
+            assert_allclose(ws.likelihood(s2, beta, 1), want, rtol=1e-14)
+        return ws
+
+    def test_readme_pattern_matches_all_pairs(self):
+        net = make_network("dendrite", seed=7)
+        pattern = simulate_cox(net, CoxModel(0.8, 1.2, 5.0, 0.1),
+                               seed=spawn_generators(3, 1)[0]).pattern
+        ws = self.check_against_reference(pattern, 5.0 * net.total_length / pattern.n)
+        assert 0 < ws.pair_d.size < pattern.n * (pattern.n - 1) // 2
+
+    def test_pair_at_the_range_is_kept_and_one_past_it_dropped(self, path10):
+        r0 = 2.0
+        far = np.nextafter(r0, np.inf)
+        pattern = PointPattern(path10, [(0, 0.5), (0, 0.5 + far), (0, 6.0), (0, 6.0 + r0)])
+        d = distance_matrix(pattern)
+        assert d[0, 1] == far and d[2, 3] == r0
+        ws = self.check_against_reference(pattern, r0)
+        assert ws.pair_d.tolist() == [r0]
+
+    def test_keeps_only_the_pairs_within_range(self):
+        # 5x the README intensity, seed 77 replicate 0 (n = 1056): the
+        # all-pairs workspace kept 9 MB, the pairs within r0 take 0.2 MB
+        net = make_network("dendrite", seed=7)
+        gen = spawn_generators(np.random.SeedSequence(77).spawn(1)[0], 1)[0]
+        pattern = simulate_cox(net, CoxModel(4.0, 6.0, 5.0, 0.1), seed=gen).pattern
+        assert pattern.n == 1056
+        r0 = 5.0 * net.total_length / pattern.n
+        _Cl2Workspace(pattern, r0)  # the network's cached distances are not the workspace's
+        tracemalloc.start()
+        try:
+            ws = _Cl2Workspace(pattern, r0)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert ws.pair_d.size > 0 and kept < 1_000_000
+
+    def test_no_pair_within_range(self, path10):
+        # the score has no pair to read; the likelihood is the normaliser alone
+        pattern = PointPattern(path10, [(0, 1.0), (0, 9.0)])
+        cfg = Cl2Config(r0=5.0)
+        with pytest.raises(NumericalError, match="weight"):
+            cl2_score(pattern, 2.0, 0.5, config=cfg)
+        with pytest.raises(NumericalError, match="weight"):
+            cl2_fit(pattern, config=cfg)
+        normaliser = _Cl2Workspace(pattern, 5.0).normaliser(2.0, 0.5, 1)
+        assert composite_likelihood(pattern, 2.0, 0.5, config=cfg) == -normaliser[0]
+
+    @pytest.mark.parametrize("sigma2, beta", [(0.0, 0.5), (2.0, -1.0), (math.inf, 0.5),
+                                              (2.0, math.nan)])
+    def test_parameters_checked(self, cl2_pattern, sigma2, beta):
+        for fn in (cl2_score, composite_likelihood):
+            with pytest.raises(ValidationError, match="positive and finite"):
+                fn(cl2_pattern, sigma2, beta)
 
 
 class TestMcIntegral:
@@ -460,8 +528,7 @@ class TestCl2:
         for rep in (3, 4):
             pattern = simulate_cox(net, CoxModel(4.0, 6.0, 5.0, 0.1), seed=gens[rep]).pattern
             res = cl2_fit(pattern)
-            pair_sum = _Cl2Workspace(pattern).pair_sum(
-                res.sigma2, res.beta, 1, _cl2_range(pattern, Cl2Config()))
+            pair_sum = _cl2_workspace(pattern, Cl2Config()).pair_sum(res.sigma2, res.beta, 1)
             assert np.abs(res.score / pair_sum).max() < 1e-6
             assert res.converged
 
@@ -505,7 +572,8 @@ class TestExactNormaliser:
 
     def test_normaliser_matches_monte_carlo(self):
         # one branch type, so rho is constant and the Monte Carlo double
-        # integral of w * (g, grad g), times rho**2, estimates the normaliser
+        # integral of (g, grad g) within r0, times rho**2, estimates the
+        # normaliser
         net = make_network("random-tree", seed=3, edges=10, length_range=(5.0, 25.0))
         pattern = simulate_poisson(net, IntensityModel(0.4, 0.4), seed=3)
         rho = pattern.n / net.total_length
@@ -516,19 +584,17 @@ class TestExactNormaliser:
         ]
         samples = 100_000
         for seed, (s2, beta, cfg) in enumerate(points):
-            r0 = _cl2_range(pattern, cfg)
-            exact = _Cl2Workspace(pattern).normaliser(s2, beta, 1, r0)
+            r0 = 5.0 * net.total_length / pattern.n if cfg.r0 is None else cfg.r0
+            exact = _Cl2Workspace(pattern, r0).normaliser(s2, beta, 1)
             mean, var = np.zeros(3), np.zeros(3)
             rng = np.random.default_rng(seed)
             for d, factor in _segment_pair_samples(net, samples, rng):
-                g, dgs, dgb, w = _cl2_kernel(d, s2, beta, 1, r0)
-                f = np.stack([w * g, w * dgs, w * dgb])
+                f = np.stack(pair_correlation_gradient(d, s2, beta, 1)) * (d <= r0)
                 mean += factor * f.mean(axis=1)
                 var += factor**2 * f.var(axis=1, ddof=1) / samples
 
             def weighted_g(d):
-                g, _, _, w = _cl2_kernel(d, s2, beta, 1, r0)
-                return w * g
+                return pair_correlation_gradient(d, s2, beta, 1)[0] * (d <= r0)
 
             # the same draws as mc_double_integral's
             assert_allclose(
