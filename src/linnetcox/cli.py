@@ -357,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     _add(parser, "--threads", type=int, default=1,
-         help="worker threads for replicate loops (at most one per replicate and CPU)")
+         help="worker threads for simulate-poisson and simulate-cox replicates (at most one "
+              "per replicate and CPU); envelope and simstudy ignore it")
     _add(
         parser,
         "--log-level",

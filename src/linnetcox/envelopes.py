@@ -244,6 +244,8 @@ def envelope_pipeline(
         raise ValidationError(f"test must be 'K' or 'FGJ', got {test!r}")
     if n_sims < 1:
         raise ValidationError("need at least one simulation")
+    if not 0.0 < alpha < 1.0:  # checked by rank_envelope too, but before any simulation here
+        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
     r = default_r_grid(net) if r is None else np.asarray(r, dtype=np.float64)
     simulate = _as_simulator(model)
 

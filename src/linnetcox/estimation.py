@@ -215,8 +215,8 @@ def _min_contrast(pattern: PointPattern, k: int, config: MinContrastConfig | Non
     returns, so a study replicate builds them once for all its mce fits."""
     config = config or MinContrastConfig()
     net = pattern.network
-    if pattern.n == 0:
-        raise ValidationError("cannot fit an empty pattern")
+    if pattern.n < 2:
+        raise ValidationError("minimum contrast needs at least two points")
     r_max = 0.1 * net.total_length if config.r_max is None else config.r_max
     if not (0 <= config.r_min < r_max):
         raise ValidationError("need 0 <= r_min < r_max")

@@ -139,7 +139,7 @@ def load_network(source) -> LinearNetwork:
             Edge(e["id"], e["start"], e["end"], float(e["length"]), e.get("branch", "main"))
             for e in doc["edges"]
         ]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed network document: {exc!r}") from exc
     return LinearNetwork(vertices, edges)
 

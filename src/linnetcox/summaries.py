@@ -374,8 +374,7 @@ def k_from_pairs(pairs: PairData, r) -> np.ndarray:
     return cum_w[idx] / pairs.total_length
 
 
-_G_CHUNK = 4096  # pairs per g block; the width of every summed row, so it fixes the bits
-_G_SLAB = 1 << 16  # elements of the slab g sums a chunk's rows in (512 KiB)
+_G_CHUNK = 4096  # pairs per g chunk; bounds the working memory
 
 
 def g_from_pairs(pairs: PairData, r, bandwidth: float) -> np.ndarray:
@@ -386,17 +385,11 @@ def g_from_pairs(pairs: PairData, r, bandwidth: float) -> np.ndarray:
     would smooth below ``r = 0`` is folded back, removing the boundary
     deficit near the origin.
 
-    Each chunk of ``_G_CHUNK`` pairs is a (radii x pairs) block filled
-    only inside the kernel's support: a pair's radii are bisected from the
-    sorted ``r`` over ``[d - 2b, d + 2b]`` (wide enough that rounding at
-    ``d +- b`` loses none), then kept where ``|r - d| <= b``; rows with
-    ``r <= b``, the only ones ``kappa(r + d)`` reaches, are filled densely.
-    The block is never held whole: its rows are zeroed, filled and summed a
-    slab of about ``_G_SLAB`` elements at a time, so the working memory
-    stays near ``_G_SLAB`` plus the kernel's support entries, whatever the
-    number of radii. Each row still sums as one contiguous row of the full
-    dense block, to the same bits for nonnegative distances and finite
-    weights.
+    Only the kernel's support is visited: per chunk of pairs and centre
+    ``x = d`` or ``-d``, the radii within ``2b`` of ``x`` (wide enough that
+    rounding loses none) are found in the sorted ``r``, kept where
+    ``|u| <= 1`` for ``u = (r - x) / b``, and ``w (1 - u^2)`` is added into
+    them by ``bincount``. Radii that no pair reaches are exactly 0.
     """
     r = _radii(r)
     if not 0 < bandwidth < math.inf:
@@ -404,35 +397,19 @@ def g_from_pairs(pairs: PairData, r, bandwidth: float) -> np.ndarray:
     b, flat = float(bandwidth), r.ravel()
     keep = pairs.distances <= r.max(initial=0.0) + b
     d, w = pairs.distances[keep], pairs.weights[keep]
-    order, near0 = np.argsort(flat, kind="stable"), np.flatnonzero(flat <= b)
-    out = np.zeros(flat.shape)
+    order = np.argsort(flat, kind="stable")
+    ascending, out = flat[order], np.zeros(flat.shape)
     for i0 in range(0, d.size, _G_CHUNK):
-        dd, ww = d[i0 : i0 + _G_CHUNK], w[i0 : i0 + _G_CHUNK]
-        lo = np.searchsorted(flat[order], dd - 2 * b)
-        n_in = np.searchsorted(flat[order], dd + 2 * b, side="right") - lo
-        cols = np.repeat(np.arange(dd.size), n_in)
-        rows = order[np.arange(cols.size) - np.repeat(np.cumsum(n_in) - n_in - lo, n_in)]
-        inside = np.abs(flat[rows] - dd[cols]) <= b
-        rows, cols = rows[inside], cols[inside]
-        vals = ww[cols] * (1.0 - ((flat[rows] - dd[cols]) / b) ** 2)
-        at = rows * dd.size + cols  # row-major place in the chunk's block
-        by_place = np.argsort(at)
-        at, vals = at[by_place], vals[by_place]
-        height = max(1, _G_SLAB // dd.size)
-        tops = np.minimum(np.arange(0, flat.size + height, height), flat.size)
-        entry, near = np.searchsorted(at, tops * dd.size), np.searchsorted(near0, tops)
-        slab = np.empty(min(height, flat.size) * dd.size)
-        for j, (j0, j1) in enumerate(zip(tops[:-1].tolist(), tops[1:].tolist())):
-            block = slab[: (j1 - j0) * dd.size].reshape(j1 - j0, dd.size)
-            block.fill(0.0)
-            slab[at[entry[j] : entry[j + 1]] - j0 * dd.size] = vals[entry[j] : entry[j + 1]]
-            if near[j + 1] > near[j]:
-                dense = near0[near[j] : near[j + 1]]
-                x1, x2 = flat[dense, None] - dd, flat[dense, None] + dd
-                with np.errstate(over="ignore"):  # (x / b) ** 2 outside the support, discarded
-                    block[dense - j0] = ww * (np.where(np.abs(x1) <= b, 1.0 - (x1 / b) ** 2, 0.0)
-                                             + np.where(np.abs(x2) <= b, 1.0 - (x2 / b) ** 2, 0.0))
-            out[j0:j1] += block.sum(axis=1)
+        ww = w[i0 : i0 + _G_CHUNK]
+        for x in (d[i0 : i0 + _G_CHUNK], -d[i0 : i0 + _G_CHUNK]):
+            lo = np.searchsorted(ascending, x - 2 * b)
+            n_in = np.searchsorted(ascending, x + 2 * b, side="right") - lo
+            cols = np.repeat(np.arange(x.size), n_in)
+            rows = order[np.arange(cols.size) - np.repeat(np.cumsum(n_in) - n_in - lo, n_in)]
+            u = (flat[rows] - x[cols]) / b
+            inside = np.abs(u) <= 1.0
+            vals = ww[cols[inside]] * (1.0 - u[inside] ** 2)
+            out += np.bincount(rows[inside], vals, minlength=flat.size)
     return (0.75 / b * out / pairs.total_length).reshape(r.shape)
 
 

@@ -313,6 +313,19 @@ class TestFit:
         assert "weight" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("method", ["mce-g", "mce-k", "cl2"])
+    def test_one_point_pattern_exits_2(self, tmp_path, dendrite_file, capsys, method):
+        pat = tmp_path / "one.csv"
+        pat.write_text("edge,offset\n0,1.0\n")
+        out = tmp_path / "x.json"
+        rc = run("fit", "--net", dendrite_file, "--pattern", pat, "--method", method,
+                 "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "needs at least two points" in err
+        assert not out.exists()
+
 
 class TestSummaries:
     def test_selected_curves_round_trip(self, tmp_path, dendrite_file, pattern_file):
@@ -458,6 +471,23 @@ class TestEnvelope:
         )
         assert rc == 0
 
+    def test_bad_alpha_exits_2_before_simulating(self, tmp_path, dendrite_file, pattern_file,
+                                                 capsys, monkeypatch):
+        calls, simulate = [], linnetcox.envelopes.simulate_poisson
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return simulate(*args, **kw)
+
+        monkeypatch.setattr(linnetcox.envelopes, "simulate_poisson", counting)
+        out = tmp_path / "env.csv"
+        rc = run("envelope", "--net", dendrite_file, "--pattern", pattern_file,
+                 "--model", "poisson", "--sims", "40", "--alpha", "2", "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "alpha" in err
+        assert calls == [] and not out.exists()
+
 
 class TestSimstudy:
     def test_template_design_runs(self, tmp_path):
@@ -602,6 +632,18 @@ class TestMalformedInputs:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "bad.json" in err and "line 1" in err
+
+    def test_non_numeric_edge_length(self, tmp_path, dendrite_file, pattern_file, capsys):
+        doc = json.loads(dendrite_file.read_text())
+        doc["edges"][0]["length"] = "abc"
+        net = tmp_path / "bad.json"
+        net.write_text(json.dumps(doc))
+        rc = run("summaries", "--net", net, "--pattern", pattern_file,
+                 "--out", tmp_path / "x.csv")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "malformed network document" in err and "abc" in err
 
     def test_bad_fit_json(self, tmp_path, dendrite_file, pattern_file, capsys):
         fit = tmp_path / "fit.json"

@@ -19,6 +19,7 @@ from linnetcox import (
     simulate_poisson,
     two_step_fit,
 )
+from linnetcox import envelopes
 from linnetcox.estimation import MinContrastConfig
 from linnetcox.summaries import SummaryCurve
 
@@ -286,6 +287,20 @@ class TestPipeline:
             envelope_pipeline(net, pattern, IntensityModel(0.3, 0.3), n_sims=0)
         with pytest.raises(ValidationError):
             envelope_pipeline(net, pattern, "poisson")
+
+    @pytest.mark.parametrize("alpha", [2.0, 0.0, 1.0, float("nan")])
+    def test_bad_alpha_raises_before_simulating(self, net, monkeypatch, alpha):
+        pattern = simulate_poisson(net, IntensityModel(0.3, 0.3), seed=0)
+        calls = []
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return simulate_poisson(*args, **kw)
+
+        monkeypatch.setattr(envelopes, "simulate_poisson", counting)
+        with pytest.raises(ValidationError, match="alpha must lie in"):
+            envelope_pipeline(net, pattern, IntensityModel(0.3, 0.3), n_sims=40, alpha=alpha)
+        assert calls == []
 
     def test_k_test_shape(self, net):
         pattern = simulate_poisson(net, IntensityModel(0.3, 0.3), seed=1)
