@@ -549,8 +549,8 @@ def lattice(net: LinearNetwork, spacing: float) -> list[NetworkPoint]:
     vertices appear once, in canonical form. Order: edges in input order,
     offsets increasing.
     """
-    if not spacing > 0:
-        raise ValidationError(f"lattice spacing must be positive, got {spacing}")
+    if not 0 < spacing < math.inf:
+        raise ValidationError(f"lattice spacing must be positive and finite, got {spacing}")
     pts: list[NetworkPoint] = []
     seen: set[tuple[int, float]] = set()
     for ei in range(net.n_edges):

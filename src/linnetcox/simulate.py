@@ -373,8 +373,6 @@ def simulate_cox(
         sites = None
         site_pi = None
     else:
-        if not spacing > 0:
-            raise ValidationError(f"grid spacing must be positive, got {spacing}")
         se, so = _sorted_lattice_arrays(net, spacing)
         values = _grf_values(net, se, so, model.beta, model.k, rng)
         site_pi = retention_field(values, model.sigma2)

@@ -17,6 +17,7 @@ Distances are micrometres; intensities are points per micrometre.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -35,23 +36,10 @@ from .network import (
 )
 
 __all__ = [
-    "SummaryCurve",
-    "PairData",
-    "FgjConfig",
-    "FgjCurves",
-    "IntensityEstimate",
-    "default_r_grid",
-    "default_bandwidth",
-    "fit_intensity_mle",
-    "kernel_intensity",
-    "pair_correlation",
-    "k_function",
-    "second_order_pairs",
-    "k_from_pairs",
-    "g_from_pairs",
-    "k_estimate",
-    "g_estimate",
-    "fgj_estimates",
+    "SummaryCurve", "PairData", "FgjConfig", "FgjCurves", "IntensityEstimate",
+    "default_r_grid", "default_bandwidth", "fit_intensity_mle", "kernel_intensity",
+    "pair_correlation", "k_function", "second_order_pairs", "k_from_pairs", "g_from_pairs",
+    "k_estimate", "g_estimate", "fgj_estimates",
 ]
 
 
@@ -477,33 +465,53 @@ def _erosion_curve(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``1 -`` the mean, over rows ``i`` with ``leaf[i] > r``, of the product
     of ``factors[j]`` over ``dist[i, j] <= r``; NaN and not ``defined`` where
-    no row qualifies. Each row's products accumulate in distance order
-    behind a leading one; the column to read at ``r`` is ``#{d <= r}``,
-    counted by binning the row-sorted distances into ``r`` sorted once.
+    no row qualifies. Only these alive cells are visited. A row keeps its
+    distances up to its largest alive radius, sorted stably, and multiplies
+    their factors up behind a leading one; a cell reads the product at its
+    ``#{d <= r}``, a running count of the kept distances binned into the
+    sorted radii. ``bincount`` adds each radius's cells in row order: the
+    bits of a row-ordered sum over all rows, with zeros where not alive.
     """
-    (m, n), shape, r = dist.shape, r.shape, r.ravel()
-    order = np.argsort(dist, axis=1, kind="stable")
-    sorted_dist = np.take_along_axis(dist, order, axis=1)
-    products = np.ones((m, n + 1))
-    products[:, 1:] = factors[order]
-    del order
-    np.cumprod(products, axis=1, out=products)
+    shape, r = r.shape, r.ravel()
     r_order = np.argsort(r, kind="stable")
-    # bin j of row i: distances with r_sorted[j - 1] < d <= r_sorted[j]
-    bins = np.searchsorted(r[r_order], sorted_dist)
-    del sorted_dist
-    bins += (r.size + 1) * np.arange(m)[:, None]
-    counts = np.bincount(bins.ravel(), minlength=m * (r.size + 1)).reshape(m, r.size + 1)
-    within = counts.cumsum(axis=1)[:, np.argsort(r_order)]  # #{d <= r}, in r's own order
-    eroded = leaf[:, None] > r
-    # rows add in order, which a plain sum over a lone contiguous column does
-    # not (it adds pairwise); the last running row is the total, if any row
-    running = np.where(eroded, np.take_along_axis(products, within, axis=1), 0.0).cumsum(axis=0)
-    total = running[-1:].sum(axis=0)
-    rows = eroded.sum(axis=0)
-    defined = rows > 0
-    values = np.where(defined, 1.0 - total / np.maximum(rows, 1), np.nan)
-    return values.reshape(shape), defined.reshape(shape)
+    r_sorted = r[r_order]
+    lb = np.searchsorted(r_sorted, leaf)  # row i is alive at sorted radii j < lb[i]
+    top = np.concatenate(([-np.inf], r_sorted))[lb]  # largest alive radius, -inf if none
+    rows, cols = np.nonzero(dist <= top[:, None])
+    d = dist[rows, cols]
+    n_read = np.bincount(rows, minlength=leaf.size)
+    first = np.cumsum(n_read) - n_read
+    # the kept distances and their factors row by row, padded by inf and 1
+    width = n_read.max(initial=0)
+    near, near_factors = np.full((leaf.size, width), np.inf), np.ones((leaf.size, width))
+    at = rows, np.arange(rows.size) - first[rows]
+    near[at], near_factors[at] = d, factors[cols]
+    products = np.ones((leaf.size, width + 1))
+    products[:, 1:] = np.take_along_axis(near_factors, np.argsort(near, axis=1, kind="stable"), axis=1)
+    np.cumprod(products, axis=1, out=products)
+    # alive cells in row-major order; a distance in bin j (r_sorted[j - 1] <
+    # d <= r_sorted[j]) counts from cell (row, j) on
+    cell_first = np.cumsum(lb) - lb
+    cell_rows = np.repeat(np.arange(leaf.size), lb)
+    cell_r = np.arange(cell_rows.size) - cell_first[cell_rows]
+    hits = np.bincount(cell_first[rows] + np.searchsorted(r_sorted, d), minlength=cell_rows.size)
+    within = np.cumsum(hits) - first[cell_rows]
+    radius = r_order[cell_r]  # a cell's radius in r's own order
+    total = np.bincount(radius, products[cell_rows, within], minlength=r.size)
+    alive = np.bincount(radius, minlength=r.size)
+    values = np.where(alive > 0, 1.0 - total / np.maximum(alive, 1), np.nan)
+    return values.reshape(shape), (alive > 0).reshape(shape)
+
+
+@functools.lru_cache(maxsize=1)
+def _fgj_lattice(net: LinearNetwork, spacing: float) -> tuple[PointPattern, np.ndarray]:
+    """The F lattice and its leaf distances, read-only and kept for the last
+    network and spacing, so that an envelope builds them once."""
+    grid = PointPattern(net, lattice(net, spacing))
+    leaf = leaf_distances(net, grid)
+    for a in (grid.edge_indices, grid.offsets, leaf):
+        a.flags.writeable = False
+    return grid, leaf
 
 
 def fgj_estimates(
@@ -519,12 +527,13 @@ def fgj_estimates(
     match their classical stationary shapes, making departures
     diagnostic: ``J < 1`` indicates clustering.
 
-    ``F`` and ``G`` each come from one pass over a whole distance matrix
-    (lattice by data; data by data with an infinite diagonal), for ``r`` in
-    any order and with repeats. Cells where an estimator's reference set is
-    empty or ``r < config.r_min`` (or ``F == 1`` for ``J``) are undefined:
-    NaN values with ``defined`` False. An empty pattern yields ``F == 0``
-    everywhere it is defined and no ``G``.
+    ``F`` and ``G`` visit only the cells inside the eroded network, each
+    lattice or data point reading the data points within its largest radius
+    below its leaf distance, for ``r`` in any order and with repeats; the
+    lattice is built once per network and spacing. Cells with an empty
+    reference set or ``r < config.r_min`` (for ``J`` also ``F == 1``) are
+    undefined: NaN with ``defined`` False. An empty pattern yields
+    ``F == 0`` everywhere it is defined and no ``G``.
     """
     config = config or FgjConfig()
     net = pattern.network
@@ -535,20 +544,17 @@ def fgj_estimates(
         raise ValidationError("intensity must be positive at every data point")
     rho_bar = config.rho_bar if config.rho_bar is not None else rho_inf
     if rho_bar is None:
-        raise ValidationError(
-            "rho_bar is required when the intensity source is not branch-wise"
-        )
+        raise ValidationError("rho_bar is required when the intensity source is not branch-wise")
     if not rho_bar > 0:
         raise ValidationError(f"rho_bar must be positive, got {rho_bar}")
     if pattern.n and rho_bar > rho.min() * (1 + 1e-12):
         raise ValidationError("rho_bar must not exceed the intensity at any data point")
 
     factors = 1.0 - rho_bar / rho
-    grid = PointPattern(net, lattice(net, config.lattice_spacing))
+    grid, grid_leaf = _fgj_lattice(net, float(config.lattice_spacing))
     # F from the lattice points; G from the data points, each point's own
-    # distance set to inf so that it sorts last and is never within r.
-    f_values, f_defined = _erosion_curve(pairwise_distances(net, grid, pattern), factors,
-                                         leaf_distances(net, grid), r)
+    # distance set to inf so that it is never within r.
+    f_values, f_defined = _erosion_curve(pairwise_distances(net, grid, pattern), factors, grid_leaf, r)
     d_data = distance_matrix(pattern)
     np.fill_diagonal(d_data, np.inf)
     g_values, g_defined = _erosion_curve(d_data, factors, leaf_distances(net, pattern), r)
@@ -561,13 +567,6 @@ def fgj_estimates(
     j_values = np.full(r.shape, np.nan)
     j_values[j_defined] = (1.0 - g_values[j_defined]) / (1.0 - f_values[j_defined])
 
-    meta = {
-        "rho_bar": float(rho_bar),
-        "lattice_spacing": float(config.lattice_spacing),
-        "n": pattern.n,
-    }
-    return FgjCurves(
-        F=SummaryCurve("F", r, f_values, f_defined, dict(meta)),
-        G=SummaryCurve("G", r, g_values, g_defined, dict(meta)),
-        J=SummaryCurve("J", r, j_values, j_defined, dict(meta)),
-    )
+    meta = {"rho_bar": float(rho_bar), "lattice_spacing": float(config.lattice_spacing), "n": pattern.n}
+    curves = {"F": (f_values, f_defined), "G": (g_values, g_defined), "J": (j_values, j_defined)}
+    return FgjCurves(**{k: SummaryCurve(k, r, v, ok, dict(meta)) for k, (v, ok) in curves.items()})

@@ -212,6 +212,18 @@ class TestSimulate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "x" / "pattern_0000.csv").exists()
 
+    @pytest.mark.parametrize("spacing", ["inf", "nan", "0"])
+    def test_bad_grid_spacing_exits_2(self, tmp_path, dendrite_file, capsys, spacing):
+        # an infinite spacing used to give a lattice of the vertices alone
+        rc = run(
+            "simulate-cox", "--net", dendrite_file, "--rho-ym", "0.8", "--sigma2", "5",
+            "--beta", "0.1", "--mode", "grid", "--spacing", spacing, "--out", tmp_path / "x",
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "spacing" in err
+        assert not (tmp_path / "x" / "pattern_0000.csv").exists()
+
     def test_negative_poisson_reps_exit_2(self, tmp_path, dendrite_file, capsys):
         rc = run("simulate-poisson", "--net", dendrite_file, "--rho-m", "0.8", "--reps", "-1",
                  "--out", tmp_path / "x")
@@ -369,6 +381,17 @@ class TestSummaries:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "bandwidth" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spacing", ["inf", "nan", "0"])
+    def test_bad_lattice_spacing_exits_2(self, tmp_path, dendrite_file, pattern_file, capsys,
+                                         spacing):
+        out = tmp_path / "x.csv"
+        rc = run("summaries", "--net", dendrite_file, "--pattern", pattern_file,
+                 "--which", "F,G,J", "--spacing", spacing, "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "spacing" in err
         assert not out.exists()
 
     def test_bad_rgrid_rejected(self, tmp_path, dendrite_file, pattern_file):

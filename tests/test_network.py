@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -370,6 +372,12 @@ class TestLattice:
     def test_spacing_validated(self, y_net):
         with pytest.raises(ValidationError):
             lattice(y_net, 0.0)
+
+    @pytest.mark.parametrize("spacing", [math.inf, math.nan, -1.0])
+    def test_spacing_must_be_positive_and_finite(self, y_net, spacing):
+        # an infinite spacing used to give one segment per edge: the vertices alone
+        with pytest.raises(ValidationError, match="positive and finite"):
+            lattice(y_net, spacing)
 
 
 class TestSphereCount:

@@ -33,8 +33,15 @@ from linnetcox import (
     simulate_poisson,
     spawn_generators,
 )
+from linnetcox import summaries
 from linnetcox.network import distance_matrix
-from linnetcox.summaries import PairData, g_from_pairs, k_from_pairs, second_order_pairs
+from linnetcox.summaries import (
+    PairData,
+    _erosion_curve,
+    g_from_pairs,
+    k_from_pairs,
+    second_order_pairs,
+)
 
 from conftest import oracle_distances
 
@@ -733,6 +740,124 @@ class TestFgjMatchesRowLoop:
     @pytest.mark.parametrize("name", ["readme", "snapped", "dense", "one", "zero"])
     def test_configs(self, fgj_patterns, name, config):
         self.check(fgj_patterns[name], FGJ_GRIDS["shuffled"], **config)
+
+
+def test_exact_zero_products_leave_j_undefined(fgj_patterns):
+    # points on the minimum-intensity branch have factor exactly 0, so on
+    # the README's default grid every alive lattice row's product is 0 at
+    # some radii: F is exactly 1 there and J undefined, not a huge ratio
+    # of a cancelling sum's residue
+    pattern = fgj_patterns["readme"]
+    cfg = FgjConfig(intensity=fit_intensity_mle(pattern))
+    rho = np.where(pattern.network.edge_side[pattern.edge_indices],
+                   cfg.intensity.side, cfg.intensity.main)
+    assert (1.0 - cfg.intensity.min_positive(pattern.network) / rho == 0.0).any()
+    got = fgj_estimates(pattern, cfg)
+    one = got.F.defined & (got.F.values == 1.0)
+    assert (one & got.G.defined).sum() > 100
+    assert np.array_equal(got.J.defined, got.F.defined & got.G.defined & ~one)
+    assert np.isnan(got.J.values[one]).all()
+    TestFgjMatchesRowLoop.check(pattern, None)
+
+
+def erosion_dense(dist, factors, leaf, r):
+    """The former ``_erosion_curve``, over every (row, r) cell: each row's
+    products in distance order, read at ``#{d <= r}`` and summed down the
+    rows with zeros where ``leaf <= r``."""
+    (m, n), shape, r = dist.shape, r.shape, r.ravel()
+    order = np.argsort(dist, axis=1, kind="stable")
+    sorted_dist = np.take_along_axis(dist, order, axis=1)
+    products = np.ones((m, n + 1))
+    products[:, 1:] = factors[order]
+    np.cumprod(products, axis=1, out=products)
+    r_order = np.argsort(r, kind="stable")
+    bins = np.searchsorted(r[r_order], sorted_dist) + (r.size + 1) * np.arange(m)[:, None]
+    counts = np.bincount(bins.ravel(), minlength=m * (r.size + 1)).reshape(m, r.size + 1)
+    within = counts.cumsum(axis=1)[:, np.argsort(r_order)]
+    eroded = leaf[:, None] > r
+    running = np.where(eroded, np.take_along_axis(products, within, axis=1), 0.0).cumsum(axis=0)
+    total = running[-1:].sum(axis=0)
+    rows = eroded.sum(axis=0)
+    defined = rows > 0
+    values = np.where(defined, 1.0 - total / np.maximum(rows, 1), np.nan)
+    return values.reshape(shape), defined.reshape(shape)
+
+
+class TestErosionCurveMatchesDense:
+    """``_erosion_curve`` visits only the alive cells, with the dense bits."""
+
+    @staticmethod
+    def check(dist, factors, leaf, r):
+        got = _erosion_curve(dist, np.asarray(factors, float), np.asarray(leaf, float),
+                             np.asarray(r, float))
+        want = erosion_dense(dist, np.asarray(factors, float), np.asarray(leaf, float),
+                             np.asarray(r, float))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w, equal_nan=True)
+        return got
+
+    def test_leaf_equal_to_a_radius_is_not_alive(self):
+        dist = np.array([[1.0, 2.0], [0.5, 3.0]])
+        values, defined = self.check(dist, [0.5, 0.25], [2.0, 3.0], [0.0, 1.0, 2.0, 3.0])
+        assert list(defined) == [True, True, True, False]
+        assert values[2] == 0.5  # row 1 alone, with only d = 0.5 within r = 2
+
+    def test_distance_equal_to_a_radius_is_within(self):
+        values, defined = self.check(np.array([[1.0]]), [0.5], [5.0],
+                                     [np.nextafter(1.0, 0.0), 1.0])
+        assert defined.all() and list(values) == [0.0, 0.5]
+
+    def test_rows_never_alive(self):
+        dist = np.array([[0.5, 1.0], [1.5, 0.2], [0.1, 0.3]])
+        values, defined = self.check(dist, [0.5, 0.25], [0.0, 1.0, 4.0], [1.0, 2.0, 1.0])
+        assert defined.all() and list(values) == [1.0 - 0.125, 1.0 - 0.125, 1.0 - 0.125]
+        values, defined = self.check(dist, [0.5, 0.25], [0.0, 0.5, 1.0], [1.0, 2.0])
+        assert not defined.any() and np.isnan(values).all()
+
+    def test_zero_columns(self):
+        values, defined = self.check(np.empty((3, 0)), [], [1.0, 2.0, 0.0], [0.0, 1.5, 2.0, 0.5])
+        assert list(defined) == [True, True, False, True]
+        assert (values[defined] == 0.0).all()
+
+    def test_row_with_only_the_infinite_diagonal(self):
+        values, defined = self.check(np.array([[np.inf]]), [0.3], [2.0], [0.0, 1.0, 2.0])
+        assert list(defined) == [True, True, False] and (values[defined] == 0.0).all()
+        dist = np.array([[np.inf, 1.0], [1.0, np.inf]])
+        self.check(dist, [0.3, 0.6], [0.5, 3.0], [0.0, 1.0, 2.0])
+
+    def test_tied_distances_multiply_in_column_order(self):
+        # rounding makes the product depend on the order of its factors
+        rng = np.random.default_rng(3)
+        dist = np.repeat(rng.integers(1, 4, (1, 300)).astype(float), 2, axis=0)
+        self.check(dist, rng.uniform(0.999, 1.0, 300), [5.0, 2.5], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ties_zero_factors_and_repeated_radii(self, seed):
+        # distances, leaves and radii on one coarse grid, so they tie with
+        # each other; factors include exact zeros and tiny negatives
+        rng = np.random.default_rng(seed)
+        m, n = rng.integers(1, 40), rng.integers(0, 30)
+        if seed % 2:  # G's shape: data by data, an infinite diagonal
+            n = m
+        dist = rng.integers(0, 12, (m, n)) / 4.0
+        if seed % 2:
+            np.fill_diagonal(dist, np.inf)
+        factors = rng.choice([0.0, -1e-13, 0.25, 0.5, 0.9, 1.0], n)
+        leaf = rng.integers(0, 14, m) / 4.0
+        r = rng.integers(0, 14, (3, 5)) / 4.0
+        self.check(dist, factors, leaf, r)
+
+
+def test_fgj_lattice_built_once_per_network_and_spacing(fgj_patterns, monkeypatch):
+    calls = []
+    monkeypatch.setattr(summaries, "lattice", lambda net, h: calls.append(h) or lattice(net, h))
+    summaries._fgj_lattice.cache_clear()
+    pattern = fgj_patterns["readme"]
+    for spacing in (0.5, 0.5, 1.0, 1.0, 0.5):
+        fgj_estimates(pattern, FgjConfig(lattice_spacing=spacing), FGJ_GRIDS["linear"])
+    assert calls == [0.5, 1.0, 0.5]
+    grid, leaf = summaries._fgj_lattice(pattern.network, 0.5)
+    assert not any(a.flags.writeable for a in (grid.edge_indices, grid.offsets, leaf))
 
 
 class TestGrids:
