@@ -63,6 +63,7 @@ from .summaries import (
     k_estimate,
     k_from_pairs,
     kernel_intensity,
+    _g_reach,
     _pattern_bandwidth,
     second_order_pairs,
 )
@@ -244,16 +245,17 @@ def _cmd_summaries(args, argv) -> None:
     intensity = fit_intensity_mle(pattern)
     curves = {}
     if {"K", "g"} & set(which):
-        # one set of pair data serves both curves
+        # one set of pair data, within the reach of g if asked for, serves both curves
         grid = default_r_grid(net) if r is None else r
-        pairs = second_order_pairs(pattern, intensity)
+        bw = args.bandwidth
+        if "g" in which and bw is None:
+            bw = _pattern_bandwidth(pattern, intensity)
+        pairs = second_order_pairs(pattern, intensity,
+                                   _g_reach(grid, bw) if "g" in which else grid.max(initial=0.0))
         defined = np.ones(grid.shape, dtype=bool)
         if "K" in which:
             curves["K"] = SummaryCurve("K", grid, k_from_pairs(pairs, grid), defined)
         if "g" in which:
-            bw = args.bandwidth
-            if bw is None:
-                bw = _pattern_bandwidth(pattern, intensity)
             curves["g"] = SummaryCurve("g", grid, g_from_pairs(pairs, grid, bw), defined)
     if {"F", "G", "J"} & set(which):
         fgj = fgj_estimates(pattern, FgjConfig(lattice_spacing=args.spacing), r)

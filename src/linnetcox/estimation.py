@@ -25,6 +25,7 @@ model follow from the thinning relation
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
@@ -33,9 +34,11 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .models import CoxModel, IntensityModel
-from .network import LinearNetwork, PointPattern, distance_matrix
+from .network import LinearNetwork, PointPattern, _pairs_within
+from .network import distance_matrix  # noqa: F401  (perfbench/spans.py wraps it by this name)
 from .simulate import simulate_cox, spawn_generators
 from .summaries import (
+    _g_reach,
     default_bandwidth,
     fit_intensity_mle,
     g_from_pairs,
@@ -204,16 +207,13 @@ def min_contrast_from_curve(
     )
 
 
-def _mle_pairs(pattern: PointPattern):
-    """Branch-wise maximum-likelihood intensities and the pair data they weight."""
-    intensity = fit_intensity_mle(pattern)
-    return intensity, second_order_pairs(pattern, intensity)
+def _mle_pairs(pattern: PointPattern, reach: float):
+    """The pairs within ``reach``, weighted by the branch-wise maximum-likelihood intensities."""
+    return second_order_pairs(pattern, fit_intensity_mle(pattern), reach)
 
 
-def _min_contrast(pattern: PointPattern, k: int, config: MinContrastConfig | None, pairs):
-    """:func:`min_contrast` on the ``(intensity, PairData)`` that ``pairs()``
-    returns, so a study replicate builds them once for all its mce fits."""
-    config = config or MinContrastConfig()
+def _contrast_grid(pattern: PointPattern, config: MinContrastConfig):
+    """The contrast's r grid, its g bandwidth (None for K) and the pair reach they read."""
     net = pattern.network
     if pattern.n < 2:
         raise ValidationError("minimum contrast needs at least two points")
@@ -221,14 +221,20 @@ def _min_contrast(pattern: PointPattern, k: int, config: MinContrastConfig | Non
     if not (0 <= config.r_min < r_max):
         raise ValidationError("need 0 <= r_min < r_max")
     r = np.linspace(config.r_min, r_max, _CONTRAST_GRID)
-    intensity, data = pairs()
-    if config.target == "g":
-        bw = config.bandwidth
-        if bw is None:
-            bw = default_bandwidth(intensity.expected_count(net) / net.total_length)
-        emp = g_from_pairs(data, r, bw)
-    else:
-        emp = k_from_pairs(data, r)
+    if config.target == "K":
+        return r, None, r.max()
+    bw = config.bandwidth
+    if bw is None:
+        bw = default_bandwidth(fit_intensity_mle(pattern).expected_count(net) / net.total_length)
+    return r, bw, _g_reach(r, bw)
+
+
+def _min_contrast(pattern: PointPattern, k: int, config: MinContrastConfig | None, pairs):
+    """:func:`min_contrast` on the :class:`PairData` that ``pairs(reach)``
+    returns, so a study replicate builds it once for all its mce fits."""
+    config = config or MinContrastConfig()
+    r, bw, reach = _contrast_grid(pattern, config)
+    emp = k_from_pairs(pairs(reach), r) if bw is None else g_from_pairs(pairs(reach), r, bw)
     return min_contrast_from_curve(r, emp, k, config)
 
 
@@ -241,7 +247,7 @@ def min_contrast(
     Non-convergence is reported through the ``converged`` flag, so study
     harnesses can tally it without aborting.
     """
-    return _min_contrast(pattern, k, config, lambda: _mle_pairs(pattern))
+    return _min_contrast(pattern, k, config, functools.partial(_mle_pairs, pattern))
 
 
 # -- composite likelihood ---------------------------------------------------
@@ -311,10 +317,9 @@ class _PairDistanceDensity:
     """
 
     def __init__(self, net: LinearNetwork, rho_edge: np.ndarray):
-        length, D = net.edge_length, net.vertex_distance_matrix
-        s, e = net.edge_start, net.edge_end
+        length = net.edge_length
         i, j = np.triu_indices(net.n_edges, 1)
-        gap = np.minimum.reduce([D[s[i], s[j]], D[s[i], e[j]], D[e[i], s[j]], D[e[i], e[j]]])
+        gap = net._edge_gap[i, j]
         li, lj = length[i], length[j]
         rr = 2.0 * rho_edge[i] * rho_edge[j]  # both orders of a distinct pair
         own = 2.0 * rho_edge**2
@@ -353,9 +358,8 @@ class _Cl2Workspace:
         net = pattern.network
         intensity = fit_intensity_mle(pattern)
         rho, _ = _intensity_at_points(net, pattern, intensity)
-        d = distance_matrix(pattern)
-        i, j = np.nonzero(np.triu(d <= r0, 1))  # each pair within r0 once, row by row
-        self.pair_d = d[i, j]
+        pairs = _pairs_within(net, pattern, pattern, r0)
+        i, j, self.pair_d = (a[pairs[0] < pairs[1]] for a in pairs)  # each pair once, row by row
         self.pair_log_rr = np.log(rho[i] * rho[j])
         rho_edge = np.where(net.edge_side, intensity.side, intensity.main)
         density = _PairDistanceDensity(net, rho_edge)
@@ -484,11 +488,11 @@ def two_step_fit(pattern: PointPattern, k: int = 1, config=None) -> FitResult:
     """Maximum-likelihood branch intensities, then ``(sigma2, beta)`` by
     :func:`min_contrast` for a :class:`MinContrastConfig` (the default) or by
     :func:`cl2_fit`, its score norm the ``objective``, for a :class:`Cl2Config`."""
-    return _two_step_fit(pattern, k, config, lambda: _mle_pairs(pattern))
+    return _two_step_fit(pattern, k, config, functools.partial(_mle_pairs, pattern))
 
 
 def _two_step_fit(pattern: PointPattern, k: int, config, pairs) -> FitResult:
-    """:func:`two_step_fit` whose minimum contrast reads ``pairs()``."""
+    """:func:`two_step_fit` whose minimum contrast reads ``pairs(reach)``."""
     if not (isinstance(k, int) and k >= 1):
         raise ValidationError(f"k must be an integer >= 1, got {k}")
     config = config or MinContrastConfig()
@@ -607,15 +611,21 @@ def simulation_study(runs, replicates: int, seed=None, caps=None) -> StudyResult
         for method in run.methods:
             tally[(run.name, method)] = {"sigma2_over": 0, "beta_over": 0, "failed": 0}
         rep_gens = spawn_generators(run_seed, replicates)
+        contrasts = [c for c in map(_method_config, run.methods, run.methods.values())
+                     if isinstance(c, MinContrastConfig)]
         for rep, gen in enumerate(rep_gens):
             sample = simulate_cox(run.network, run.model, mode=run.mode, spacing=run.spacing, seed=gen)
-            # the mce methods share one build of the pair data; a build that
-            # raises is not cached, so each of them records the failure
-            pairs = functools.cache(functools.partial(_mle_pairs, sample.pattern))
+            # the mce methods share one build of the pair data, within the largest of
+            # their reaches; a build that raises is not cached, so each records it
+            reach = 0.0
+            for config in contrasts:
+                with contextlib.suppress(ValidationError):
+                    reach = max(reach, _contrast_grid(sample.pattern, config)[2])
+            shared = functools.cache(functools.partial(_mle_pairs, sample.pattern, reach))
             for method, cfg in run.methods.items():
                 counts = tally[(run.name, method)]
                 try:
-                    fit = _fit_one(sample.pattern, method, cfg, run.model.k, pairs)
+                    fit = _fit_one(sample.pattern, method, cfg, run.model.k, lambda _: shared())
                 except (ValidationError, NumericalError, np.linalg.LinAlgError) as exc:
                     rows.append(StudyRow(run.name, rep, method, float("nan"), float("nan"), False))
                     failures.append(

@@ -170,7 +170,10 @@ class LinearNetwork:
             raise ValidationError("network contains a cycle; only trees are supported")
 
         self._preorder, self._parent_edge = order, up
-        self.vertex_distance_matrix = self._tree_distances(order, up)
+        self.vertex_distance_matrix = D = self._tree_distances(order, up)
+        # E x E least distance between two edges: their nearest endpoint pair
+        self._edge_gap = np.minimum(np.minimum(D[np.ix_(start, start)], D[np.ix_(start, end)]),
+                                    np.minimum(D[np.ix_(end, start)], D[np.ix_(end, end)]))
 
         self.degrees = np.array([len(inc) for inc in self._incident], dtype=np.int64)
         self.leaf_vertices = np.nonzero(self.degrees == 1)[0]
@@ -412,24 +415,26 @@ def _point_arrays(net: LinearNetwork, pts) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pairwise_core(net, e1, o1, e2, o2) -> np.ndarray:
+    """Distances of ``(e1, o1)`` to ``(e2, o2)``, broadcast: ``(n, 1)`` by ``(m,)`` or a list."""
     D = net.vertex_distance_matrix
     s1, t1 = net.edge_start[e1], net.edge_end[e1]
     s2, t2 = net.edge_start[e2], net.edge_end[e2]
     a1, b1 = o1, net.edge_length[e1] - o1
     a2, b2 = o2, net.edge_length[e2] - o2
-    out = a1[:, None] + a2[None, :] + D[np.ix_(s1, s2)]
-    np.minimum(out, a1[:, None] + b2[None, :] + D[np.ix_(s1, t2)], out=out)
-    np.minimum(out, b1[:, None] + a2[None, :] + D[np.ix_(t1, s2)], out=out)
-    np.minimum(out, b1[:, None] + b2[None, :] + D[np.ix_(t1, t2)], out=out)
-    same = e1[:, None] == e2[None, :]
+    out = a1 + a2 + D[s1, s2]
+    np.minimum(out, a1 + b2 + D[s1, t2], out=out)
+    np.minimum(out, b1 + a2 + D[t1, s2], out=out)
+    np.minimum(out, b1 + b2 + D[t1, t2], out=out)
+    same = e1 == e2
     if same.any():
         # Within one edge of a tree the direct route is shortest.
-        direct = np.abs(o1[:, None] - o2[None, :])
-        out = np.where(same, direct, out)
+        out = np.where(same, np.abs(o1 - o2), out)
     return out
 
 
 _DISTANCE_CHUNK = 1 << 18  # entries per row chunk of pairwise_distances (2 MiB)
+_DENSE_SHARE = 0.5  # _pairs_within evaluates a row chunk whole above this share of candidates
+_SPHERE_CHUNK = 1 << 15  # pairs per binary-search chunk of _sphere_count_matrix
 
 
 def pairwise_distances(net: LinearNetwork, pts_a, pts_b=None) -> np.ndarray:
@@ -444,15 +449,38 @@ def pairwise_distances(net: LinearNetwork, pts_a, pts_b=None) -> np.ndarray:
     """
     e1, o1 = _point_arrays(net, pts_a)
     e2, o2 = _point_arrays(net, pts_b) if pts_b is not None else (e1, o1)
-    n, m = e1.size, e2.size
-    out = np.empty((n, m), dtype=np.float64)
-    if n == 0 or m == 0:
-        return out
-    chunk = max(1, _DISTANCE_CHUNK // m)
-    for i0 in range(0, n, chunk):
-        sl = slice(i0, min(i0 + chunk, n))
-        out[sl] = _pairwise_core(net, e1[sl], o1[sl], e2, o2)
+    out, chunk = np.empty((e1.size, e2.size)), max(1, _DISTANCE_CHUNK // max(e2.size, 1))
+    for i0 in range(0, e1.size if e2.size else 0, chunk):
+        sl = slice(i0, i0 + chunk)
+        out[sl] = _pairwise_core(net, e1[sl, None], o1[sl, None], e2, o2)
     return out
+
+
+def _pairs_within(net: LinearNetwork, pts_a, pts_b, reach) -> tuple:
+    """Row-major ``(rows, cols, d)`` of the pairs with ``d(a_i, b_j) <= reach[i]``
+    (a scalar or one reach per row, ``-inf`` for none), ``d`` with the bits of
+    :func:`pairwise_distances`. The edge-gap table bounds every distance from
+    below; a row chunk where more than ``_DENSE_SHARE`` of the pairs pass
+    ``gap <= reach`` is evaluated whole and filtered, else only those pairs."""
+    (e1, o1), (e2, o2) = _point_arrays(net, pts_a), _point_arrays(net, pts_b)
+    reach = np.broadcast_to(np.asarray(reach, dtype=np.float64), e1.shape)
+    m, per_edge = e2.size, np.bincount(e2, minlength=net.n_edges)
+    chunk, parts = max(1, _DISTANCE_CHUNK // max(m, 1)), [(np.empty(0, np.intp),) * 2 + (np.empty(0),)]
+    for i0 in range(0, e1.size if m else 0, chunk):
+        e, o, t = e1[i0 : i0 + chunk, None], o1[i0 : i0 + chunk, None], reach[i0 : i0 + chunk, None]
+        near = net._edge_gap[e[:, 0]] <= t  # the edges each row may reach
+        if (near @ per_edge).sum() > _DENSE_SHARE * t.size * m:
+            d = _pairwise_core(net, e, o, e2, o2)
+            within = d <= t
+            rows, flat = np.repeat(np.arange(t.size), within.sum(axis=1)), np.flatnonzero(within)
+            cols, d = flat - rows * m, d.ravel()[flat]
+        else:
+            rows, cols = np.divmod(np.flatnonzero(near[:, e2]), m)
+            d = _pairwise_core(net, e[rows, 0], o[rows, 0], e2[cols], o2[cols])
+            keep = d <= t[rows, 0]
+            rows, cols, d = rows[keep], cols[keep], d[keep]
+        parts.append((rows + i0, cols, d))
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def shortest_path_distance(net: LinearNetwork, p: NetworkPoint, q: NetworkPoint) -> float:
@@ -567,43 +595,39 @@ def lattice(net: LinearNetwork, spacing: float) -> list[NetworkPoint]:
 # -- sphere counts ---------------------------------------------------------
 
 
-def _sphere_count_matrix(
-    net: LinearNetwork,
-    e_src: np.ndarray,
-    o_src: np.ndarray,
-    radii: np.ndarray,
-) -> np.ndarray:
-    """Exact sphere counts ``m(u_i, radii[i, j])`` for sources ``u_i``.
-
-    ``radii`` has one row per source and must be nonnegative. Rooted at
-    ``u``, a tree's vertex ``w`` with ``d(u, w) < t`` ends the branch
-    arriving at it and starts ``deg(w) - 1`` new ones; the two directions
-    leaving ``u`` supply the starting 2 (a vertex source adds its own
-    ``deg - 2``). So ``m(u, 0) = 1`` and, for ``t > 0``,
+def _sphere_count_matrix(net: LinearNetwork, e_src, o_src, rows, radii) -> np.ndarray:
+    """Exact sphere counts ``m(u[rows[p]], radii[p])`` of sources ``u``, for a
+    flat list of pairs; radii must be nonnegative. Rooted at ``u``, a tree's
+    vertex ``w`` with ``d(u, w) < t`` ends the branch arriving at it and
+    starts ``deg(w) - 1`` new ones; the two directions leaving ``u`` supply
+    the starting 2 (a vertex source adds its own ``deg - 2``). So
+    ``m(u, 0) = 1`` and, for ``t > 0``,
     ``m(u, t) = 2 + sum_w (deg(w) - 2) [d(u, w) < t]``: a vertex at
     distance exactly ``t`` counts once, degree-2 vertices drop out.
 
     Vertex distances come from :func:`pairwise_distances` on the
     canonical vertex points, the arithmetic of the pair distances, so
-    ties agree bit for bit. One sort and one binary search per source:
-    O((V + m) log V).
+    ties agree bit for bit. Each source's are sorted once and padded with
+    inf; a pair finds ``#{d(u, w) < t}`` by a branchless binary search.
     """
     keep = np.nonzero(net.degrees != 2)[0]
-    dv = pairwise_distances(
-        net,
-        (e_src, o_src),
-        (net._vertex_canon_edge[keep], net._vertex_canon_offset[keep]),
-    )
-    order = np.argsort(dv, axis=1)
-    dv = np.take_along_axis(dv, order, axis=1)
+    vertices = (net._vertex_canon_edge[keep], net._vertex_canon_offset[keep])
+    dv = pairwise_distances(net, (e_src, o_src), vertices)
+    order, bits = np.argsort(dv, axis=1), keep.size.bit_length()
+    width = 1 << bits  # > keep.size, so every row ends in inf
+    padded = np.full((e_src.size, width), np.inf)
+    padded[:, : keep.size] = np.take_along_axis(dv, order, axis=1)
     # cum[i, k] = 2 + the weights of the k nearest kept vertices.
-    steps = np.full((e_src.size, keep.size + 1), 2, dtype=np.int64)
-    steps[:, 1:] = net.degrees[keep][order] - 2
-    cum = np.cumsum(steps, axis=1)
-    out = np.empty(radii.shape, dtype=np.int64)
-    for i in range(e_src.size):
-        out[i] = cum[i, np.searchsorted(dv[i], radii[i], side="left")]
-    out[radii == 0.0] = 1
+    cum = np.full((e_src.size, width), 2, dtype=np.int64)
+    cum[:, 1 : keep.size + 1] = net.degrees[keep][order] - 2
+    padded, cum = padded.ravel(), np.cumsum(cum, axis=1).ravel()
+    out = np.empty(radii.size, dtype=np.int64)
+    for p0 in range(0, radii.size, _SPHERE_CHUNK):
+        t = radii[p0 : p0 + _SPHERE_CHUNK]
+        at = rows[p0 : p0 + _SPHERE_CHUNK] * width  # ends at the source's first d(u, w) >= t
+        for step in (1 << k for k in reversed(range(bits))):
+            np.add(at, step, out=at, where=padded[at + (step - 1)] < t)
+        out[p0 : p0 + _SPHERE_CHUNK] = np.where(t == 0.0, 1, cum[at])
     return out
 
 
@@ -623,7 +647,7 @@ def sphere_count(net: LinearNetwork, point: NetworkPoint, t) -> int | np.ndarray
     tt = np.asarray(t, dtype=np.float64)
     if not (np.isfinite(tt) & (tt >= 0.0)).all():
         raise ValidationError("t must be nonnegative and finite")
-    m = _sphere_count_matrix(net, e, o, tt.reshape(1, -1))[0]
+    m = _sphere_count_matrix(net, e, o, np.zeros(tt.size, dtype=np.intp), tt.ravel())
     if np.isscalar(t) or getattr(t, "ndim", 0) == 0:
         return int(m[0])
     return m.reshape(tt.shape)

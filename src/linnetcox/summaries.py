@@ -28,11 +28,12 @@ from .models import CoxModel, IntensityModel
 from .network import (
     LinearNetwork,
     PointPattern,
+    _pairs_within,
     _sphere_count_matrix,
-    distance_matrix,
+    distance_matrix,  # noqa: F401  (perfbench/spans.py wraps it by this name)
     lattice,
     leaf_distances,
-    pairwise_distances,
+    pairwise_distances,  # noqa: F401  (perfbench/spans.py wraps it by this name)
 )
 
 __all__ = [
@@ -306,41 +307,52 @@ def k_function(model: CoxModel, r) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PairData:
-    """Distances and weights of all ordered point pairs of a pattern.
+    """Distances and weights of a pattern's ordered point pairs within ``reach``.
 
     The weight of pair ``(u, v)`` is ``1 / (rho(u) rho(v) m(u, d(u, v)))``
     where ``m`` is the exact sphere count; dividing by it corrects for the
     network geometry so that sums over pairs estimate integrals of the
-    pair correlation.
+    pair correlation. ``K`` and ``g`` refuse radii that read beyond ``reach``.
     """
 
     distances: np.ndarray
     weights: np.ndarray
     total_length: float
     n_points: int
+    reach: float = math.inf
+
+    def within(self, reach: float) -> np.ndarray:
+        """Which pairs lie within ``reach``, which must not exceed the pairs' own."""
+        if reach > self.reach:
+            raise ValidationError(f"the pairs reach {self.reach}, the estimate needs {reach}")
+        return self.distances <= reach
 
 
-def second_order_pairs(pattern: PointPattern, intensity=None) -> PairData:
+def second_order_pairs(pattern: PointPattern, intensity=None, reach: float = math.inf) -> PairData:
     """Pair distances/weights feeding the ``K`` and ``g`` estimators.
 
     ``intensity`` may be None (branch-wise maximum likelihood plug-in), a
     float, an :class:`IntensityModel`, an :class:`IntensityEstimate`, or a
-    per-point array.
+    per-point array. Only the ordered pairs with ``d <= reach`` (nonnegative)
+    are kept, in row-major order, and only they get a sphere count.
     """
     net = pattern.network
+    if not reach >= 0.0:
+        raise ValidationError(f"pair reach must be nonnegative, got {reach}")
     rho, _ = _intensity_at_points(net, pattern, intensity)
     if pattern.n and not (rho > 0).all():
         raise ValidationError("intensity must be positive at every data point")
     n = pattern.n
     if n < 2:
-        return PairData(np.empty(0), np.empty(0), net.total_length, n)
-    dist = distance_matrix(pattern)
-    counts = _sphere_count_matrix(net, pattern.edge_indices, pattern.offsets, dist)
-    off_diag = ~np.eye(n, dtype=bool)
-    if (counts[off_diag] <= 0).any():
+        return PairData(np.empty(0), np.empty(0), net.total_length, n, reach)
+    rows, cols, dist = _pairs_within(net, pattern, pattern, reach)
+    off_diag = rows != cols
+    rows, cols, dist = rows[off_diag], cols[off_diag], dist[off_diag]
+    counts = _sphere_count_matrix(net, pattern.edge_indices, pattern.offsets, rows, dist)
+    if (counts <= 0).any():
         raise NumericalError("sphere count vanished at an observed pair distance")
-    weights = 1.0 / (rho[:, None] * rho[None, :] * counts)
-    return PairData(dist[off_diag], weights[off_diag], net.total_length, n)
+    weights = 1.0 / (rho[rows] * rho[cols] * counts)
+    return PairData(dist, weights, net.total_length, n, reach)
 
 
 def _radii(r) -> np.ndarray:
@@ -355,11 +367,18 @@ def k_from_pairs(pairs: PairData, r) -> np.ndarray:
     """Empirical ``K`` at radii ``r`` (any shape) from precomputed pair data.
     Pairs beyond ``max(r)`` would sort after all others and are never read."""
     r = _radii(r)
-    keep = pairs.distances <= r.max(initial=0.0)
+    keep = pairs.within(r.max(initial=0.0))
     order = np.argsort(pairs.distances[keep], kind="stable")
     cum_w = np.concatenate(([0.0], np.cumsum(pairs.weights[keep][order])))
     idx = np.searchsorted(pairs.distances[keep][order], r, side="right")
     return cum_w[idx] / pairs.total_length
+
+
+def _g_reach(r: np.ndarray, bandwidth: float) -> float:
+    """The farthest pair that g reads at radii ``r``: ``max(r) + bandwidth``."""
+    if not 0 < bandwidth < math.inf:
+        raise ValidationError(f"bandwidth must be positive and finite, got {bandwidth}")
+    return r.max(initial=0.0) + float(bandwidth)
 
 
 _G_CHUNK = 4096  # pairs per g chunk; bounds the working memory
@@ -380,10 +399,8 @@ def g_from_pairs(pairs: PairData, r, bandwidth: float) -> np.ndarray:
     them by ``bincount``. Radii that no pair reaches are exactly 0.
     """
     r = _radii(r)
-    if not 0 < bandwidth < math.inf:
-        raise ValidationError(f"bandwidth must be positive and finite, got {bandwidth}")
+    keep = pairs.within(_g_reach(r, bandwidth))
     b, flat = float(bandwidth), r.ravel()
-    keep = pairs.distances <= r.max(initial=0.0) + b
     d, w = pairs.distances[keep], pairs.weights[keep]
     order = np.argsort(flat, kind="stable")
     ascending, out = flat[order], np.zeros(flat.shape)
@@ -411,8 +428,8 @@ def _pattern_bandwidth(pattern: PointPattern, intensity=None) -> float:
 def k_estimate(pattern: PointPattern, intensity=None, r=None) -> SummaryCurve:
     """Geometrically corrected empirical ``K`` function."""
     net = pattern.network
-    r = default_r_grid(net) if r is None else np.asarray(r, dtype=np.float64)
-    pairs = second_order_pairs(pattern, intensity)
+    r = default_r_grid(net) if r is None else _radii(r)
+    pairs = second_order_pairs(pattern, intensity, r.max(initial=0.0))
     values = k_from_pairs(pairs, r)
     return SummaryCurve("K", r, values, np.ones(r.shape, dtype=bool), {"n": pattern.n})
 
@@ -422,10 +439,10 @@ def g_estimate(
 ) -> SummaryCurve:
     """Geometrically corrected empirical pair correlation."""
     net = pattern.network
-    r = default_r_grid(net) if r is None else np.asarray(r, dtype=np.float64)
+    r = default_r_grid(net) if r is None else _radii(r)
     if bandwidth is None:
         bandwidth = _pattern_bandwidth(pattern, intensity)
-    pairs = second_order_pairs(pattern, intensity)
+    pairs = second_order_pairs(pattern, intensity, _g_reach(r, bandwidth))
     values = g_from_pairs(pairs, r, bandwidth)
     return SummaryCurve(
         "g", r, values, np.ones(r.shape, dtype=bool), {"bandwidth": float(bandwidth), "n": pattern.n}
@@ -460,25 +477,31 @@ class FgjCurves:
     J: SummaryCurve
 
 
+def _last_alive(leaf: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Each row's largest radius below its leaf distance (-inf if none)."""
+    r_sorted = np.sort(r.ravel())
+    return np.concatenate(([-np.inf], r_sorted))[np.searchsorted(r_sorted, leaf)]
+
+
 def _erosion_curve(
-    dist: np.ndarray, factors: np.ndarray, leaf: np.ndarray, r: np.ndarray
+    pairs: tuple, factors: np.ndarray, leaf: np.ndarray, r: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``1 -`` the mean, over rows ``i`` with ``leaf[i] > r``, of the product
-    of ``factors[j]`` over ``dist[i, j] <= r``; NaN and not ``defined`` where
-    no row qualifies. Only these alive cells are visited. A row keeps its
-    distances up to its largest alive radius, sorted stably, and multiplies
-    their factors up behind a leading one; a cell reads the product at its
-    ``#{d <= r}``, a running count of the kept distances binned into the
-    sorted radii. ``bincount`` adds each radius's cells in row order: the
-    bits of a row-ordered sum over all rows, with zeros where not alive.
+    of ``factors[j]`` over the pairs ``(i, j)`` with ``d <= r`` among the
+    row-major ``pairs = (rows, cols, d)``; NaN and not ``defined`` where no
+    row qualifies. Only the alive cells are visited. A row keeps its pairs up
+    to its largest alive radius, sorted stably, and multiplies their factors
+    up behind a leading one; a cell reads the product at its ``#{d <= r}``, a
+    running count of the kept distances binned into the sorted radii.
+    ``bincount`` adds each radius's cells in row order: the bits of a
+    row-ordered sum over all rows, with zeros where not alive.
     """
     shape, r = r.shape, r.ravel()
     r_order = np.argsort(r, kind="stable")
     r_sorted = r[r_order]
     lb = np.searchsorted(r_sorted, leaf)  # row i is alive at sorted radii j < lb[i]
-    top = np.concatenate(([-np.inf], r_sorted))[lb]  # largest alive radius, -inf if none
-    rows, cols = np.nonzero(dist <= top[:, None])
-    d = dist[rows, cols]
+    keep = pairs[2] <= _last_alive(leaf, r)[pairs[0]]
+    rows, cols, d = (a[keep] for a in pairs)
     n_read = np.bincount(rows, minlength=leaf.size)
     first = np.cumsum(n_read) - n_read
     # the kept distances and their factors row by row, padded by inf and 1
@@ -528,12 +551,12 @@ def fgj_estimates(
     diagnostic: ``J < 1`` indicates clustering.
 
     ``F`` and ``G`` visit only the cells inside the eroded network, each
-    lattice or data point reading the data points within its largest radius
-    below its leaf distance, for ``r`` in any order and with repeats; the
-    lattice is built once per network and spacing. Cells with an empty
-    reference set or ``r < config.r_min`` (for ``J`` also ``F == 1``) are
-    undefined: NaN with ``defined`` False. An empty pattern yields
-    ``F == 0`` everywhere it is defined and no ``G``.
+    lattice or data point reading, by one range search, the data points
+    within its largest radius below its leaf distance, for ``r`` in any
+    order and with repeats; the lattice is built once per network and
+    spacing. Cells with an empty reference set or ``r < config.r_min`` (for
+    ``J`` also ``F == 1``) are undefined: NaN with ``defined`` False. An
+    empty pattern yields ``F == 0`` everywhere it is defined and no ``G``.
     """
     config = config or FgjConfig()
     net = pattern.network
@@ -552,12 +575,13 @@ def fgj_estimates(
 
     factors = 1.0 - rho_bar / rho
     grid, grid_leaf = _fgj_lattice(net, float(config.lattice_spacing))
-    # F from the lattice points; G from the data points, each point's own
-    # distance set to inf so that it is never within r.
-    f_values, f_defined = _erosion_curve(pairwise_distances(net, grid, pattern), factors, grid_leaf, r)
-    d_data = distance_matrix(pattern)
-    np.fill_diagonal(d_data, np.inf)
-    g_values, g_defined = _erosion_curve(d_data, factors, leaf_distances(net, pattern), r)
+    # F from the lattice points; G from the data points, less each point's own pair
+    f_pairs = _pairs_within(net, grid, pattern, _last_alive(grid_leaf, r))
+    f_values, f_defined = _erosion_curve(f_pairs, factors, grid_leaf, r)
+    data_leaf = leaf_distances(net, pattern)
+    pairs = _pairs_within(net, pattern, pattern, _last_alive(data_leaf, r))
+    g_pairs = tuple(a[pairs[0] != pairs[1]] for a in pairs)
+    g_values, g_defined = _erosion_curve(g_pairs, factors, data_leaf, r)
 
     early = r < config.r_min
     for values, defined in ((f_values, f_defined), (g_values, g_defined)):

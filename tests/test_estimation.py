@@ -310,6 +310,22 @@ class TestCl2Workspace:
             tracemalloc.stop()
         assert ws.pair_d.size > 0 and kept < 1_000_000
 
+    def test_build_allocates_no_pair_matrix(self):
+        # the same 5x pattern: the pairs within r0 come from a range search,
+        # so the build's peak stays below one n x n distance matrix (8.9 MB)
+        net = make_network("dendrite", seed=7)
+        gen = spawn_generators(np.random.SeedSequence(77).spawn(1)[0], 1)[0]
+        pattern = simulate_cox(net, CoxModel(4.0, 6.0, 5.0, 0.1), seed=gen).pattern
+        r0 = 5.0 * net.total_length / pattern.n
+        _Cl2Workspace(pattern, r0)  # a first build's one-off allocations are not the workspace's
+        tracemalloc.start()
+        try:
+            ws = _Cl2Workspace(pattern, r0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ws.pair_d.size > 0 and peak < pattern.n ** 2 * 8
+
     def test_no_pair_within_range(self, path10):
         # the score has no pair to read; the likelihood is the normaliser alone
         pattern = PointPattern(path10, [(0, 1.0), (0, 9.0)])
@@ -732,9 +748,9 @@ class TestSimulationStudy:
     def test_pair_data_built_once_per_replicate(self, study_runs, monkeypatch):
         real, built = estimation.second_order_pairs, []
 
-        def counted(pattern, intensity=None):
+        def counted(pattern, intensity=None, reach=math.inf):
             built.append(pattern)
-            return real(pattern, intensity)
+            return real(pattern, intensity, reach)
 
         monkeypatch.setattr(estimation, "second_order_pairs", counted)
         result = simulation_study(study_runs, replicates=3, seed=1)
@@ -744,7 +760,7 @@ class TestSimulationStudy:
     def test_pair_data_failure_is_recorded_by_each_method(self, study_runs, monkeypatch):
         message = "sphere count vanished at an observed pair distance"
 
-        def vanished(pattern, intensity=None):
+        def vanished(pattern, intensity=None, reach=math.inf):
             raise NumericalError(message)
 
         monkeypatch.setattr(estimation, "second_order_pairs", vanished)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,15 @@ from linnetcox import (
     simplify_tree,
     sphere_count,
 )
-from linnetcox.network import _DISTANCE_CHUNK, _pairwise_core, distance_matrix
+from linnetcox import network
+from linnetcox.network import (
+    _DISTANCE_CHUNK,
+    _SPHERE_CHUNK,
+    _pairs_within,
+    _pairwise_core,
+    _sphere_count_matrix,
+    distance_matrix,
+)
 
 from conftest import oracle_distances, random_points
 
@@ -504,3 +513,144 @@ class TestSphereCountPiecewise:
             ts = np.linspace(a + 1e-6, b - 1e-6, 7)
             counts = sphere_count(y_net, u, ts)
             assert np.all(counts == counts[0])
+
+
+class TestPairsWithin:
+    """The range search equals the filtered distance matrix bit for bit."""
+
+    @staticmethod
+    def check(net, a, b, reach):
+        got = _pairs_within(net, a, b, reach)
+        full = pairwise_distances(net, a, b)
+        rows, cols = np.nonzero(full <= np.broadcast_to(reach, full.shape[:1])[:, None])
+        for g, w in zip(got, (rows, cols, full[rows, cols])):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        return got
+
+    @staticmethod
+    def branches(monkeypatch, net, a, b, reach):
+        """Per row chunk of the range search, whether it was evaluated whole."""
+        dense, core = [], network._pairwise_core
+        with monkeypatch.context() as m:
+            m.setattr(network, "_pairwise_core",
+                      lambda net, e1, *args: dense.append(e1.ndim == 2) or core(net, e1, *args))
+            _pairs_within(net, a, b, reach)
+        return dense
+
+    def test_points_on_vertices(self, monkeypatch):
+        net = make_network("dendrite", seed=7)
+        rng = np.random.default_rng(8)
+        ea, oa = TestDistances.vertex_heavy_points(net, 300, rng)
+        eb, ob = TestDistances.vertex_heavy_points(net, 200, rng)
+        for reach in (0.0, 5.0, 40.0, np.inf):
+            self.check(net, (ea, oa), (eb, ob), reach)
+        self.check(net, (ea, oa), (ea, oa), 20.0)
+        assert self.branches(monkeypatch, net, (ea, oa), (eb, ob), 5.0) == [False]
+        assert self.branches(monkeypatch, net, (ea, oa), (eb, ob), np.inf) == [True]
+
+    def test_tree_lattice_within_leaf_distances(self):
+        net = make_network("random-tree", seed=2, edges=200)
+        grid = PointPattern(net, lattice(net, 3.0))
+        rows, _, _ = self.check(net, grid, grid, leaf_distances(net, grid))
+        assert 0 < rows.size < grid.n**2
+
+    def test_minus_inf_rows_and_reach_equal_to_a_distance(self, monkeypatch):
+        net = make_network("random-tree", seed=4, edges=25)
+        ea, oa = random_points(net, 40, np.random.default_rng(4))
+        pts = (ea, oa)
+        full = pairwise_distances(net, pts)
+        # each row's reach is its farthest distance (every chunk evaluated
+        # whole), then its fourth nearest (only the candidates)
+        for reach, dense in ((full.max(axis=1), [True]), (np.sort(full, axis=1)[:, 3], [False])):
+            reach[::3] = -np.inf
+            rows, cols, d = self.check(net, pts, pts, reach)
+            assert not np.isin(rows, np.arange(0, 40, 3)).any()
+            assert (d == reach[rows]).sum() >= 26  # every finite reach keeps the pair at it
+            self.check(net, pts, pts, np.nextafter(reach, -np.inf))
+            assert self.branches(monkeypatch, net, pts, pts, reach) == dense
+
+    @pytest.mark.parametrize("n", [23, 24, 25])
+    def test_chunk_boundaries(self, monkeypatch, n):
+        # 8 rows a chunk; rows alternate between no reach and all of it in
+        # blocks, so both branches run and chunks end inside and between blocks
+        net = make_network("dendrite", seed=7)
+        rng = np.random.default_rng(n)
+        ea, oa = TestDistances.vertex_heavy_points(net, n, rng)
+        eb, ob = TestDistances.vertex_heavy_points(net, 50, rng)
+        monkeypatch.setattr(network, "_DISTANCE_CHUNK", 8 * 50)
+        reach = np.where(np.arange(n) // 8 % 2 == 0, np.inf, 3.0)
+        self.check(net, (ea, oa), (eb, ob), reach)
+        dense = self.branches(monkeypatch, net, (ea, oa), (eb, ob), reach)
+        assert dense == [True, False, True, False][: -(-n // 8)]
+
+    def test_empty_inputs_warn_nothing(self):
+        net = make_network("dendrite", seed=7)
+        e, o = random_points(net, 5, np.random.default_rng(0))
+        none = (e[:0], o[:0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a, b in (((e, o), none), (none, (e, o)), (none, none)):
+                for reach in (1.0, np.inf):
+                    rows, cols, d = self.check(net, a, b, reach)
+                    assert rows.size == cols.size == d.size == 0
+            self.check(net, (e, o), (e, o), np.full(5, -np.inf))
+
+
+def sphere_counts_per_source(net, e_src, o_src, radii):
+    """The former ``_sphere_count_matrix``: one row of radii per source, one
+    sort and one ``searchsorted`` per source."""
+    keep = np.nonzero(net.degrees != 2)[0]
+    dv = pairwise_distances(
+        net, (e_src, o_src), (net._vertex_canon_edge[keep], net._vertex_canon_offset[keep])
+    )
+    order = np.argsort(dv, axis=1)
+    dv = np.take_along_axis(dv, order, axis=1)
+    steps = np.full((e_src.size, keep.size + 1), 2, dtype=np.int64)
+    steps[:, 1:] = net.degrees[keep][order] - 2
+    cum = np.cumsum(steps, axis=1)
+    out = np.empty(radii.shape, dtype=np.int64)
+    for i in range(e_src.size):
+        out[i] = cum[i, np.searchsorted(dv[i], radii[i], side="left")]
+    out[radii == 0.0] = 1
+    return out
+
+
+class TestFlatSphereCounts:
+    """Sphere counts over a flat list of pairs equal the per-source counts."""
+
+    @staticmethod
+    def check(net, e, o, radii):
+        rows = np.repeat(np.arange(e.size), radii.shape[1])
+        got = _sphere_count_matrix(net, e, o, rows, radii.ravel())
+        want = sphere_counts_per_source(net, e, o, radii)
+        assert got.dtype == np.int64 and np.array_equal(got, want.ravel())
+        return got
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_radii_at_vertex_distances(self, seed):
+        # strict: a vertex at distance exactly t is not yet passed
+        net = _chain_tree(seed)
+        pts = [net.point(e.id, 0.0) for e in net.edges] + [net.point(e.id, e.length / 3)
+                                                             for e in net.edges]
+        pat = PointPattern(net, pts)
+        at = pairwise_distances(net, pat, (net._vertex_canon_edge, net._vertex_canon_offset))
+        above = np.nextafter(at, np.inf)
+        below = np.nextafter(at, 0.0)
+        self.check(net, pat.edge_indices, pat.offsets, np.hstack([at, above, below]))
+
+    def test_radius_zero_counts_one(self, y_net):
+        pat = PointPattern(y_net, [(0, 0.0), (0, 2.0), (1, 3.0), (2, 5.0)])
+        got = self.check(y_net, pat.edge_indices, pat.offsets, np.zeros((4, 3)))
+        assert (got == 1).all()
+
+    @pytest.mark.parametrize("count", [_SPHERE_CHUNK - 1, _SPHERE_CHUNK, _SPHERE_CHUNK + 1])
+    def test_chunk_edges(self, count):
+        net = make_network("random-tree", seed=2, edges=200)
+        rng = np.random.default_rng(count)
+        e, o = random_points(net, 64, rng)
+        rows = np.sort(rng.integers(0, 64, count))
+        radii = pairwise_distances(net, (e, o))[rows, rng.integers(0, 64, count)]
+        got = _sphere_count_matrix(net, e, o, rows, radii)
+        want = [sphere_counts_per_source(net, e[i : i + 1], o[i : i + 1], radii[rows == i][None])
+                for i in range(64)]
+        assert np.array_equal(got, np.concatenate([w.ravel() for w in want]))

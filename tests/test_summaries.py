@@ -760,6 +760,42 @@ def test_exact_zero_products_leave_j_undefined(fgj_patterns):
     TestFgjMatchesRowLoop.check(pattern, None)
 
 
+class TestPairReach:
+    """Pair data kept within a reach gives K and g the bits of all pairs,
+    and refuses radii beyond it rather than undercounting."""
+
+    @pytest.mark.parametrize("name", ["readme", "snapped"])
+    def test_same_bits_as_all_pairs(self, fgj_patterns, name):
+        pattern = fgj_patterns[name]
+        intensity = fit_intensity_mle(pattern)
+        r, b = np.linspace(0.0, 30.0, 121), 2.0
+        full = second_order_pairs(pattern, intensity)
+        assert full.reach == math.inf
+        for reach in (30.0, 32.0):
+            near = second_order_pairs(pattern, intensity, reach)
+            kept = full.distances <= reach
+            assert near.reach == reach and 0 < near.distances.size < full.distances.size
+            assert np.array_equal(near.distances, full.distances[kept])
+            assert np.array_equal(near.weights, full.weights[kept])
+        near_k, near_g = (second_order_pairs(pattern, intensity, x) for x in (30.0, 32.0))
+        assert np.array_equal(k_from_pairs(near_k, r), k_from_pairs(full, r))
+        assert np.array_equal(g_from_pairs(near_g, r, b), g_from_pairs(full, r, b))
+
+    def test_radii_beyond_the_reach_raise(self, fgj_patterns):
+        pairs = second_order_pairs(fgj_patterns["readme"], None, 10.0)
+        k_from_pairs(pairs, [0.0, 10.0])
+        g_from_pairs(pairs, [0.0, 9.0], 1.0)
+        with pytest.raises(ValidationError, match="reach"):
+            k_from_pairs(pairs, [0.0, np.nextafter(10.0, np.inf)])
+        with pytest.raises(ValidationError, match="reach"):
+            g_from_pairs(pairs, [0.0, 9.0], 1.5)
+
+    @pytest.mark.parametrize("reach", [math.nan, -1.0, -math.inf])
+    def test_bad_reach_rejected(self, fgj_patterns, reach):
+        with pytest.raises(ValidationError, match="reach"):
+            second_order_pairs(fgj_patterns["readme"], None, reach)
+
+
 def erosion_dense(dist, factors, leaf, r):
     """The former ``_erosion_curve``, over every (row, r) cell: each row's
     products in distance order, read at ``#{d <= r}`` and summed down the
@@ -788,8 +824,9 @@ class TestErosionCurveMatchesDense:
 
     @staticmethod
     def check(dist, factors, leaf, r):
-        got = _erosion_curve(dist, np.asarray(factors, float), np.asarray(leaf, float),
-                             np.asarray(r, float))
+        rows, cols = np.nonzero(np.ones(dist.shape, dtype=bool))  # every entry, row-major
+        got = _erosion_curve((rows, cols, dist[rows, cols]), np.asarray(factors, float),
+                             np.asarray(leaf, float), np.asarray(r, float))
         want = erosion_dense(dist, np.asarray(factors, float), np.asarray(leaf, float),
                              np.asarray(r, float))
         for g, w in zip(got, want):
