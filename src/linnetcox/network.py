@@ -433,7 +433,7 @@ def _pairwise_core(net, e1, o1, e2, o2) -> np.ndarray:
 
 
 _DISTANCE_CHUNK = 1 << 18  # entries per row chunk of pairwise_distances (2 MiB)
-_DENSE_SHARE = 0.5  # _pairs_within evaluates a row chunk whole above this share of candidates
+_DENSE_SHARE = 0.4  # _pairs_within evaluates a row chunk whole above this share of candidates
 _SPHERE_CHUNK = 1 << 15  # pairs per binary-search chunk of _sphere_count_matrix
 
 
@@ -456,28 +456,31 @@ def pairwise_distances(net: LinearNetwork, pts_a, pts_b=None) -> np.ndarray:
     return out
 
 
-def _pairs_within(net: LinearNetwork, pts_a, pts_b, reach) -> tuple:
+def _pairs_within(net: LinearNetwork, pts_a, pts_b, reach, skip_self: bool = False) -> tuple:
     """Row-major ``(rows, cols, d)`` of the pairs with ``d(a_i, b_j) <= reach[i]``
-    (a scalar or one reach per row, ``-inf`` for none), ``d`` with the bits of
-    :func:`pairwise_distances`. The edge-gap table bounds every distance from
-    below; a row chunk where more than ``_DENSE_SHARE`` of the pairs pass
-    ``gap <= reach`` is evaluated whole and filtered, else only those pairs."""
+    (a scalar or one per row, ``-inf`` for none), less ``i == j`` if ``skip_self``
+    (``a`` is ``b``); ``d`` has the bits of :func:`pairwise_distances`. The edge-gap
+    table at the edges holding a ``b`` bounds every distance from below; a row chunk
+    where over ``_DENSE_SHARE`` of the pairs pass it is evaluated whole, else only those."""
     (e1, o1), (e2, o2) = _point_arrays(net, pts_a), _point_arrays(net, pts_b)
     reach = np.broadcast_to(np.asarray(reach, dtype=np.float64), e1.shape)
     m, per_edge = e2.size, np.bincount(e2, minlength=net.n_edges)
+    occ = np.flatnonzero(per_edge)  # so a chunk's test is at most rows x min(E, m)
+    gap, per_occ, col_occ = net._edge_gap[:, occ], per_edge[occ], np.searchsorted(occ, e2)
     chunk, parts = max(1, _DISTANCE_CHUNK // max(m, 1)), [(np.empty(0, np.intp),) * 2 + (np.empty(0),)]
     for i0 in range(0, e1.size if m else 0, chunk):
         e, o, t = e1[i0 : i0 + chunk, None], o1[i0 : i0 + chunk, None], reach[i0 : i0 + chunk, None]
-        near = net._edge_gap[e[:, 0]] <= t  # the edges each row may reach
-        if (near @ per_edge).sum() > _DENSE_SHARE * t.size * m:
+        near = gap[e[:, 0]] <= t  # the occupied edges each row may reach
+        if (near @ per_occ).sum() > _DENSE_SHARE * t.size * m:
             d = _pairwise_core(net, e, o, e2, o2)
             within = d <= t
-            rows, flat = np.repeat(np.arange(t.size), within.sum(axis=1)), np.flatnonzero(within)
-            cols, d = flat - rows * m, d.ravel()[flat]
+            if skip_self:
+                within[np.arange(t.size), np.arange(i0, i0 + t.size)] = False
+            (rows, cols), d = np.nonzero(within), d[within]
         else:
-            rows, cols = np.divmod(np.flatnonzero(near[:, e2]), m)
+            rows, cols = np.divmod(np.flatnonzero(near[:, col_occ]), m)
             d = _pairwise_core(net, e[rows, 0], o[rows, 0], e2[cols], o2[cols])
-            keep = d <= t[rows, 0]
+            keep = (d <= t[rows, 0]) & ((rows + i0 != cols) if skip_self else True)
             rows, cols, d = rows[keep], cols[keep], d[keep]
         parts.append((rows + i0, cols, d))
     return tuple(np.concatenate(p) for p in zip(*parts))

@@ -345,9 +345,7 @@ def second_order_pairs(pattern: PointPattern, intensity=None, reach: float = mat
     n = pattern.n
     if n < 2:
         return PairData(np.empty(0), np.empty(0), net.total_length, n, reach)
-    rows, cols, dist = _pairs_within(net, pattern, pattern, reach)
-    off_diag = rows != cols
-    rows, cols, dist = rows[off_diag], cols[off_diag], dist[off_diag]
+    rows, cols, dist = _pairs_within(net, pattern, pattern, reach, skip_self=True)
     counts = _sphere_count_matrix(net, pattern.edge_indices, pattern.offsets, rows, dist)
     if (counts <= 0).any():
         raise NumericalError("sphere count vanished at an observed pair distance")
@@ -488,11 +486,11 @@ def _erosion_curve(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``1 -`` the mean, over rows ``i`` with ``leaf[i] > r``, of the product
     of ``factors[j]`` over the pairs ``(i, j)`` with ``d <= r`` among the
-    row-major ``pairs = (rows, cols, d)``; NaN and not ``defined`` where no
-    row qualifies. Only the alive cells are visited. A row keeps its pairs up
-    to its largest alive radius, sorted stably, and multiplies their factors
-    up behind a leading one; a cell reads the product at its ``#{d <= r}``, a
-    running count of the kept distances binned into the sorted radii.
+    row-major ``pairs = (rows, cols, d)``, exactly those within each row's
+    largest alive radius (``_last_alive``); NaN and not ``defined`` where no
+    row qualifies. Only the alive cells are visited. A row sorts its pairs
+    stably and multiplies their factors up behind a leading one; a cell reads
+    the product at its ``#{d <= r}``, a running count of the binned distances.
     ``bincount`` adds each radius's cells in row order: the bits of a
     row-ordered sum over all rows, with zeros where not alive.
     """
@@ -500,8 +498,7 @@ def _erosion_curve(
     r_order = np.argsort(r, kind="stable")
     r_sorted = r[r_order]
     lb = np.searchsorted(r_sorted, leaf)  # row i is alive at sorted radii j < lb[i]
-    keep = pairs[2] <= _last_alive(leaf, r)[pairs[0]]
-    rows, cols, d = (a[keep] for a in pairs)
+    rows, cols, d = pairs
     n_read = np.bincount(rows, minlength=leaf.size)
     first = np.cumsum(n_read) - n_read
     # the kept distances and their factors row by row, padded by inf and 1
@@ -579,8 +576,7 @@ def fgj_estimates(
     f_pairs = _pairs_within(net, grid, pattern, _last_alive(grid_leaf, r))
     f_values, f_defined = _erosion_curve(f_pairs, factors, grid_leaf, r)
     data_leaf = leaf_distances(net, pattern)
-    pairs = _pairs_within(net, pattern, pattern, _last_alive(data_leaf, r))
-    g_pairs = tuple(a[pairs[0] != pairs[1]] for a in pairs)
+    g_pairs = _pairs_within(net, pattern, pattern, _last_alive(data_leaf, r), skip_self=True)
     g_values, g_defined = _erosion_curve(g_pairs, factors, data_leaf, r)
 
     early = r < config.r_min

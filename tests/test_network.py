@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -519,10 +520,13 @@ class TestPairsWithin:
     """The range search equals the filtered distance matrix bit for bit."""
 
     @staticmethod
-    def check(net, a, b, reach):
-        got = _pairs_within(net, a, b, reach)
+    def check(net, a, b, reach, skip_self=False):
+        got = _pairs_within(net, a, b, reach, skip_self)
         full = pairwise_distances(net, a, b)
-        rows, cols = np.nonzero(full <= np.broadcast_to(reach, full.shape[:1])[:, None])
+        within = full <= np.broadcast_to(reach, full.shape[:1])[:, None]
+        if skip_self:
+            np.fill_diagonal(within, False)
+        rows, cols = np.nonzero(within)
         for g, w in zip(got, (rows, cols, full[rows, cols])):
             assert g.dtype == w.dtype and np.array_equal(g, w)
         return got
@@ -544,7 +548,9 @@ class TestPairsWithin:
         eb, ob = TestDistances.vertex_heavy_points(net, 200, rng)
         for reach in (0.0, 5.0, 40.0, np.inf):
             self.check(net, (ea, oa), (eb, ob), reach)
-        self.check(net, (ea, oa), (ea, oa), 20.0)
+        for reach in (20.0, np.inf):
+            self.check(net, (ea, oa), (ea, oa), reach)
+            self.check(net, (ea, oa), (ea, oa), reach, skip_self=True)
         assert self.branches(monkeypatch, net, (ea, oa), (eb, ob), 5.0) == [False]
         assert self.branches(monkeypatch, net, (ea, oa), (eb, ob), np.inf) == [True]
 
@@ -567,6 +573,7 @@ class TestPairsWithin:
             assert not np.isin(rows, np.arange(0, 40, 3)).any()
             assert (d == reach[rows]).sum() >= 26  # every finite reach keeps the pair at it
             self.check(net, pts, pts, np.nextafter(reach, -np.inf))
+            self.check(net, pts, pts, reach, skip_self=True)
             assert self.branches(monkeypatch, net, pts, pts, reach) == dense
 
     @pytest.mark.parametrize("n", [23, 24, 25])
@@ -582,6 +589,24 @@ class TestPairsWithin:
         self.check(net, (ea, oa), (eb, ob), reach)
         dense = self.branches(monkeypatch, net, (ea, oa), (eb, ob), reach)
         assert dense == [True, False, True, False][: -(-n // 8)]
+        monkeypatch.setattr(network, "_DISTANCE_CHUNK", 8 * n)  # the same blocks, a by a
+        self.check(net, (ea, oa), (ea, oa), reach, skip_self=True)
+        assert self.branches(monkeypatch, net, (ea, oa), (ea, oa), reach) == dense
+
+    def test_sparse_columns_on_many_edges_allocate_little(self):
+        # 20 columns on a 1000-edge tree: a row chunk holds 13107 rows, and
+        # the gap test reads only the columns' edges, not a chunk x E table (105 MB)
+        net = make_network("random-tree", seed=5, edges=1000)
+        rng = np.random.default_rng(5)
+        a, b = random_points(net, 20_000, rng), random_points(net, 20, rng)
+        self.check(net, (a[0][:500], a[1][:500]), b, 30.0)
+        tracemalloc.start()
+        try:
+            rows, _, _ = _pairs_within(net, a, b, 30.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < rows.size and peak < 16e6
 
     def test_empty_inputs_warn_nothing(self):
         net = make_network("dendrite", seed=7)

@@ -38,6 +38,7 @@ from linnetcox.network import distance_matrix
 from linnetcox.summaries import (
     PairData,
     _erosion_curve,
+    _last_alive,
     g_from_pairs,
     k_from_pairs,
     second_order_pairs,
@@ -824,7 +825,8 @@ class TestErosionCurveMatchesDense:
 
     @staticmethod
     def check(dist, factors, leaf, r):
-        rows, cols = np.nonzero(np.ones(dist.shape, dtype=bool))  # every entry, row-major
+        # the entries within each row's last alive radius, row-major, as fgj_estimates reads them
+        rows, cols = np.nonzero(dist <= _last_alive(np.asarray(leaf, float), np.asarray(r, float))[:, None])
         got = _erosion_curve((rows, cols, dist[rows, cols]), np.asarray(factors, float),
                              np.asarray(leaf, float), np.asarray(r, float))
         want = erosion_dense(dist, np.asarray(factors, float), np.asarray(leaf, float),
