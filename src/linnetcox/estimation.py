@@ -18,9 +18,9 @@ intensities plugged in, by the method the config's class selects:
   a tree is piecewise linear and built exactly once per pattern.
 
 Optimisation runs in ``log(sigma2), log(beta)`` space, which enforces
-positivity without constraints. Driving intensities of the fitted Cox
-model follow from the thinning relation
-``rho_Y = (1 + sigma2) ** (k/2) * rho``.
+positivity, by the searches in ``_optimize`` (numpy only, no scipy).
+Driving intensities of the fitted Cox model follow from the thinning
+relation ``rho_Y = (1 + sigma2) ** (k/2) * rho``.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._optimize import box_quasi_newton, nelder_mead
 from .errors import NumericalError, ValidationError
 from .models import CoxModel, IntensityModel
 from .network import LinearNetwork, PointPattern, _pairs_within
@@ -169,7 +170,8 @@ def min_contrast_from_curve(
     """Minimum-contrast estimate from an already-computed empirical curve.
 
     Undefined (NaN) cells are dropped from the integral. The optimiser is
-    Nelder-Mead on the log parameters.
+    Nelder-Mead on the log parameters, step for step scipy.optimize's with
+    ``_CONTRAST_OPTIONS``, so the estimates are the same bits as scipy's.
     """
     config = config or MinContrastConfig()
     r = np.asarray(r, dtype=np.float64)
@@ -187,24 +189,10 @@ def min_contrast_from_curve(
         sq = diff * diff
         return float((np.diff(r) * (sq[1:] + sq[:-1]) / 2.0).sum())  # scipy's trapezoid
 
-    from scipy import optimize  # imported by the fits only: `import linnetcox` stays scipy-free
-
-    res = optimize.minimize(
-        objective,
-        np.log(np.asarray(config.start, dtype=np.float64)),
-        method="Nelder-Mead",
-        options=_CONTRAST_OPTIONS,
-    )
-    x = np.clip(res.x, -_LOG_BOUND, _LOG_BOUND)
-    return MinContrastResult(
-        sigma2=float(math.exp(x[0])),
-        beta=float(math.exp(x[1])),
-        k=k,
-        target=config.target,
-        objective=float(res.fun),
-        converged=bool(res.success),
-        n_iterations=int(res.nit),
-    )
+    x, fun, nit, success = nelder_mead(
+        objective, np.log(np.asarray(config.start, dtype=np.float64)), **_CONTRAST_OPTIONS)
+    s2, bt = (float(math.exp(v)) for v in np.clip(x, -_LOG_BOUND, _LOG_BOUND))
+    return MinContrastResult(s2, bt, k, config.target, float(fun), bool(success), int(nit))
 
 
 def _mle_pairs(pattern: PointPattern, reach: float):
@@ -281,7 +269,7 @@ class Cl2Config:
     network of length ``|L|``. Its normalising integral is computed
     exactly from the network's geometry, so it has no sampling noise and
     runs are reproducible. :func:`cl2_fit` starts at ``start`` and stops
-    after at most ``max_iter`` iterations.
+    after at most ``max_iter`` quasi-Newton iterations.
     """
 
     r0: float | None = None
@@ -431,30 +419,23 @@ def composite_likelihood(
 def cl2_fit(pattern: PointPattern, k: int = 1, config: Cl2Config | None = None) -> Cl2Result:
     """Estimate ``(sigma2, beta)`` by maximising the composite likelihood.
 
-    L-BFGS-B maximises the log composite likelihood of the pairs within
-    ``r0`` (default ``5 |L| / n``) in log-parameters from ``start``, with
-    the score as its exact gradient. Maximising the likelihood, rather
-    than solving score = 0, keeps the fit off the score's spurious root at
-    ``sigma2 -> 0``. ``converged`` means every score component at the
-    estimate is within ``1e-6`` of its pair sum, whatever L-BFGS-B's stop
-    reason: its line search can fail at the float floor of a score that
-    is already that small.
+    A projected quasi-Newton search maximises the log composite likelihood
+    of the pairs within ``r0`` (default ``5 |L| / n``) over log-parameters
+    in ``[-30, 30]``, from ``start``, with the score as its exact gradient;
+    maximising it keeps the fit off the score's spurious root at ``sigma2
+    -> 0``. ``converged`` means every score component at the estimate is
+    within ``1e-6`` of its pair sum, whatever stopped the search.
     """
-    from scipy import optimize  # imported by the fits only: `import linnetcox` stays scipy-free
-
     config = config or Cl2Config()
     ws = _cl2_workspace(pattern, config)
 
     def negative_likelihood(x: np.ndarray):
-        s2, bt = np.exp(np.clip(x, -_LOG_BOUND, _LOG_BOUND))
+        s2, bt = np.exp(x)
         return -ws.likelihood(s2, bt, k), -ws.score(s2, bt, k) * np.array([s2, bt])
 
-    res = optimize.minimize(
-        negative_likelihood, np.log(np.asarray(config.start, dtype=np.float64)), jac=True,
-        method="L-BFGS-B", bounds=[(-_LOG_BOUND, _LOG_BOUND)] * 2,
-        options={"maxiter": config.max_iter, "ftol": 1e-15, "gtol": 1e-10},
-    )
-    s2, bt = (float(v) for v in np.exp(np.clip(res.x, -_LOG_BOUND, _LOG_BOUND)))
+    x = box_quasi_newton(negative_likelihood, np.log(np.asarray(config.start, dtype=np.float64)),
+                         _LOG_BOUND, config.max_iter)
+    s2, bt = (float(v) for v in np.exp(x))
     score = ws.score(s2, bt, k)
     # strict: on the beta bound the score and its pair sum both vanish
     converged = bool(np.all(np.abs(score) < _SCORE_RTOL * np.abs(ws.pair_sum(s2, bt, k))))

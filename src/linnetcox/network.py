@@ -651,6 +651,6 @@ def sphere_count(net: LinearNetwork, point: NetworkPoint, t) -> int | np.ndarray
     if not (np.isfinite(tt) & (tt >= 0.0)).all():
         raise ValidationError("t must be nonnegative and finite")
     m = _sphere_count_matrix(net, e, o, np.zeros(tt.size, dtype=np.intp), tt.ravel())
-    if np.isscalar(t) or getattr(t, "ndim", 0) == 0:
+    if np.ndim(t) == 0:
         return int(m[0])
     return m.reshape(tt.shape)

@@ -286,7 +286,8 @@ def _k_closed_form(r: np.ndarray, sigma2: float, beta: float, k: int) -> np.ndar
 
     x = -np.expm1(math.log(a) - 2.0 * beta * r)   # 1 - a e^{-2 b r}, stably
     at_zero = primitive(1.0 - a, math.log, math.log1p, math.sqrt)
-    return r + (primitive(x, np.log, np.log1p, np.sqrt) - at_zero) / (beta if odd else 2.0 * beta)
+    k_r = r + (primitive(x, np.log, np.log1p, np.sqrt) - at_zero) / (beta if odd else 2.0 * beta)
+    return np.where(r > 0.0, np.maximum(k_r, 0.0), 0.0)  # x(0) rounds two ways: K(0) ~ ±6e-14
 
 
 def k_function(model: CoxModel, r) -> np.ndarray:
@@ -297,7 +298,7 @@ def k_function(model: CoxModel, r) -> np.ndarray:
     ``k``. Radii must be finite and nonnegative.
     """
     out = _k_closed_form(np.atleast_1d(_radii(r)), model.sigma2, model.beta, model.k)
-    if np.isscalar(r) or getattr(r, "ndim", 0) == 0:
+    if np.ndim(r) == 0:
         return float(out[0])
     return out
 

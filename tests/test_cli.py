@@ -799,18 +799,28 @@ def _fresh_scipy_modules(code: str) -> list[str]:
 
 
 class TestScipyStaysUnloaded:
-    """Steps that fit nothing start without paying for scipy's import."""
+    """Every step but ``kernel-intensity`` starts and runs without paying for
+    scipy's import: the fits' searches are the package's own (``_optimize``)."""
 
     def test_import(self):
         assert _fresh_scipy_modules("import linnetcox") == []
 
     @pytest.mark.parametrize("step", ["make-network", "simulate-cox", "summaries", "envelope-K",
-                                      "envelope-FGJ"])
+                                      "envelope-FGJ", "fit-mce-g", "fit-mce-k", "fit-cl2",
+                                      "simstudy"])
     def test_cli_step(self, tmp_path, dendrite_file, pattern_file, step):
         fit_file = tmp_path / "fit.json"
         assert run("fit", "--net", dendrite_file, "--pattern", pattern_file, "--method", "mce-g",
                    "--ru", "30", "--out", fit_file) == 0
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps([{
+            "name": "run-1", "network": {"template": "dendrite", "seed": 4, "side_target": 650.0},
+            "model": {"rho_y_main": 0.8, "rho_y_side": 1.2, "sigma2": 5.0, "beta": 0.1},
+            "methods": {"mce-g": {"r_max": 30.0}, "mce-k": {"r_max": 30.0}, "cl2": None},
+        }]))
         common = ["--net", dendrite_file, "--pattern", pattern_file, "--out", tmp_path / "out.csv"]
+        fit = ["fit", "--net", dendrite_file, "--pattern", pattern_file,
+               "--out", tmp_path / "fit_out.json"]
         argv = {
             "make-network": ["make-network", "--template", "dendrite", "--seed", "7",
                              "--out", tmp_path / "net.json"],
@@ -822,6 +832,11 @@ class TestScipyStaysUnloaded:
                            "--seed", "5", *common],
             "envelope-FGJ": ["envelope", "--test", "FGJ", "--model", fit_file, "--sims", "3",
                              "--seed", "5", *common],
+            "fit-mce-g": [*fit, "--method", "mce-g", "--ru", "30"],
+            "fit-mce-k": [*fit, "--method", "mce-k", "--ru", "30"],
+            "fit-cl2": [*fit, "--method", "cl2"],
+            "simstudy": ["simstudy", "--design", design, "--reps", "2", "--seed", "1",
+                         "--out", tmp_path / "study.csv"],
         }[step]
         code = f"from linnetcox.cli import main\nassert main({[str(a) for a in argv]!r}) == 0"
         assert _fresh_scipy_modules(code) == []

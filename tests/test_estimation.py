@@ -35,6 +35,7 @@ from linnetcox import (
     two_step_fit,
 )
 from linnetcox import estimation
+from linnetcox._optimize import nelder_mead
 from linnetcox.errors import NumericalError
 from linnetcox.estimation import (
     StudyFailure,
@@ -161,6 +162,103 @@ class TestMinContrastFixedPoint:
     def test_cl2_max_iter_is_a_positive_integer(self, max_iter):
         with pytest.raises(ValidationError, match="max_iter"):
             Cl2Config(max_iter=max_iter)
+
+
+def _criterion_07_patterns(count):
+    """The first ``count`` replicates of criterion 07's design (simstudy --seed 2026)."""
+    net = make_network("dendrite", seed=4, side_target=650.0)
+    gens = spawn_generators(np.random.SeedSequence(2026).spawn(1)[0], count)
+    return [simulate_cox(net, CoxModel(0.8, 1.2, 5.0, 0.1), seed=g).pattern for g in gens]
+
+
+def _hex(x) -> str:
+    """The bits of a float, NaN included."""
+    return float(x).hex()
+
+
+class TestNelderMeadIsScipys:
+    """``_optimize.nelder_mead`` makes scipy.optimize's Nelder-Mead moves, bit for bit."""
+
+    @staticmethod
+    def compare(objective, x0, options):
+        from scipy import optimize
+
+        want = optimize.minimize(objective, x0, method="Nelder-Mead", options=options)
+        x, fun, nit, success = nelder_mead(objective, x0, **options)
+        assert [_hex(v) for v in x] == [_hex(v) for v in want.x]
+        assert _hex(fun) == _hex(want.fun)
+        assert (nit, success) == (want.nit, want.success)
+        return x, fun, nit, success
+
+    @pytest.fixture()
+    def compared(self, monkeypatch):
+        """Every fit's search runs both ways and must agree; the port's result is used."""
+        calls = []
+
+        def both(objective, x0, **options):
+            calls.append(options)
+            return self.compare(objective, x0, options)
+
+        monkeypatch.setattr(estimation, "nelder_mead", both)
+        return calls
+
+    @pytest.mark.parametrize("config", [
+        MinContrastConfig(target="g", r_max=30.0),
+        MinContrastConfig(target="K", r_max=30.0),
+        MinContrastConfig(target="K", r_max=30.0, power=0.5),
+        MinContrastConfig(target="g", r_max=30.0, start=(50.0, 3.0)),
+    ], ids=["g", "K", "K-power-0.5", "g-far-start"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_contrast_fits(self, compared, config, k):
+        for pattern in _criterion_07_patterns(3):
+            min_contrast(pattern, k, config)
+        assert len(compared) == 3
+
+    @pytest.mark.parametrize("budget", [{"maxiter": 15}, {"maxfev": 37}, {"maxfev": 2}])
+    def test_exhausted_budgets(self, compared, monkeypatch, budget):
+        monkeypatch.setattr(estimation, "_CONTRAST_OPTIONS",
+                            dict(estimation._CONTRAST_OPTIONS, **budget))
+        pattern = _criterion_07_patterns(1)[0]
+        res = min_contrast(pattern, 1, MinContrastConfig(target="g", r_max=30.0))
+        assert not res.converged and compared == [estimation._CONTRAST_OPTIONS]
+
+    def test_objective_returning_nan(self):
+        # NaN is never better than a vertex, sorts last, and can end as min(fsim)
+        seen = []
+
+        def objective(x):
+            rosenbrock = (x[0] - 1.0) ** 2 + 10.0 * (x[1] + x[0] ** 2) ** 2
+            seen.append(math.nan if x[0] + x[1] > 1.2 else float(rosenbrock))
+            return seen[-1]
+
+        for x0 in ([0.5, 0.5], [0.6, 0.6], [-1.0, 2.0]):
+            self.compare(objective, np.array(x0), estimation._CONTRAST_OPTIONS)
+        assert any(math.isnan(v) for v in seen)
+
+    def test_zero_start_coordinate(self):
+        objective = lambda x: float((x[0] - 0.3) ** 2 + (x[1] + 0.2) ** 2)  # noqa: E731
+        self.compare(objective, np.array([0.0, 1.0]), estimation._CONTRAST_OPTIONS)
+
+
+class TestContrastObjectiveIsFinite:
+    def test_power_below_one_on_k(self, monkeypatch):
+        # the model K at r = 0 could round below zero, and a p < 1 contrast
+        # took its root there: NaN at every evaluation
+        values = []
+        search = estimation.nelder_mead
+
+        def recorded(objective, x0, **options):
+            def traced(x):
+                values.append(objective(x))
+                return values[-1]
+
+            return search(traced, x0, **options)
+
+        monkeypatch.setattr(estimation, "nelder_mead", recorded)
+        for pattern in _criterion_07_patterns(4):
+            for k in (1, 2):
+                min_contrast(pattern, k, MinContrastConfig(target="K", r_max=30.0, power=0.5))
+        assert len(values) > 100 and all(math.isfinite(v) for v in values)
 
 
 class TestTwoStep:
@@ -551,6 +649,38 @@ class TestCl2:
     def test_needs_two_points(self, path10):
         with pytest.raises(ValidationError):
             cl2_score(PointPattern(path10, [(0, 5.0)]), 1.0, 1.0)
+
+
+def _lbfgsb_cl2(pattern, k):
+    """The reference fit: scipy's L-BFGS-B on the same likelihood, score, box and stop tests."""
+    from scipy import optimize
+
+    ws, bound = _cl2_workspace(pattern, Cl2Config()), estimation._LOG_BOUND
+
+    def negative_likelihood(x):
+        s2, bt = np.exp(np.clip(x, -bound, bound))
+        return -ws.likelihood(s2, bt, k), -ws.score(s2, bt, k) * np.array([s2, bt])
+
+    res = optimize.minimize(negative_likelihood, np.log([0.5, 0.5]), jac=True, method="L-BFGS-B",
+                            bounds=[(-bound, bound)] * 2,
+                            options={"maxiter": 500, "ftol": 1e-15, "gtol": 1e-10})
+    s2, bt = np.exp(np.clip(res.x, -bound, bound))
+    score = ws.score(s2, bt, k)
+    return s2, bt, bool(np.all(np.abs(score) < estimation._SCORE_RTOL * np.abs(ws.pair_sum(s2, bt, k))))
+
+
+class TestCl2MatchesLbfgsb:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_criterion_07_replicates(self, k):
+        flags = []
+        for pattern in _criterion_07_patterns(40):
+            s2, bt, converged = _lbfgsb_cl2(pattern, k)
+            res = cl2_fit(pattern, k)
+            assert res.converged == converged
+            if converged:
+                assert_allclose([res.sigma2, res.beta], [s2, bt], rtol=1e-6)
+            flags.append(converged)
+        assert sum(flags) >= 35
 
 
 class TestExactNormaliser:

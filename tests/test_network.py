@@ -415,6 +415,17 @@ class TestSphereCount:
         want = np.array([1, 2, 2, 1, 2, 2, 1, 0])
         assert_allclose(got, want)
 
+    @pytest.mark.parametrize("t", [[1.0, 6.5], (1.0, 6.5), np.array([1.0, 6.5]), [[1.0], [6.5]]])
+    def test_sequences_of_radii_give_arrays(self, y_net, t):
+        got = sphere_count(y_net, y_net.point(0, 2.0), t)
+        assert isinstance(got, np.ndarray) and got.shape == np.shape(t)
+        assert got.ravel().tolist() == [2, 1]
+
+    @pytest.mark.parametrize("t", [6.5, 7, np.float64(6.5), np.array(6.5)])
+    def test_scalar_radius_gives_int(self, y_net, t):
+        got = sphere_count(y_net, y_net.point(0, 2.0), t)
+        assert type(got) is int and got == 1
+
     def test_vertex_source_at_diameter_counts_far_leaf_once(self):
         # 0.1 + 0.2 + 0.7 is not 1.0 in floating point.
         net = LinearNetwork(

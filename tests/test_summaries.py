@@ -178,6 +178,29 @@ class TestKTheoretical:
         for k in range(1, 6):
             assert k_function(CoxModel(1, 1, 2.0, 0.4, k), 0.0) == 0.0
 
+    def test_never_negative(self):
+        # x(0) is rounded two ways, so the closed form gave K(0) from -5.6e-14 to
+        # 5.6e-14 (189 of these 8610 models below 0), and a p < 1 contrast took its root
+        r = np.concatenate([[0.0], np.geomspace(1e-12, 60.0, 40)])
+        for k in range(1, 11):
+            for s2 in np.geomspace(1e-4, 1e4, 41):
+                for beta in np.geomspace(1e-3, 10.0, 21):
+                    model = CoxModel(1, 1, float(s2), float(beta), k)
+                    assert k_function(model, 0.0) == 0.0
+                    assert np.all(k_function(model, r) >= 0.0)
+
+    @pytest.mark.parametrize("r", [[1.0, 2.0], (1.0, 2.0), np.array([1.0, 2.0]), [[1.0], [2.0]]])
+    def test_sequences_give_arrays(self, r):
+        model = CoxModel(1, 1, 5.0, 0.1)
+        got = k_function(model, r)
+        assert isinstance(got, np.ndarray) and got.shape == np.shape(r)
+        assert got.ravel().tolist() == [k_function(model, 1.0), k_function(model, 2.0)]
+
+    @pytest.mark.parametrize("r", [2.0, 2, np.float64(2.0), np.array(2.0)])
+    def test_scalars_give_floats(self, r):
+        got = k_function(CoxModel(1, 1, 5.0, 0.1), r)
+        assert type(got) is float and got == k_function(CoxModel(1, 1, 5.0, 0.1), [2.0])[0]
+
     def test_reference_point_k2(self):
         got = k_function(CoxModel(1, 1, 1.0, 1.0, k=2), 1.0)
         want = 0.5 * math.log((math.e**2 - 0.25) / 0.75)
