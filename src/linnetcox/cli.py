@@ -171,9 +171,9 @@ def _cmd_make_network(args, argv) -> None:
 
 def _replicate_patterns(args, argv, simulate_one, extra=None) -> None:
     """Shared replicate loop of the simulate-* commands."""
+    gens = spawn_generators(args.seed, args.reps)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    gens = spawn_generators(args.seed, args.reps)
     workers = min(args.threads, args.reps, os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

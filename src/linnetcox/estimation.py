@@ -37,7 +37,7 @@ from .errors import NumericalError, ValidationError
 from .models import CoxModel, IntensityModel
 from .network import LinearNetwork, PointPattern, _pairs_within
 from .network import distance_matrix  # noqa: F401  (perfbench/spans.py wraps it by this name)
-from .simulate import simulate_cox, spawn_generators
+from .simulate import _seed_sequence, simulate_cox, spawn_generators
 from .summaries import (
     _g_reach,
     default_bandwidth,
@@ -586,9 +586,7 @@ def simulation_study(runs, replicates: int, seed=None, caps=None) -> StudyResult
     rows: list[StudyRow] = []
     failures: list[StudyFailure] = []
     tally: dict = {}
-    master = np.random.SeedSequence(seed) if not isinstance(seed, np.random.SeedSequence) else seed
-    run_seeds = master.spawn(len(runs))
-    for run, run_seed in zip(runs, run_seeds):
+    for run, run_seed in zip(runs, _seed_sequence(seed).spawn(len(runs))):
         for method in run.methods:
             tally[(run.name, method)] = {"sigma2_over": 0, "beta_over": 0, "failed": 0}
         rep_gens = spawn_generators(run_seed, replicates)

@@ -415,16 +415,23 @@ def _point_arrays(net: LinearNetwork, pts) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pairwise_core(net, e1, o1, e2, o2) -> np.ndarray:
-    """Distances of ``(e1, o1)`` to ``(e2, o2)``, broadcast: ``(n, 1)`` by ``(m,)`` or a list."""
+    """Distances of ``(e1, o1)`` to ``(e2, o2)``, broadcast: ``(n, 1)`` by ``(m,)`` or a list; a
+    block reads ``D`` by whole rows of ``D[:, s2]`` and ``D[:, t2]``, a list from the raveled ``D``."""
     D = net.vertex_distance_matrix
     s1, t1 = net.edge_start[e1], net.edge_end[e1]
     s2, t2 = net.edge_start[e2], net.edge_end[e2]
+    if e1.ndim == 2:
+        s1, t1, ends = s1[:, 0], t1[:, 0], (D[:, s2], D[:, t2])
+        def via(x1, j): return ends[j][x1]  # D[x1, (s2, t2)[j]], gathered when used
+    else:
+        flat, ends = D.ravel(), (s2, t2)
+        def via(x1, j): return flat.take(x1 * D.shape[0] + ends[j])
     a1, b1 = o1, net.edge_length[e1] - o1
     a2, b2 = o2, net.edge_length[e2] - o2
-    out = a1 + a2 + D[s1, s2]
-    np.minimum(out, a1 + b2 + D[s1, t2], out=out)
-    np.minimum(out, b1 + a2 + D[t1, s2], out=out)
-    np.minimum(out, b1 + b2 + D[t1, t2], out=out)
+    out = a1 + a2 + via(s1, 0)
+    np.minimum(out, a1 + b2 + via(s1, 1), out=out)
+    np.minimum(out, b1 + a2 + via(t1, 0), out=out)
+    np.minimum(out, b1 + b2 + via(t1, 1), out=out)
     same = e1 == e2
     if same.any():
         # Within one edge of a tree the direct route is shortest.
@@ -435,6 +442,7 @@ def _pairwise_core(net, e1, o1, e2, o2) -> np.ndarray:
 _DISTANCE_CHUNK = 1 << 18  # entries per row chunk of pairwise_distances (2 MiB)
 _DENSE_SHARE = 0.4  # _pairs_within evaluates a row chunk whole above this share of candidates
 _SPHERE_CHUNK = 1 << 15  # pairs per binary-search chunk of _sphere_count_matrix
+_INT32_POSITIONS = 2**31  # _sphere_count_matrix searches in int32 below this many flat entries
 
 
 def pairwise_distances(net: LinearNetwork, pts_a, pts_b=None) -> np.ndarray:
@@ -456,34 +464,42 @@ def pairwise_distances(net: LinearNetwork, pts_a, pts_b=None) -> np.ndarray:
     return out
 
 
-def _pairs_within(net: LinearNetwork, pts_a, pts_b, reach, skip_self: bool = False) -> tuple:
-    """Row-major ``(rows, cols, d)`` of the pairs with ``d(a_i, b_j) <= reach[i]``
-    (a scalar or one per row, ``-inf`` for none), less ``i == j`` if ``skip_self``
-    (``a`` is ``b``); ``d`` has the bits of :func:`pairwise_distances`. The edge-gap
-    table at the edges holding a ``b`` bounds every distance from below; a row chunk
-    where over ``_DENSE_SHARE`` of the pairs pass it is evaluated whole, else only those."""
+def _pair_chunks(net: LinearNetwork, pts_a, pts_b, reach, skip_self: bool = False):
+    """The pairs of :func:`_pairs_within` by row chunk: ``(sl, rows, cols, d)`` for the
+    ``a`` rows in the slice ``sl``, with ``rows`` counted from ``sl.start``."""
     (e1, o1), (e2, o2) = _point_arrays(net, pts_a), _point_arrays(net, pts_b)
     reach = np.broadcast_to(np.asarray(reach, dtype=np.float64), e1.shape)
     m, per_edge = e2.size, np.bincount(e2, minlength=net.n_edges)
     occ = np.flatnonzero(per_edge)  # so a chunk's test is at most rows x min(E, m)
     gap, per_occ, col_occ = net._edge_gap[:, occ], per_edge[occ], np.searchsorted(occ, e2)
-    chunk, parts = max(1, _DISTANCE_CHUNK // max(m, 1)), [(np.empty(0, np.intp),) * 2 + (np.empty(0),)]
+    chunk = max(1, _DISTANCE_CHUNK // max(m, 1))
     for i0 in range(0, e1.size if m else 0, chunk):
-        e, o, t = e1[i0 : i0 + chunk, None], o1[i0 : i0 + chunk, None], reach[i0 : i0 + chunk, None]
+        sl = slice(i0, min(i0 + chunk, e1.size))
+        e, o, t = e1[sl, None], o1[sl, None], reach[sl, None]
         near = gap[e[:, 0]] <= t  # the occupied edges each row may reach
         if (near @ per_occ).sum() > _DENSE_SHARE * t.size * m:
             d = _pairwise_core(net, e, o, e2, o2)
             within = d <= t
             if skip_self:
                 within[np.arange(t.size), np.arange(i0, i0 + t.size)] = False
-            (rows, cols), d = np.nonzero(within), d[within]
+            flat = np.flatnonzero(within)
+            (rows, cols), d = np.divmod(flat, m), d.ravel().take(flat)
         else:
             rows, cols = np.divmod(np.flatnonzero(near[:, col_occ]), m)
             d = _pairwise_core(net, e[rows, 0], o[rows, 0], e2[cols], o2[cols])
             keep = (d <= t[rows, 0]) & ((rows + i0 != cols) if skip_self else True)
             rows, cols, d = rows[keep], cols[keep], d[keep]
-        parts.append((rows + i0, cols, d))
-    return tuple(np.concatenate(p) for p in zip(*parts))
+        yield sl, rows, cols, d
+
+
+def _pairs_within(net: LinearNetwork, pts_a, pts_b, reach, skip_self: bool = False) -> tuple:
+    """Row-major ``(rows, cols, d)`` of the pairs with ``d(a_i, b_j) <= reach[i]``
+    (a scalar or one per row, ``-inf`` for none), less ``i == j`` if ``skip_self``
+    (``a`` is ``b``); ``d`` has the bits of :func:`pairwise_distances`. The edge-gap
+    table at the edges holding a ``b`` bounds every distance from below; a row chunk
+    where over ``_DENSE_SHARE`` of the pairs pass it is evaluated whole, else only those."""
+    parts = [(r + sl.start, c, d) for sl, r, c, d in _pair_chunks(net, pts_a, pts_b, reach, skip_self)]
+    return tuple(np.concatenate(p) for p in zip((np.empty(0, np.intp),) * 2 + (np.empty(0),), *parts))
 
 
 def shortest_path_distance(net: LinearNetwork, p: NetworkPoint, q: NetworkPoint) -> float:
@@ -611,7 +627,9 @@ def _sphere_count_matrix(net: LinearNetwork, e_src, o_src, rows, radii) -> np.nd
     Vertex distances come from :func:`pairwise_distances` on the
     canonical vertex points, the arithmetic of the pair distances, so
     ties agree bit for bit. Each source's are sorted once and padded with
-    inf; a pair finds ``#{d(u, w) < t}`` by a branchless binary search.
+    inf; a pair finds ``#{d(u, w) < t}`` by a branchless binary search over
+    the flat rows, in int32 positions while they fit (int64 from
+    ``_INT32_POSITIONS`` entries on), each step a ``take`` and a 0/1 multiple.
     """
     keep = np.nonzero(net.degrees != 2)[0]
     vertices = (net._vertex_canon_edge[keep], net._vertex_canon_offset[keep])
@@ -624,13 +642,14 @@ def _sphere_count_matrix(net: LinearNetwork, e_src, o_src, rows, radii) -> np.nd
     cum = np.full((e_src.size, width), 2, dtype=np.int64)
     cum[:, 1 : keep.size + 1] = net.degrees[keep][order] - 2
     padded, cum = padded.ravel(), np.cumsum(cum, axis=1).ravel()
+    pos = np.int32 if padded.size < _INT32_POSITIONS else np.int64
     out = np.empty(radii.size, dtype=np.int64)
     for p0 in range(0, radii.size, _SPHERE_CHUNK):
         t = radii[p0 : p0 + _SPHERE_CHUNK]
-        at = rows[p0 : p0 + _SPHERE_CHUNK] * width  # ends at the source's first d(u, w) >= t
-        for step in (1 << k for k in reversed(range(bits))):
-            np.add(at, step, out=at, where=padded[at + (step - 1)] < t)
-        out[p0 : p0 + _SPHERE_CHUNK] = np.where(t == 0.0, 1, cum[at])
+        at = rows[p0 : p0 + _SPHERE_CHUNK].astype(pos) * pos(width)  # ends at the first d(u, w) >= t
+        for step in (pos(1 << k) for k in reversed(range(bits))):
+            at += (padded.take(at + (step - 1)) < t) * step
+        out[p0 : p0 + _SPHERE_CHUNK] = np.where(t == 0.0, 1, cum.take(at))
     return out
 
 

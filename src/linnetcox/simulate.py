@@ -49,11 +49,17 @@ __all__ = [
 ]
 
 
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    """``seed`` as a SeedSequence; a negative or non-integer seed is a ValidationError."""
+    try:
+        return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    except (TypeError, ValueError):
+        raise ValidationError(f"seed must be None or a nonnegative integer, got {seed!r}") from None
+
+
 def as_generator(seed) -> np.random.Generator:
     """Coerce ``None`` / int / SeedSequence / Generator to a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(_seed_sequence(seed))
 
 
 def spawn_generators(seed, n: int) -> list[np.random.Generator]:
@@ -65,11 +71,7 @@ def spawn_generators(seed, n: int) -> list[np.random.Generator]:
     """
     if n < 0:
         raise ValidationError(f"number of replicates must be nonnegative, got {n}")
-    if isinstance(seed, np.random.SeedSequence):
-        ss = seed
-    else:
-        ss = np.random.SeedSequence(seed)
-    return [np.random.default_rng(c) for c in ss.spawn(n)]
+    return [np.random.default_rng(c) for c in _seed_sequence(seed).spawn(n)]
 
 
 @dataclass(frozen=True)
@@ -126,6 +128,19 @@ def simulate_poisson(net: LinearNetwork, intensity, seed=None) -> PointPattern:
     return PointPattern.from_indices(net, eidx, off)
 
 
+def _recurrence(a: np.ndarray, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """Rows ``x_i = a_i x_{i-1} + b_i`` from ``x_{-1} = x0``, one column at a time on Python
+    floats: the IEEE multiply and add of a row-wise numpy loop, without a call per row."""
+    x, a = np.empty(b.shape), a.tolist()
+    for j, prev in enumerate(x0.tolist()):
+        col = []
+        for a_i, b_i in zip(a, b[:, j].tolist()):
+            prev = a_i * prev + b_i
+            col.append(prev)
+        x[:, j] = col
+    return x
+
+
 def _conditional_draw(net, ue, uo, beta, z) -> np.ndarray:
     """``L @ z`` for the Cholesky factor ``L`` of ``exp(-beta * d)`` on the
     distinct canonical sites ``(ue, uo)``, sorted by edge index then
@@ -139,7 +154,8 @@ def _conditional_draw(net, ue, uo, beta, z) -> np.ndarray:
     ``e``. A message N(m, v) carried a distance ``d`` becomes
     N(rho * m, rho**2 * v + 1 - rho**2) with ``rho = exp(-beta * d)``;
     messages meeting at a vertex combine by adding precisions in excess of
-    the unit prior.
+    the unit prior. Along an edge the draw is :func:`_recurrence`, on Python
+    floats, from the start vertex's message.
     """
     ne, length = net.n_edges, net.edge_length
     start, end = net.edge_start.tolist(), net.edge_end.tolist()
@@ -234,9 +250,7 @@ def _conditional_draw(net, ue, uo, beta, z) -> np.ndarray:
         tau = 1.0 / v_l + 1.0 / v_r - 1.0
         a = rho_l / (v_l * tau)
         b = np.outer(rho_r / (v_r * tau), m_t) + z[lo[e]:lo[e + 1]] / np.sqrt(tau)[:, None]
-        prev = m_s
-        for i in range(o.size):
-            prev = x[lo[e] + i] = a[i] * prev + b[i]
+        x[lo[e]:lo[e + 1]] = _recurrence(a, b, m_s)
         if o[0] == 0.0:
             known[start[e]] = x[lo[e]]
         if o[-1] == length[e]:
@@ -253,8 +267,7 @@ def _grf_values(net, eidx, off, beta, k, rng) -> np.ndarray:
     # per distinct location, in (edge index, offset) order.
     stacked = np.stack([eidx.astype(np.float64), off])
     uniq, inverse = np.unique(stacked, axis=1, return_inverse=True)
-    ue = uniq[0].astype(np.intp)
-    uo = uniq[1]
+    ue, uo = uniq[0].astype(np.intp), uniq[1]
     z = rng.standard_normal((ue.size, k))
     unique_vals = _conditional_draw(net, ue, uo, beta, z)  # (n_unique, k)
     return unique_vals[np.asarray(inverse).ravel(), :].T

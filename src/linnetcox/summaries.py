@@ -28,6 +28,7 @@ from .models import CoxModel, IntensityModel
 from .network import (
     LinearNetwork,
     PointPattern,
+    _pair_chunks,
     _pairs_within,
     _sphere_count_matrix,
     distance_matrix,  # noqa: F401  (perfbench/spans.py wraps it by this name)
@@ -335,7 +336,9 @@ def second_order_pairs(pattern: PointPattern, intensity=None, reach: float = mat
     ``intensity`` may be None (branch-wise maximum likelihood plug-in), a
     float, an :class:`IntensityModel`, an :class:`IntensityEstimate`, or a
     per-point array. Only the ordered pairs with ``d <= reach`` (nonnegative)
-    are kept, in row-major order, and only they get a sphere count.
+    are kept, in row-major order, and only they get a sphere count: each row
+    chunk of the range search counts its pairs' spheres from its own sources
+    and keeps only their distances and weights.
     """
     net = pattern.network
     if not reach >= 0.0:
@@ -343,15 +346,13 @@ def second_order_pairs(pattern: PointPattern, intensity=None, reach: float = mat
     rho, _ = _intensity_at_points(net, pattern, intensity)
     if pattern.n and not (rho > 0).all():
         raise ValidationError("intensity must be positive at every data point")
-    n = pattern.n
-    if n < 2:
-        return PairData(np.empty(0), np.empty(0), net.total_length, n, reach)
-    rows, cols, dist = _pairs_within(net, pattern, pattern, reach, skip_self=True)
-    counts = _sphere_count_matrix(net, pattern.edge_indices, pattern.offsets, rows, dist)
-    if (counts <= 0).any():
-        raise NumericalError("sphere count vanished at an observed pair distance")
-    weights = 1.0 / (rho[rows] * rho[cols] * counts)
-    return PairData(dist, weights, net.total_length, n, reach)
+    e, o, parts = pattern.edge_indices, pattern.offsets, [(np.empty(0), np.empty(0))]
+    for sl, rows, cols, d in _pair_chunks(net, pattern, pattern, reach, skip_self=True):
+        counts = _sphere_count_matrix(net, e[sl], o[sl], rows, d)
+        if (counts <= 0).any():
+            raise NumericalError("sphere count vanished at an observed pair distance")
+        parts.append((d, 1.0 / (rho[sl][rows] * rho[cols] * counts)))
+    return PairData(*(np.concatenate(p) for p in zip(*parts)), net.total_length, pattern.n, reach)
 
 
 def _radii(r) -> np.ndarray:
@@ -362,15 +363,35 @@ def _radii(r) -> np.ndarray:
     return r
 
 
+def _stable_argsort(x: np.ndarray) -> np.ndarray:
+    """``np.argsort(x, kind="stable")`` of a 1-d ``x`` without NaN, from the default
+    sort whatever its kernel: with the runs of equal sorted values numbered, one int64
+    sort of ``run * n + index`` puts each run's indices back in ascending order."""
+    order, run = np.argsort(x), np.zeros(x.size, dtype=np.int64)
+    ranked = x[order]
+    np.cumsum(ranked[1:] != ranked[:-1], out=run[1:])
+    del ranked  # the integer sort needs only order and run
+    run *= x.size
+    order += run
+    order.sort()
+    order -= run
+    return order
+
+
 def k_from_pairs(pairs: PairData, r) -> np.ndarray:
-    """Empirical ``K`` at radii ``r`` (any shape) from precomputed pair data.
-    Pairs beyond ``max(r)`` would sort after all others and are never read."""
+    """Empirical ``K`` at radii ``r`` (any shape) from precomputed pair data:
+    the pairs' weights summed in the stable order of their distances (ties in
+    pair order), read at ``#{d <= r}``. Pairs beyond ``max(r)`` would sort
+    after all others and are never read."""
     r = _radii(r)
     keep = pairs.within(r.max(initial=0.0))
-    order = np.argsort(pairs.distances[keep], kind="stable")
-    cum_w = np.concatenate(([0.0], np.cumsum(pairs.weights[keep][order])))
-    idx = np.searchsorted(pairs.distances[keep][order], r, side="right")
-    return cum_w[idx] / pairs.total_length
+    d, w = pairs.distances, pairs.weights
+    if not keep.all():
+        d, w = d[keep], w[keep]
+    order = _stable_argsort(d)
+    cum_w = np.zeros(d.size + 1)
+    np.cumsum(w[order], out=cum_w[1:])
+    return cum_w[np.searchsorted(d[order], r, side="right")] / pairs.total_length
 
 
 def _g_reach(r: np.ndarray, bandwidth: float) -> float:
@@ -395,7 +416,8 @@ def g_from_pairs(pairs: PairData, r, bandwidth: float) -> np.ndarray:
     ``x = d`` or ``-d``, the radii within ``2b`` of ``x`` (wide enough that
     rounding loses none) are found in the sorted ``r``, kept where
     ``|u| <= 1`` for ``u = (r - x) / b``, and ``w (1 - u^2)`` is added into
-    them by ``bincount``. Radii that no pair reaches are exactly 0.
+    them by ``bincount``; ``-d`` only for the pairs it can reach, ``d <= 2b``.
+    Radii that no pair reaches are exactly 0.
     """
     r = _radii(r)
     keep = pairs.within(_g_reach(r, bandwidth))
@@ -404,15 +426,15 @@ def g_from_pairs(pairs: PairData, r, bandwidth: float) -> np.ndarray:
     order = np.argsort(flat, kind="stable")
     ascending, out = flat[order], np.zeros(flat.shape)
     for i0 in range(0, d.size, _G_CHUNK):
-        ww = w[i0 : i0 + _G_CHUNK]
-        for x in (d[i0 : i0 + _G_CHUNK], -d[i0 : i0 + _G_CHUNK]):
+        dd, ww = d[i0 : i0 + _G_CHUNK], w[i0 : i0 + _G_CHUNK]
+        for x, wx in ((dd, ww), (-dd[dd <= 2 * b], ww[dd <= 2 * b])):
             lo = np.searchsorted(ascending, x - 2 * b)
             n_in = np.searchsorted(ascending, x + 2 * b, side="right") - lo
             cols = np.repeat(np.arange(x.size), n_in)
             rows = order[np.arange(cols.size) - np.repeat(np.cumsum(n_in) - n_in - lo, n_in)]
             u = (flat[rows] - x[cols]) / b
             inside = np.abs(u) <= 1.0
-            vals = ww[cols[inside]] * (1.0 - u[inside] ** 2)
+            vals = wx[cols[inside]] * (1.0 - u[inside] ** 2)
             out += np.bincount(rows[inside], vals, minlength=flat.size)
     return (0.75 / b * out / pairs.total_length).reshape(r.shape)
 
@@ -482,6 +504,9 @@ def _last_alive(leaf: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.concatenate(([-np.inf], r_sorted))[np.searchsorted(r_sorted, leaf)]
 
 
+_EROSION_BLOCK = 1 << 16  # padded entries per row block of _erosion_curve
+
+
 def _erosion_curve(
     pairs: tuple, factors: np.ndarray, leaf: np.ndarray, r: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -492,8 +517,10 @@ def _erosion_curve(
     row qualifies. Only the alive cells are visited. A row sorts its pairs
     stably and multiplies their factors up behind a leading one; a cell reads
     the product at its ``#{d <= r}``, a running count of the binned distances.
-    ``bincount`` adds each radius's cells in row order: the bits of a
-    row-ordered sum over all rows, with zeros where not alive.
+    Rows go in blocks of about ``_EROSION_BLOCK`` entries, each padded (by inf
+    and 1) only to its own widest row, and write their cells' products into
+    one flat array; ``bincount`` then adds each radius's cells in row order:
+    the bits of a row-ordered sum over all rows, with zeros where not alive.
     """
     shape, r = r.shape, r.ravel()
     r_order = np.argsort(r, kind="stable")
@@ -501,24 +528,27 @@ def _erosion_curve(
     lb = np.searchsorted(r_sorted, leaf)  # row i is alive at sorted radii j < lb[i]
     rows, cols, d = pairs
     n_read = np.bincount(rows, minlength=leaf.size)
-    first = np.cumsum(n_read) - n_read
-    # the kept distances and their factors row by row, padded by inf and 1
-    width = n_read.max(initial=0)
-    near, near_factors = np.full((leaf.size, width), np.inf), np.ones((leaf.size, width))
-    at = rows, np.arange(rows.size) - first[rows]
-    near[at], near_factors[at] = d, factors[cols]
-    products = np.ones((leaf.size, width + 1))
-    products[:, 1:] = np.take_along_axis(near_factors, np.argsort(near, axis=1, kind="stable"), axis=1)
-    np.cumprod(products, axis=1, out=products)
-    # alive cells in row-major order; a distance in bin j (r_sorted[j - 1] <
-    # d <= r_sorted[j]) counts from cell (row, j) on
-    cell_first = np.cumsum(lb) - lb
+    pair_at = np.concatenate(([0], np.cumsum(n_read)))  # row i's pairs: pair_at[i]:pair_at[i + 1]
+    cell_at = np.concatenate(([0], np.cumsum(lb)))  # and its alive cells, in row-major order
     cell_rows = np.repeat(np.arange(leaf.size), lb)
-    cell_r = np.arange(cell_rows.size) - cell_first[cell_rows]
-    hits = np.bincount(cell_first[rows] + np.searchsorted(r_sorted, d), minlength=cell_rows.size)
-    within = np.cumsum(hits) - first[cell_rows]
+    cell_r = np.arange(cell_rows.size) - cell_at[cell_rows]
+    # a distance in bin j (r_sorted[j - 1] < d <= r_sorted[j]) counts from cell (row, j) on
+    hits = np.bincount(cell_at[rows] + np.searchsorted(r_sorted, d), minlength=cell_rows.size)
+    within = np.cumsum(hits) - pair_at[cell_rows]
+    cell_products = np.empty(cell_rows.size)
+    step = max(1, _EROSION_BLOCK // (n_read.max(initial=0) + 1))
+    for i0 in range(0, leaf.size, step):
+        i1, width = min(i0 + step, leaf.size), n_read[i0 : i0 + step].max()
+        p, c = slice(pair_at[i0], pair_at[i1]), slice(cell_at[i0], cell_at[i1])
+        near, near_factors = np.full((i1 - i0, width), np.inf), np.ones((i1 - i0, width))
+        at = rows[p] - i0, np.arange(p.start, p.stop) - pair_at[rows[p]]
+        near[at], near_factors[at] = d[p], factors[cols[p]]
+        products = np.ones((i1 - i0, width + 1))
+        products[:, 1:] = np.take_along_axis(near_factors, near.argsort(axis=1, kind="stable"), axis=1)
+        np.cumprod(products, axis=1, out=products)
+        cell_products[c] = products[cell_rows[c] - i0, within[c]]
     radius = r_order[cell_r]  # a cell's radius in r's own order
-    total = np.bincount(radius, products[cell_rows, within], minlength=r.size)
+    total = np.bincount(radius, cell_products, minlength=r.size)
     alive = np.bincount(radius, minlength=r.size)
     values = np.where(alive > 0, 1.0 - total / np.maximum(alive, 1), np.nan)
     return values.reshape(shape), (alive > 0).reshape(shape)

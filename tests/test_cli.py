@@ -719,6 +719,30 @@ class TestHarness:
         assert "ghost.json" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["make-network", "simulate-poisson", "simulate-cox",
+                                         "envelope", "simstudy"])
+    def test_negative_seed_exits_2_without_outputs(self, tmp_path, dendrite_file, pattern_file,
+                                                   capsys, command):
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps([{
+            "name": "run", "network": {"template": "dendrite", "seed": 3, "side_target": 120.0},
+            "model": {"rho_y_main": 0.8, "rho_y_side": 1.2, "sigma2": 5.0, "beta": 0.1}}]))
+        out = tmp_path / "out"
+        flags = {
+            "make-network": ["--template", "dendrite"],
+            "simulate-poisson": ["--net", dendrite_file, "--rho-m", "0.5"],
+            "simulate-cox": ["--net", dendrite_file, "--rho-ym", "0.8", "--sigma2", "5", "--beta", "0.1"],
+            "envelope": ["--net", dendrite_file, "--pattern", pattern_file, "--model", "poisson",
+                         "--sims", "9"],
+            "simstudy": ["--design", design, "--reps", "2"],
+        }[command]
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert run(command, *flags, "--seed", "-1", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == "error: seed must be None or a nonnegative integer, got -1\n"
+        assert sorted(tmp_path.rglob("*")) == before  # nothing written
+
     def test_bad_flag_choice_raises_system_exit(self, tmp_path):
         with pytest.raises(SystemExit):
             run("simulate-cox", "--net", "x.json", "--rho-ym", "1",

@@ -690,3 +690,27 @@ class TestFlatSphereCounts:
         want = [sphere_counts_per_source(net, e[i : i + 1], o[i : i + 1], radii[rows == i][None])
                 for i in range(64)]
         assert np.array_equal(got, np.concatenate([w.ravel() for w in want]))
+
+    @pytest.mark.parametrize("count", [_SPHERE_CHUNK - 1, _SPHERE_CHUNK + 1, 2 * _SPHERE_CHUNK + 1])
+    def test_int32_positions_equal_int64_at_chunk_ends(self, monkeypatch, count):
+        # each chunk's first pair reads the first source at its first slot and its
+        # last pair the last source at its last slot, the highest flat position
+        net = make_network("random-tree", seed=2, edges=200)
+        rng = np.random.default_rng(count)
+        e, o = random_points(net, 64, rng)
+        rows = rng.integers(0, 64, count)
+        radii = pairwise_distances(net, (e, o), (net._vertex_canon_edge, net._vertex_canon_offset))[
+            rows, rng.integers(0, net.n_vertices, count)]
+        starts = np.arange(0, count, _SPHERE_CHUNK)
+        ends = np.minimum(starts + _SPHERE_CHUNK, count) - 1
+        rows[starts], radii[starts] = 0, np.nextafter(0.0, 1.0)
+        rows[ends], radii[ends] = 63, 1e9
+        got = _sphere_count_matrix(net, e, o, rows, radii)
+        monkeypatch.setattr(network, "_INT32_POSITIONS", 0)  # int64 positions
+        assert np.array_equal(got, _sphere_count_matrix(net, e, o, rows, radii))
+        want = np.empty(count, dtype=np.int64)
+        for i in range(64):
+            mine = rows == i
+            want[mine] = sphere_counts_per_source(net, e[i : i + 1], o[i : i + 1], radii[mine][None])[0]
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert (got[ends] == 2 + (net.degrees - 2)[net.degrees != 2].sum()).all()

@@ -25,7 +25,8 @@ from linnetcox import (
     spawn_generators,
 )
 from linnetcox.network import distance_matrix
-from linnetcox.simulate import _grf_values, _nearest_sites, _sorted_lattice_arrays
+from linnetcox import simulate
+from linnetcox.simulate import _grf_values, _nearest_sites, _recurrence, _sorted_lattice_arrays
 
 
 @pytest.fixture(scope="module")
@@ -264,6 +265,20 @@ class TestSpawn:
         with pytest.raises(ValidationError, match="nonnegative"):
             spawn_generators(42, -1)
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-7), 1.5])
+    def test_bad_seed_is_a_validation_error(self, path10, seed):
+        with pytest.raises(ValidationError, match="seed must be None or a nonnegative integer"):
+            spawn_generators(seed, 3)
+        with pytest.raises(ValidationError, match="seed must be None or a nonnegative integer"):
+            simulate.as_generator(seed)
+        with pytest.raises(ValidationError, match="seed must be None or a nonnegative integer"):
+            simulate_poisson(path10, 2.0, seed)
+
+    def test_seed_sequence_gives_the_integer_stream(self, path10):
+        for seed in (0, 7, np.int64(7)):
+            want = np.random.default_rng(seed).random(5)
+            assert np.array_equal(simulate.as_generator(seed).random(5), want)
+
 
 class TestMaternThin:
     def test_pairs_within_h_are_both_deleted(self, path10):
@@ -426,6 +441,39 @@ class TestTreeConditionalDraw:
                 sample_grf(y_net, [(0, 1.0)], beta=bad)
             with pytest.raises(ValidationError, match="finite"):
                 retention_field(np.zeros((1, 3)), bad)
+
+
+def recurrence_numpy(a, b, x0):
+    """The former row-wise loop of ``_conditional_draw``: one numpy multiply
+    and add of a length-k row per site."""
+    x, prev = np.empty_like(b), x0
+    for i in range(a.size):
+        prev = x[i] = a[i] * prev + b[i]
+    return x
+
+
+class TestRecurrenceOnFloats:
+    """The per-field float recurrence is the row-wise numpy loop, bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_equals_the_numpy_loop(self, k):
+        rng = np.random.default_rng(k)
+        for n in (1, 2, 500):
+            a, b = rng.uniform(0.0, 1.0, n), rng.standard_normal((n, k)) * 10.0 ** rng.integers(-8, 8, (n, 1))
+            x0 = rng.standard_normal(k)
+            got = _recurrence(a, b, x0)
+            assert got.dtype == np.float64 and got.tobytes() == recurrence_numpy(a, b, x0).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_draws_equal_those_of_the_numpy_loop(self, monkeypatch, grf_networks, k):
+        for name in ("dendrite", "strings"):
+            net = grf_networks[name]
+            e, o = _sites_with_vertices(net, 400, np.random.default_rng(k))
+            got = _grf_values(net, e, o, 0.1, k, np.random.default_rng(5))
+            with monkeypatch.context() as m:
+                m.setattr(simulate, "_recurrence", recurrence_numpy)
+                want = _grf_values(net, e, o, 0.1, k, np.random.default_rng(5))
+            assert got.tobytes() == want.tobytes()
 
 
 class TestGridNearestSite:

@@ -34,11 +34,13 @@ from linnetcox import (
     spawn_generators,
 )
 from linnetcox import summaries
+from linnetcox import network
 from linnetcox.network import distance_matrix
 from linnetcox.summaries import (
     PairData,
     _erosion_curve,
     _last_alive,
+    _stable_argsort,
     g_from_pairs,
     k_from_pairs,
     second_order_pairs,
@@ -784,6 +786,54 @@ def test_exact_zero_products_leave_j_undefined(fgj_patterns):
     TestFgjMatchesRowLoop.check(pattern, None)
 
 
+class TestStableOrder:
+    """K's order from the default sort plus the run tie-break is the stable argsort."""
+
+    @staticmethod
+    def check(x):
+        got, want = _stable_argsort(x), np.argsort(x, kind="stable")
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_heavy_ties_and_zeros(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in (2, 17, 1000, 40_000):
+            x = rng.integers(0, max(2, n // 50), n) / 8.0  # about 50 of each value
+            x[rng.random(n) < 0.2] = 0.0
+            self.check(x)
+            self.check(np.where(rng.random(n) < 0.5, -0.0, x))  # -0.0 ties with 0.0
+            self.check(np.sort(x)[::-1].copy())
+
+    def test_distinct_values_and_pair_distances(self, fgj_patterns):
+        self.check(np.random.default_rng(9).random(5000))
+        self.check(second_order_pairs(fgj_patterns["snapped"]).distances)
+
+    def test_one_and_no_elements(self):
+        self.check(np.array([3.5]))
+        self.check(np.array([0.0, 0.0]))
+        self.check(np.empty(0))
+
+
+class TestPairChunks:
+    """Pair data built one row chunk at a time has the bits of one chunk."""
+
+    @pytest.mark.parametrize("name", ["readme", "snapped"])
+    def test_chunks_change_no_bits(self, monkeypatch, fgj_patterns, name):
+        pattern = fgj_patterns[name]
+        for reach in (math.inf, 12.0, 0.0):
+            whole = second_order_pairs(pattern, None, reach)
+            with monkeypatch.context() as m:
+                m.setattr(network, "_DISTANCE_CHUNK", 37 * pattern.n)  # 37 rows a chunk
+                calls = []
+                counts = summaries._sphere_count_matrix
+                m.setattr(summaries, "_sphere_count_matrix",
+                          lambda net, e, o, rows, d: calls.append(e.size) or counts(net, e, o, rows, d))
+                chunked = second_order_pairs(pattern, None, reach)
+            assert calls == [37] * (pattern.n // 37) + [pattern.n % 37]
+            for a, b in ((whole.distances, chunked.distances), (whole.weights, chunked.weights)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestPairReach:
     """Pair data kept within a reach gives K and g the bits of all pairs,
     and refuses radii beyond it rather than undercounting."""
@@ -907,6 +957,23 @@ class TestErosionCurveMatchesDense:
         factors = rng.choice([0.0, -1e-13, 0.25, 0.5, 0.9, 1.0], n)
         leaf = rng.integers(0, 14, m) / 4.0
         r = rng.integers(0, 14, (3, 5)) / 4.0
+        self.check(dist, factors, leaf, r)
+
+
+    @pytest.mark.parametrize("rows_per_block", [1, 2, 3, 7, 29, 30])
+    def test_row_blocks_across_a_boundary(self, monkeypatch, rows_per_block):
+        # rows of very different widths, so each block pads to its own widest,
+        # in blocks of 1 to all 30 rows, the last one short where 30 is no multiple
+        rng = np.random.default_rng(rows_per_block)
+        m, n = 30, 60
+        dist = rng.integers(0, 24, (m, n)) / 4.0
+        dist[rng.random((m, n)) < np.linspace(0.0, 1.0, m)[:, None]] = np.inf
+        factors = rng.choice([0.0, 0.25, 0.5, 0.9, 0.999, 1.0], n)
+        leaf = rng.integers(0, 28, m) / 4.0
+        r = rng.integers(0, 28, 40) / 4.0
+        widest = (dist <= _last_alive(leaf, r)[:, None]).sum(axis=1).max()
+        assert widest > 10
+        monkeypatch.setattr(summaries, "_EROSION_BLOCK", rows_per_block * (widest + 1))
         self.check(dist, factors, leaf, r)
 
 
