@@ -415,12 +415,16 @@ def _point_arrays(net: LinearNetwork, pts) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pairwise_core(net, e1, o1, e2, o2) -> np.ndarray:
-    """Distances of ``(e1, o1)`` to ``(e2, o2)``, broadcast: ``(n, 1)`` by ``(m,)`` or a list; a
-    block reads ``D`` by whole rows of ``D[:, s2]`` and ``D[:, t2]``, a list from the raveled ``D``."""
+    """Distances of ``(e1, o1)`` to ``(e2, o2)``, broadcast: ``(n, 1)`` by ``(m,)`` or a list. A
+    block of fewer rows than ``D`` gathers ``D[x1, s2]`` and ``D[x1, t2]``; a taller one reads them
+    by whole rows of ``D[:, s2]`` and ``D[:, t2]``. A list reads the raveled ``D``."""
     D = net.vertex_distance_matrix
     s1, t1 = net.edge_start[e1], net.edge_end[e1]
     s2, t2 = net.edge_start[e2], net.edge_end[e2]
-    if e1.ndim == 2:
+    if e1.ndim == 2 and e1.shape[0] < D.shape[0]:
+        s1, t1, ends = s1[:, 0], t1[:, 0], (s2, t2)
+        def via(x1, j): return D[x1[:, None], ends[j]]
+    elif e1.ndim == 2:
         s1, t1, ends = s1[:, 0], t1[:, 0], (D[:, s2], D[:, t2])
         def via(x1, j): return ends[j][x1]  # D[x1, (s2, t2)[j]], gathered when used
     else:

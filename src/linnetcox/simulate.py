@@ -11,7 +11,7 @@ at the driving points themselves (no discretisation error). ``"grid"``
 samples the fields once on a lattice and assigns each driving point the
 value at its nearest lattice site — useful when the same field realisation
 must be reported or reused, as ``--save-pi`` does. Both draw the fields by
-sequential conditioning along the tree, without forming a matrix.
+one walk from the root to the leaves, without forming a matrix.
 Distances decide nearest sites; exact ties go to the site with the lowest
 edge id, then the lowest offset.
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .models import CoxModel, IntensityModel
 from .network import (
     LinearNetwork,
@@ -128,149 +128,53 @@ def simulate_poisson(net: LinearNetwork, intensity, seed=None) -> PointPattern:
     return PointPattern.from_indices(net, eidx, off)
 
 
-def _recurrence(a: np.ndarray, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Rows ``x_i = a_i x_{i-1} + b_i`` from ``x_{-1} = x0``, one column at a time on Python
-    floats: the IEEE multiply and add of a row-wise numpy loop, without a call per row."""
-    x, a = np.empty(b.shape), a.tolist()
-    for j, prev in enumerate(x0.tolist()):
-        col = []
-        for a_i, b_i in zip(a, b[:, j].tolist()):
-            prev = a_i * prev + b_i
-            col.append(prev)
-        x[:, j] = col
-    return x
-
-
-def _conditional_draw(net, ue, uo, beta, z) -> np.ndarray:
-    """``L @ z`` for the Cholesky factor ``L`` of ``exp(-beta * d)`` on the
-    distinct canonical sites ``(ue, uo)``, sorted by edge index then
-    offset, without forming ``L``.
-
-    Row ``i`` of a Cholesky draw is ``X_i = E[X_i | X_<i] + sd_i * z_i``.
-    The field is Markov along the tree, so given the sites drawn so far a
-    site on edge ``e`` depends only on two Gaussian messages: from the
-    previous site on ``e`` (or what reaches ``e``'s start vertex from
-    outside ``e``), and what reaches ``e``'s end vertex from outside
-    ``e``. A message N(m, v) carried a distance ``d`` becomes
-    N(rho * m, rho**2 * v + 1 - rho**2) with ``rho = exp(-beta * d)``;
-    messages meeting at a vertex combine by adding precisions in excess of
-    the unit prior. Along an edge the draw is :func:`_recurrence`, on Python
-    floats, from the start vertex's message.
-    """
-    ne, length = net.n_edges, net.edge_length
-    start, end = net.edge_start.tolist(), net.edge_end.tolist()
-    incident = net._incident
-    lo = np.searchsorted(ue, np.arange(ne + 1))  # edge f's sites: lo[f]:lo[f+1]
-    below = np.where(lo[1:] > lo[:-1], np.arange(ne), ne)
-    lo = lo.tolist()
-    tiny = np.finfo(np.float64).tiny
-    underflow = NumericalError(
-        f"conditional variance underflowed to 0 (beta={beta:g} is too small "
-        "for the distances between sites)"
-    )
-
-    def far(f, w):
-        return end[f] if start[f] == w else start[f]
-
-    def carry(m, v, d):
-        rho = math.exp(-beta * d)
-        return rho * m, rho * rho * v - math.expm1(-2.0 * beta * d)
-
-    # The network's preorder is rooted at edge 0's start. below[f] is the lowest
-    # index of an edge with sites among f and everything beyond it away from the root.
-    parent = net._parent_edge
-    for u in reversed(net._preorder[1:]):
-        up = parent[far(parent[u], u)]
-        if up >= 0:
-            below[up] = min(below[up], below[parent[u]])
-    below = below.tolist()
-
-    def drawn(f, cur):
-        return f < cur and lo[f] < lo[f + 1]
-
-    def silent(w, f, cur):
-        # Nothing is drawn yet beyond w's child edge f: it sends the prior.
-        return parent[w] != f and below[f] >= cur
-
-    x = np.empty_like(z)
-    known = {}  # vertex -> drawn value, once its canonical site is drawn
-
-    def outside(w0, skip, cur):
-        """N(mean, var) at vertex w0 given the drawn sites beyond every
-        incident edge but ``skip``. Iterative: paths may be long."""
-        walk, stack = [], [(w0, skip)]
-        while stack:
-            w, via = stack.pop()
-            walk.append((w, via))
-            if w in known:
-                continue
-            for f in incident[w]:
-                if f != via and not silent(w, f, cur) and not drawn(f, cur):
-                    stack.append((far(f, w), f))
-        msg = {}
-        for w, via in reversed(walk):
-            if w in known:
-                msg[w] = (known[w], 0.0)
-                continue
-            prec, eta = 1.0, np.zeros(z.shape[1])
-            for f in incident[w]:
-                if f == via or silent(w, f, cur):
-                    continue
-                if drawn(f, cur):
-                    # f's site nearest to w screens the rest of the branch.
-                    at_start = start[f] == w
-                    j = lo[f] if at_start else lo[f + 1] - 1
-                    mean, var = carry(x[j], 0.0, uo[j] if at_start else length[f] - uo[j])
-                else:
-                    mean, var = carry(*msg[far(f, w)], length[f])
-                if not var >= tiny:
-                    raise underflow
-                prec += 1.0 / var - 1.0
-                eta = eta + mean / var
-            msg[w] = (eta / prec, 1.0 / prec)
-        return msg[w0]
-
-    for e in range(ne):
-        if lo[e] == lo[e + 1]:
-            continue
-        m_s, v_s = outside(start[e], e, e)
-        m_t, v_t = outside(end[e], e, e)
-        o = uo[lo[e]:lo[e + 1]]
-        # Left: the previous site, or the start vertex for the first.
-        d_l = np.diff(o, prepend=0.0)
-        rho_l = np.exp(-beta * d_l)
-        v_l = -np.expm1(-2.0 * beta * d_l)
-        v_l[0] += rho_l[0] ** 2 * v_s
-        # Right: the end vertex, seen from outside e.
-        d_r = length[e] - o
-        rho_r = np.exp(-beta * d_r)
-        v_r = rho_r**2 * v_t - np.expm1(-2.0 * beta * d_r)
-        if not min(v_l.min(), v_r.min()) >= tiny:
-            raise underflow
-        tau = 1.0 / v_l + 1.0 / v_r - 1.0
-        a = rho_l / (v_l * tau)
-        b = np.outer(rho_r / (v_r * tau), m_t) + z[lo[e]:lo[e + 1]] / np.sqrt(tau)[:, None]
-        x[lo[e]:lo[e + 1]] = _recurrence(a, b, m_s)
-        if o[0] == 0.0:
-            known[start[e]] = x[lo[e]]
-        if o[-1] == length[e]:
-            known[end[e]] = x[lo[e + 1] - 1]
+def _recurrence(pred: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows ``x_i = a_i x_pred[i] + b_i``, ``pred[i] < i``, where row -1 is zero: one column
+    at a time on Python floats, the IEEE multiply and add of a row-wise numpy loop."""
+    x, pred, a = np.empty(b.shape), (pred + 1).tolist(), a.tolist()
+    for j in range(b.shape[1]):
+        col = [0.0]  # col[i + 1] is row i
+        for p, a_i, b_i in zip(pred, a, b[:, j].tolist()):
+            col.append(a_i * col[p] + b_i)
+        x[:, j] = col[1:]
     return x
 
 
 def _grf_values(net, eidx, off, beta, k, rng) -> np.ndarray:
-    """Joint field values, shape (k, n). Coincident sites share values."""
-    n = eidx.size
+    """Joint field values at the canonical sites ``(eidx, off)``, shape (k, n).
+
+    One walk from the root to the leaves: each vertex, in preorder, follows
+    the sites on the edge to its parent, walked from the parent end. A step
+    a distance ``d`` past the one before it on its path to the root is
+    ``X = rho * X_before + sqrt(1 - rho**2) * z`` with ``rho = exp(-beta * d)``
+    (``d = inf`` at the root), so a coincident site, at ``d = 0``, copies
+    the value. ``z`` is ``n + V`` standard normals per field, in walk order.
+    """
+    n, nv = eidx.size, net.n_vertices
     if n == 0:
         return np.empty((k, 0))
-    # Sites are canonical, so coincident sites are equal pairs: draw once
-    # per distinct location, in (edge index, offset) order.
-    stacked = np.stack([eidx.astype(np.float64), off])
-    uniq, inverse = np.unique(stacked, axis=1, return_inverse=True)
-    ue, uo = uniq[0].astype(np.intp), uniq[1]
-    z = rng.standard_normal((ue.size, k))
-    unique_vals = _conditional_draw(net, ue, uo, beta, z)  # (n_unique, k)
-    return unique_vals[np.asarray(inverse).ravel(), :].T
+    order, up = np.asarray(net._preorder), np.asarray(net._parent_edge)  # up is -1 at the root
+    start, end, length = net.edge_start, net.edge_end, net.edge_length
+    child = np.empty(net.n_edges, dtype=np.intp)  # each edge's end away from the root
+    child[up[order[1:]]] = order[1:]
+    parent = np.where(up >= 0, start[up] + end[up] - np.arange(nv), -1)
+    turn = np.empty(nv, dtype=np.intp)
+    turn[order] = np.arange(nv)
+    # Entries 0..n-1 are the sites and n + v is vertex v. A site walks in its edge's child
+    # vertex's turn, at its distance from the parent end; the stable sort puts the child last.
+    owner = np.r_[child[eidx], np.arange(nv)]
+    head = np.r_[np.where(start[eidx] == child[eidx], length[eidx] - off, off),
+                 np.where(up >= 0, length[up], np.inf)]
+    walk = np.lexsort((head, turn[owner]))
+    rank = np.empty(n + nv, dtype=np.intp)
+    rank[walk] = np.arange(n + nv)
+    owner, t = owner[walk], head[walk]
+    same = np.r_[False, owner[1:] == owner[:-1]]  # follows the step before, else the parent
+    d = np.where(same, t - np.r_[0.0, t[:-1]], t)
+    pred = np.where(same, np.arange(n + nv) - 1, rank[n + parent[owner]])
+    pred[0] = -1  # the root, at d = inf
+    b = np.sqrt(-np.expm1(-2.0 * beta * d))[:, None] * rng.standard_normal((n + nv, k))
+    return _recurrence(pred, np.exp(-beta * d), b)[rank[:n]].T
 
 
 def sample_grf(net: LinearNetwork, sites, beta: float, k: int = 1, seed=None) -> GRFSample:
@@ -278,16 +182,14 @@ def sample_grf(net: LinearNetwork, sites, beta: float, k: int = 1, seed=None) ->
 
     The fields have correlation ``exp(-beta * d(u, v))`` in the
     shortest-path metric, which is a valid correlation on trees because
-    the field is Markov along the tree. The draw is ``L @ z`` for the
-    Cholesky factor ``L`` of that correlation on the distinct sites in
-    (edge index, offset) order and standard normals ``z``, computed one
-    site at a time by conditioning on the sites already drawn: two
-    Gaussian messages per site, passed along the tree from the nearest
-    drawn sites. No matrix is formed; the cost is linear in the number of
-    sites plus the tree walked between them, and memory is linear.
-
-    Raises :class:`NumericalError` when ``beta`` times a distance between
-    sites is so small that a conditional variance underflows to 0.
+    the field is Markov along every path. So one walk from the root to the
+    leaves draws it exactly: each vertex in preorder, after the sites on
+    the edge to its parent in order from the parent end, each from the
+    step before it on its path to the root. The draw is ``L @ z`` for the
+    Cholesky factor ``L`` of that correlation in walk order and ``n + V``
+    standard normals ``z``; coincident sites get equal values. No matrix
+    is formed, and time and memory are linear in the sites plus the
+    vertices.
     """
     if not 0.0 < beta < math.inf:
         raise ValidationError(f"beta must be positive and finite, got {beta}")

@@ -1,10 +1,19 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from linnetcox import Edge, LinearNetwork, ValidationError, Vertex
+from linnetcox import Edge, LinearNetwork, ValidationError, Vertex, load_pattern
 from linnetcox.simulate import as_generator
+
+DATA = Path(__file__).parent / "data"
+
+
+def frozen_pattern(name, net):
+    """A pattern saved under ``tests/data`` (see its README for how each was drawn)."""
+    return load_pattern(DATA / f"{name}.csv", net)
 
 
 @pytest.fixture
@@ -75,17 +84,34 @@ def random_points(net, n, rng):
 def dense_grf_values(net, eidx, off, beta, k, rng):
     """Gaussian fields by a dense Cholesky factor, shape (k, n).
 
-    The draw the sequential tree sampler must reproduce: ``L @ z`` for
-    ``L = cholesky(exp(-beta * d))`` on the distinct sites in
-    (edge index, offset) order, ``z = rng.standard_normal((n_unique, k))``,
-    with ``d`` from :func:`oracle_distances`.
+    The draw the tree walk must reproduce. The walk takes the vertices in
+    ``net._preorder``, each after the sites on the edge to its parent in
+    order from the parent end, and ``z = rng.standard_normal((V + n, k))``
+    row by row in that order. Here ``L = cholesky(exp(-beta * d))`` over the
+    distinct locations in walk order, with ``d`` from
+    :func:`oracle_distances`, and a location's value is ``L @ z`` over the
+    rows of its first visits.
     """
-    stacked = np.stack([np.asarray(eidx, dtype=np.float64), off])
-    uniq, inverse = np.unique(stacked, axis=1, return_inverse=True)
-    sites = list(zip(uniq[0].astype(np.intp), uniq[1]))
-    chol = np.linalg.cholesky(np.exp(-beta * oracle_distances(net, sites)))
-    z = rng.standard_normal((len(sites), k))
-    return (chol @ z)[np.asarray(inverse).ravel()].T
+    eidx, off = np.asarray(eidx), np.asarray(off)
+    walk = [("vertex", net._preorder[0])]
+    for v in net._preorder[1:]:
+        f = net._parent_edge[v]
+        on_f = np.nonzero(eidx == f)[0]
+        from_start = net.edge_start[f] != v
+        on_f = on_f[np.argsort(off[on_f] if from_start else -off[on_f], kind="stable")]
+        walk += [("site", i) for i in on_f] + [("vertex", v)]
+    places, first, row = {}, [], {}
+    for step, (kind, i) in enumerate(walk):
+        place = ((int(net._vertex_canon_edge[i]), float(net._vertex_canon_offset[i]))
+                 if kind == "vertex" else (int(eidx[i]), float(off[i])))
+        if place not in places:
+            places[place] = len(first)
+            first.append(step)
+        row[kind, i] = places[place]
+    chol = np.linalg.cholesky(np.exp(-beta * oracle_distances(net, list(places))))
+    z = rng.standard_normal((len(walk), k))
+    values = chol @ z[first]
+    return values[[row["site", i] for i in range(eidx.size)]].T
 
 
 def _segment_pair_samples(net, samples, rng):

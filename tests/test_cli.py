@@ -196,7 +196,7 @@ class TestSimulate:
         [
             (["--sigma2", "5", "--beta", "inf"], 2),
             (["--sigma2", "inf", "--beta", "0.1"], 2),
-            (["--sigma2", "5", "--beta", "1e-320"], 3),
+            (["--sigma2", "5", "--beta", "0"], 2),
             (["--sigma2", "5", "--beta", "0.1", "--reps", "-1"], 2),
         ],
     )
@@ -211,6 +211,15 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "x" / "pattern_0000.csv").exists()
+
+    def test_subnormal_beta_simulates(self, tmp_path, dendrite_file):
+        # the field walk divides by nothing, so a subnormal beta gives a constant field
+        rc = run(
+            "simulate-cox", "--net", dendrite_file, "--rho-ym", "0.8", "--sigma2", "5",
+            "--beta", "1e-320", "--out", tmp_path / "x",
+        )
+        assert rc == 0
+        assert (tmp_path / "x" / "pattern_0000.csv").exists()
 
     @pytest.mark.parametrize("spacing", ["inf", "nan", "0"])
     def test_bad_grid_spacing_exits_2(self, tmp_path, dendrite_file, capsys, spacing):

@@ -49,7 +49,7 @@ from linnetcox.estimation import (
 from linnetcox.network import distance_matrix
 from linnetcox.summaries import _intensity_at_points
 
-from conftest import _segment_pair_samples, mc_double_integral
+from conftest import _segment_pair_samples, frozen_pattern, mc_double_integral
 
 
 @pytest.fixture(scope="module")
@@ -395,8 +395,7 @@ class TestCl2Workspace:
         # 5x the README intensity, seed 77 replicate 0 (n = 1056): the
         # all-pairs workspace kept 9 MB, the pairs within r0 take 0.2 MB
         net = make_network("dendrite", seed=7)
-        gen = spawn_generators(np.random.SeedSequence(77).spawn(1)[0], 1)[0]
-        pattern = simulate_cox(net, CoxModel(4.0, 6.0, 5.0, 0.1), seed=gen).pattern
+        pattern = frozen_pattern("seed77_5x_rep0", net)
         assert pattern.n == 1056
         r0 = 5.0 * net.total_length / pattern.n
         _Cl2Workspace(pattern, r0)  # the network's cached distances are not the workspace's
@@ -628,8 +627,7 @@ class TestCl2:
         # criterion 07's replicate 12 at range 0.1 |L| (the old default's
         # first stage) heads for beta -> 0 and stops with a large score
         net = make_network("dendrite", seed=4, side_target=650.0)
-        gen = spawn_generators(np.random.SeedSequence(2026).spawn(1)[0], 13)[12]
-        pattern = simulate_cox(net, CoxModel(0.8, 1.2, 5.0, 0.1), seed=gen).pattern
+        pattern = frozen_pattern("criterion07_rep12", net)
         res = cl2_fit(pattern, config=Cl2Config(r0=0.1 * net.total_length))
         assert res.beta < 1e-8 and not res.converged
 

@@ -619,6 +619,22 @@ class TestPairsWithin:
             tracemalloc.stop()
         assert 0 < rows.size and peak < 16e6
 
+    def test_few_sources_on_many_vertices_allocate_little(self):
+        # 8 sources against ~1000 vertices: the distances gather the sources'
+        # rows of D, not two V x V' blocks of whole rows (9.4 MB)
+        net = make_network("random-tree", seed=5, edges=1000)
+        rng = np.random.default_rng(8)
+        e, o = random_points(net, 8, rng)
+        rows, radii = np.repeat(np.arange(8), 4), rng.uniform(0.0, 60.0, 32)
+        want = sphere_counts_per_source(net, e, o, radii.reshape(8, 4)).ravel()
+        tracemalloc.start()
+        try:
+            got = _sphere_count_matrix(net, e, o, rows, radii)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want) and peak < 1e6
+
     def test_empty_inputs_warn_nothing(self):
         net = make_network("dendrite", seed=7)
         e, o = random_points(net, 5, np.random.default_rng(0))

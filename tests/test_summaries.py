@@ -31,7 +31,6 @@ from linnetcox import (
     pairwise_distances,
     simulate_cox,
     simulate_poisson,
-    spawn_generators,
 )
 from linnetcox import summaries
 from linnetcox import network
@@ -46,7 +45,7 @@ from linnetcox.summaries import (
     second_order_pairs,
 )
 
-from conftest import oracle_distances
+from conftest import frozen_pattern, oracle_distances
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -711,18 +710,16 @@ def fgj_row_loop(pattern, config, r):
 def fgj_patterns():
     """The README pattern, it snapped to each edge's 1 um lattice (some
     points land on vertices), a 900-point pattern at 5x the intensity, and
-    one- and zero-point patterns."""
+    one- and zero-point patterns. The first two are frozen in files."""
     net = make_network("dendrite", seed=7)
-    readme = simulate_cox(net, CoxModel(0.8, 1.2, 5.0, 0.1), seed=spawn_generators(3, 3)[0]).pattern
+    readme = frozen_pattern("readme_seed3", net)
     length = net.edge_length[readme.edge_indices]
     steps = np.ceil(length)
     snapped = np.round(readme.offsets / length * steps) * length / steps
-    dense = simulate_cox(net, CoxModel(4.0, 6.0, 5.0, 0.1), seed=5).pattern
-    keep = np.sort(np.random.default_rng(5).choice(dense.n, 900, replace=False))
     pats = {
         "readme": readme,
         "snapped": PointPattern.from_indices(net, readme.edge_indices, snapped),
-        "dense": PointPattern.from_indices(net, dense.edge_indices[keep], dense.offsets[keep]),
+        "dense": frozen_pattern("dense_900", net),
         "one": PointPattern.from_indices(net, readme.edge_indices[:1], readme.offsets[:1]),
         "zero": PointPattern.from_indices(net, readme.edge_indices[:0], readme.offsets[:0]),
     }
