@@ -471,6 +471,19 @@ class TestKernelIntensity:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("flags", [["--bandwidth", "1e300"],
+                                       ["--bandwidth", "5", "--spacing", "1e-300"]],
+                             ids=["diffusion-time-overflows", "node-count-overflows"])
+    def test_unrepresentable_grid_exits_2(self, tmp_path, dendrite_file, pattern_file, capsys,
+                                          flags):
+        out = tmp_path / "x.csv"
+        rc = run("kernel-intensity", "--net", dendrite_file, "--pattern", pattern_file, *flags,
+                 "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestEnvelope:
     def test_poisson_null_outputs(self, tmp_path, dendrite_file, pattern_file):
@@ -832,15 +845,16 @@ def _fresh_scipy_modules(code: str) -> list[str]:
 
 
 class TestScipyStaysUnloaded:
-    """Every step but ``kernel-intensity`` starts and runs without paying for
-    scipy's import: the fits' searches are the package's own (``_optimize``)."""
+    """Every step, ``kernel-intensity`` included, starts and runs without paying for
+    scipy's import: the fits' searches are the package's own (``_optimize``) and the
+    kernel intensity's implicit steps are solved by elimination on the tree."""
 
     def test_import(self):
         assert _fresh_scipy_modules("import linnetcox") == []
 
     @pytest.mark.parametrize("step", ["make-network", "simulate-cox", "summaries", "envelope-K",
                                       "envelope-FGJ", "fit-mce-g", "fit-mce-k", "fit-cl2",
-                                      "simstudy"])
+                                      "simstudy", "kernel-intensity"])
     def test_cli_step(self, tmp_path, dendrite_file, pattern_file, step):
         fit_file = tmp_path / "fit.json"
         assert run("fit", "--net", dendrite_file, "--pattern", pattern_file, "--method", "mce-g",
@@ -870,6 +884,7 @@ class TestScipyStaysUnloaded:
             "fit-cl2": [*fit, "--method", "cl2"],
             "simstudy": ["simstudy", "--design", design, "--reps", "2", "--seed", "1",
                          "--out", tmp_path / "study.csv"],
+            "kernel-intensity": ["kernel-intensity", "--bandwidth", "5", *common],
         }[step]
         code = f"from linnetcox.cli import main\nassert main({[str(a) for a in argv]!r}) == 0"
         assert _fresh_scipy_modules(code) == []

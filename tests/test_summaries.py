@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import integrate
+from scipy import integrate, sparse
+from scipy.sparse.linalg import splu
 
 from linnetcox import (
     CoxModel,
@@ -132,6 +133,96 @@ class TestKernelIntensity:
         est = kernel_intensity(path10, PointPattern(path10, [(0, 5.0)]), bandwidth=1.0)
         vals = est.at_points([(0, 5.0), (0, 9.9)])
         assert vals[0] > vals[1] > 0
+
+
+def splu_kernel_intensity(net, pattern, bandwidth):
+    """The reference heat-kernel estimate: the finite-volume Laplacian assembled as a sparse
+    matrix, each of the 64 implicit steps solved by scipy's general sparse LU."""
+    spacing, steps = bandwidth / 10.0, 64
+    chains, edge_h, next_node = [], np.empty(net.n_edges), net.n_vertices
+    for ei in range(net.n_edges):
+        nseg = max(1, round(net.edge_length[ei] / spacing))
+        edge_h[ei] = net.edge_length[ei] / nseg
+        chains.append(np.r_[net.edge_start[ei], np.arange(next_node, next_node + nseg - 1),
+                            net.edge_end[ei]])
+        next_node += nseg - 1
+    rows, cols, vals, cell = [], [], [], np.zeros(next_node)
+    for chain, h in zip(chains, edge_h):
+        a, b = chain[:-1], chain[1:]
+        rows.extend([a, b, a, b])
+        cols.extend([b, a, a, b])
+        vals.extend([np.full(a.size, v / h) for v in (-1.0, -1.0, 1.0, 1.0)])
+        np.add.at(cell, a, h / 2.0)
+        np.add.at(cell, b, h / 2.0)
+    lap = sparse.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                            shape=(next_node, next_node))
+    mass = sparse.diags(cell, format="csc")
+    f = np.zeros(next_node)
+    for ei, off in zip(pattern.edge_indices, pattern.offsets):
+        chain, pos = chains[ei], off / edge_h[ei]
+        left = min(int(pos), chain.size - 2)
+        f[chain[left]] += (1.0 - (pos - left)) / cell[chain[left]]
+        f[chain[left + 1]] += (pos - left) / cell[chain[left + 1]]
+    dt = bandwidth**2 / 2.0 / steps
+    solver = splu(mass + (dt / 2.0) * lap)
+    for _ in range(4):
+        f = solver.solve(mass @ f)
+    for _ in range(steps - 2):
+        f = solver.solve((mass - (dt / 2.0) * lap) @ f)
+    return [h * np.arange(c.size) for h, c in zip(edge_h, chains)], [f[c] for c in chains]
+
+
+def kernel_cases():
+    """(network, pattern, bandwidth) for the small fixtures, the dendrite at three
+    bandwidths and the 200-edge random tree."""
+    path = LinearNetwork([Vertex(0), Vertex(1)], [Edge(0, 0, 1, 10.0, "main")])
+    y = LinearNetwork([Vertex("O"), Vertex("A"), Vertex("B"), Vertex("C")],
+                      [Edge(0, "O", "A", 3.0, "main"), Edge(1, "O", "B", 4.0, "side"),
+                       Edge(2, "O", "C", 5.0, "side")])
+    dendrite = make_network("dendrite", seed=7)
+    readme = frozen_pattern("readme_seed3", dendrite)
+    tree = make_network("random-tree", seed=2, edges=200)
+    return {
+        "path10": (path, PointPattern(path, [(0, 0.0), (0, 2.5), (0, 7.3), (0, 10.0)]), 1.0),
+        "y_net": (y, PointPattern(y, [(0, 0.5), (1, 4.0), (2, 2.2), (2, 2.2)]), 1.0),
+        "dendrite-10": (dendrite, readme, 10.0),
+        "dendrite-5": (dendrite, readme, 5.0),
+        "dendrite-2": (dendrite, readme, 2.0),
+        "tree200": (tree, simulate_poisson(tree, 0.5, seed=2), 5.0),
+    }
+
+
+class TestKernelIntensityByTreeElimination:
+    @pytest.mark.parametrize("case", list(kernel_cases()))
+    def test_matches_sparse_lu(self, case):
+        net, pattern, bandwidth = kernel_cases()[case]
+        est = kernel_intensity(net, pattern, bandwidth)
+        offsets, values = splu_kernel_intensity(net, pattern, bandwidth)
+        for got, want in zip(est.edge_offsets, offsets):
+            assert np.array_equal(got, want)
+        got, want = np.concatenate(est.edge_values), np.concatenate(values)
+        assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want.max())
+
+    @pytest.mark.parametrize("case", list(kernel_cases()))
+    def test_integral_is_the_point_count(self, case):
+        net, pattern, bandwidth = kernel_cases()[case]
+        assert_allclose(kernel_intensity(net, pattern, bandwidth).integral(), pattern.n,
+                        rtol=1e-12)
+
+    def test_at_points_is_np_interp_on_each_edge(self):
+        net, pattern, bandwidth = kernel_cases()["dendrite-5"]
+        est = kernel_intensity(net, pattern, bandwidth)
+        rng = np.random.default_rng(4)
+        # both ends of every edge (each end vertex is shared), every grid node, random points
+        e = np.r_[np.arange(net.n_edges), np.arange(net.n_edges), rng.integers(0, net.n_edges, 500)]
+        o = np.r_[np.zeros(net.n_edges), net.edge_length, rng.uniform(0, net.edge_length[e[-500:]])]
+        nodes = np.repeat(np.arange(net.n_edges), [x.size for x in est.edge_offsets])
+        inside = np.concatenate(est.edge_offsets) <= net.edge_length[nodes]
+        e = np.r_[e, nodes[inside]]
+        o = np.r_[o, np.concatenate(est.edge_offsets)[inside]]
+        want = np.array([np.interp(oi, est.edge_offsets[ei], est.edge_values[ei])
+                         for ei, oi in zip(e, o)])
+        assert_allclose(est.at_points((e, o)), want, rtol=1e-14)
 
 
 class TestPairCorrelation:
