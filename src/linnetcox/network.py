@@ -170,7 +170,7 @@ class LinearNetwork:
             raise ValidationError("network contains a cycle; only trees are supported")
 
         self._preorder, self._parent_edge = order, up
-        self.vertex_distance_matrix = D = self._tree_distances(order, up)
+        self.vertex_distance_matrix = D = self._tree_distances()
         # E x E least distance between two edges: their nearest endpoint pair
         self._edge_gap = np.minimum(np.minimum(D[np.ix_(start, start)], D[np.ix_(start, end)]),
                                     np.minimum(D[np.ix_(end, start)], D[np.ix_(end, end)]))
@@ -198,19 +198,15 @@ class LinearNetwork:
         self.side_length = float(length[side].sum())
         self.main_length = self.total_length - self.side_length
 
-    def _tree_distances(self, order: list[int], up: list[int]) -> np.ndarray:
+    def _tree_distances(self) -> np.ndarray:
         """V x V path lengths, summed edge by edge from the source as Dijkstra sums them.
 
-        ``t[target, source]`` in preorder positions, where each subtree is a
-        slice: reverse preorder extends the sources below each vertex up to
-        its parent, then preorder extends all other sources down to it.
+        ``t[target, source]`` in walk positions (the vertex-only :func:`_walk`, a preorder),
+        where each subtree is a slice: reverse preorder extends the sources below each vertex
+        up to its parent, then preorder extends all other sources down to it.
         """
-        nv = len(order)
-        pos = np.empty(nv, dtype=np.intp)
-        pos[order] = np.arange(nv)
-        edge = [up[v] for v in order[1:]]  # each non-root's edge to its parent, in preorder
-        par = [0] + pos[self.edge_start[edge] + self.edge_end[edge] - order[1:]].tolist()
-        w = [0.0] + self.edge_length[edge].tolist()
+        pos, par, w, _ = _walk(self, np.empty(0, np.intp), np.empty(0))
+        nv, par, w = pos.size, par.tolist(), w.tolist()  # index 0, the root, is never read
         hi = list(range(1, nv + 1))  # end of each subtree's slice
         t = np.zeros((nv, nv))
         for i in range(nv - 1, 0, -1):
@@ -271,20 +267,9 @@ class LinearNetwork:
         off = float(offset)
         ln = self.edge_length[ei]
         if not (0.0 <= off <= ln):
-            raise ValidationError(
-                f"offset {off!r} outside [0, {ln!r}] on edge {edge_id!r}"
-            )
-        ei, off = self._canonicalize_scalar(ei, off)
-        return NetworkPoint(self.edges[ei].id, off)
-
-    def _canonicalize_scalar(self, ei: int, off: float) -> tuple[int, float]:
-        if off == 0.0:
-            w = self.edge_start[ei]
-        elif off == self.edge_length[ei]:
-            w = self.edge_end[ei]
-        else:
-            return ei, off
-        return int(self._vertex_canon_edge[w]), float(self._vertex_canon_offset[w])
+            raise ValidationError(f"offset {off!r} outside [0, {ln!r}] on edge {edge_id!r}")
+        (ei,), (off,) = self._canonicalize_arrays([ei], [off])
+        return NetworkPoint(self.edges[ei].id, float(off))
 
     def _canonicalize_arrays(
         self, eidx: np.ndarray, off: np.ndarray
@@ -592,6 +577,26 @@ def erode(net: LinearNetwork, r: float) -> SubNetwork:
     return SubNetwork(net, idx, lo[idx], hi[idx])
 
 
+def _lattice(net: LinearNetwork, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    """The points of :func:`lattice` as canonical ``(edge index, offset)`` arrays, in its
+    order: the ``j``-th point of an edge cut into ``nseg`` lies at ``length * (j / nseg)``,
+    and a vertex is kept at its first occurrence."""
+    if not 0 < spacing < math.inf:
+        raise ValidationError(f"lattice spacing must be positive and finite, got {spacing}")
+    with np.errstate(over="ignore"):  # an overflowing count is rejected, not warned about
+        nseg = np.maximum(1.0, np.ceil(net.edge_length / spacing))
+    if not float(nseg.sum()) + net.n_edges < np.iinfo(np.intp).max:
+        raise ValidationError(f"lattice spacing {spacing} makes too many lattice points")
+    nseg = nseg.astype(np.intp)
+    e = np.repeat(np.arange(net.n_edges), nseg + 1)
+    j = np.arange(e.size) - np.repeat(np.cumsum(nseg + 1) - nseg - 1, nseg + 1)
+    off = net.edge_length[e] * (j / nseg[e])
+    vtx = np.where(off == 0.0, net.edge_start[e], np.where(off == net.edge_length[e], net.edge_end[e], -1))
+    keep = vtx < 0
+    keep[np.unique(vtx, return_index=True)[1]] = True
+    return net._canonicalize_arrays(e[keep], off[keep])
+
+
 def lattice(net: LinearNetwork, spacing: float) -> list[NetworkPoint]:
     """Equidistant points covering every edge, endpoints included.
 
@@ -600,19 +605,53 @@ def lattice(net: LinearNetwork, spacing: float) -> list[NetworkPoint]:
     vertices appear once, in canonical form. Order: edges in input order,
     offsets increasing.
     """
-    if not 0 < spacing < math.inf:
-        raise ValidationError(f"lattice spacing must be positive and finite, got {spacing}")
-    pts: list[NetworkPoint] = []
-    seen: set[tuple[int, float]] = set()
-    for ei in range(net.n_edges):
-        ln = net.edge_length[ei]
-        nseg = max(1, math.ceil(ln / spacing))
-        for j in range(nseg + 1):
-            ci, co = net._canonicalize_scalar(ei, ln * (j / nseg))
-            if (ci, co) not in seen:
-                seen.add((ci, co))
-                pts.append(NetworkPoint(net.edges[ci].id, co))
-    return pts
+    e, off = _lattice(net, spacing)
+    return [NetworkPoint(net.edges[i].id, o) for i, o in zip(e.tolist(), off.tolist())]
+
+
+def _walk(net: LinearNetwork, eidx: np.ndarray, off: np.ndarray) -> tuple:
+    """One walk from the root to the leaves over the sites ``(eidx, off)`` (entries ``0..n-1``)
+    and the vertices (entry ``n + v``): each vertex in ``net._preorder`` follows the sites on
+    the edge to its parent, walked from the parent end, ties in entry order. Returns each
+    entry's walk position ``rank`` and, by walk position, ``pred``, the position of the step
+    before it on its path to the root, ``d``, its distance from there, and the step's ``edge``
+    (-1, inf and -1 at the root)."""
+    n, nv = eidx.size, net.n_vertices
+    up = np.asarray(net._parent_edge)  # each vertex's edge to its parent, -1 at the root
+    start, end, length = net.edge_start, net.edge_end, net.edge_length
+    child = np.where(up[start] == np.arange(net.n_edges), start, end)  # the end away from the root
+    parent = np.where(up >= 0, start[up] + end[up] - np.arange(nv), -1)
+    turn = np.argsort(net._preorder)  # each vertex's place in the preorder
+    # A site walks in its edge's child vertex's turn, at its distance from the parent end;
+    # the stable sort puts the child last.
+    owner = np.r_[child[eidx], np.arange(nv)]
+    head = np.r_[np.where(start[eidx] == child[eidx], length[eidx] - off, off),
+                 np.where(up >= 0, length[up], np.inf)]
+    walk = np.lexsort((head, turn[owner]))
+    rank = np.empty(n + nv, dtype=np.intp)
+    rank[walk] = np.arange(n + nv)
+    owner, t = owner[walk], head[walk]
+    same = np.r_[False, owner[1:] == owner[:-1]]  # follows the step before, else the parent
+    d = np.where(same, t - np.r_[0.0, t[:-1]], t)
+    pred = np.where(same, np.arange(n + nv) - 1, rank[n + parent[owner]])
+    pred[0] = -1  # the root, at d = inf
+    return rank, pred, d, up[owner]
+
+
+def _recurrence(pred, a, b: np.ndarray) -> np.ndarray:
+    """Rows ``x_i = a_i x_pred[i] + b_i``, ``pred[i] < i``, where row -1 is zero: one column
+    at a time on Python floats, the IEEE multiply and add of a row-wise numpy loop. A caller
+    that reuses ``pred`` and ``a`` may pass them once converted, as the lists
+    ``(pred + 1).tolist()`` and ``a.tolist()``."""
+    if isinstance(pred, np.ndarray):
+        pred, a = (pred + 1).tolist(), a.tolist()
+    x = np.empty(b.shape)
+    for j in range(b.shape[1]):
+        col = [0.0]  # col[i + 1] is row i
+        for p, a_i, b_i in zip(pred, a, b[:, j].tolist()):
+            col.append(a_i * col[p] + b_i)
+        x[:, j] = col[1:]
+    return x
 
 
 # -- sphere counts ---------------------------------------------------------

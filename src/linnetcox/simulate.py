@@ -11,7 +11,9 @@ at the driving points themselves (no discretisation error). ``"grid"``
 samples the fields once on a lattice and assigns each driving point the
 value at its nearest lattice site — useful when the same field realisation
 must be reported or reused, as ``--save-pi`` does. Both draw the fields by
-one walk from the root to the leaves, without forming a matrix.
+one walk from the root to the leaves, without forming a matrix. The walk
+and the lattice are laid out by :mod:`linnetcox.network` (``_walk``,
+``_lattice``), which the kernel intensity and the vertex distances share.
 Distances decide nearest sites; exact ties go to the site with the lowest
 edge id, then the lowest offset.
 
@@ -31,8 +33,10 @@ from .models import CoxModel, IntensityModel
 from .network import (
     LinearNetwork,
     PointPattern,
-    distance_matrix,
-    lattice,
+    _lattice,
+    _pairs_within,
+    _recurrence,
+    _walk,
     pairwise_distances,  # noqa: F401  (perfbench/spans.py wraps it by this name)
 )
 
@@ -128,52 +132,17 @@ def simulate_poisson(net: LinearNetwork, intensity, seed=None) -> PointPattern:
     return PointPattern.from_indices(net, eidx, off)
 
 
-def _recurrence(pred: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rows ``x_i = a_i x_pred[i] + b_i``, ``pred[i] < i``, where row -1 is zero: one column
-    at a time on Python floats, the IEEE multiply and add of a row-wise numpy loop."""
-    x, pred, a = np.empty(b.shape), (pred + 1).tolist(), a.tolist()
-    for j in range(b.shape[1]):
-        col = [0.0]  # col[i + 1] is row i
-        for p, a_i, b_i in zip(pred, a, b[:, j].tolist()):
-            col.append(a_i * col[p] + b_i)
-        x[:, j] = col[1:]
-    return x
-
-
 def _grf_values(net, eidx, off, beta, k, rng) -> np.ndarray:
-    """Joint field values at the canonical sites ``(eidx, off)``, shape (k, n).
-
-    One walk from the root to the leaves: each vertex, in preorder, follows
-    the sites on the edge to its parent, walked from the parent end. A step
-    a distance ``d`` past the one before it on its path to the root is
-    ``X = rho * X_before + sqrt(1 - rho**2) * z`` with ``rho = exp(-beta * d)``
-    (``d = inf`` at the root), so a coincident site, at ``d = 0``, copies
-    the value. ``z`` is ``n + V`` standard normals per field, in walk order.
-    """
-    n, nv = eidx.size, net.n_vertices
+    """Joint field values at the canonical sites ``(eidx, off)``, shape (k, n), along the walk
+    of :func:`network._walk`: a step ``d`` past the one before it on its path to the root is
+    ``X = rho * X_before + sqrt(1 - rho**2) * z``, ``rho = exp(-beta * d)`` (``d = inf`` at the
+    root), so a coincident site, at ``d = 0``, copies the value; ``z`` is ``n + V`` standard
+    normals per field, in walk order."""
+    n = eidx.size
     if n == 0:
         return np.empty((k, 0))
-    order, up = np.asarray(net._preorder), np.asarray(net._parent_edge)  # up is -1 at the root
-    start, end, length = net.edge_start, net.edge_end, net.edge_length
-    child = np.empty(net.n_edges, dtype=np.intp)  # each edge's end away from the root
-    child[up[order[1:]]] = order[1:]
-    parent = np.where(up >= 0, start[up] + end[up] - np.arange(nv), -1)
-    turn = np.empty(nv, dtype=np.intp)
-    turn[order] = np.arange(nv)
-    # Entries 0..n-1 are the sites and n + v is vertex v. A site walks in its edge's child
-    # vertex's turn, at its distance from the parent end; the stable sort puts the child last.
-    owner = np.r_[child[eidx], np.arange(nv)]
-    head = np.r_[np.where(start[eidx] == child[eidx], length[eidx] - off, off),
-                 np.where(up >= 0, length[up], np.inf)]
-    walk = np.lexsort((head, turn[owner]))
-    rank = np.empty(n + nv, dtype=np.intp)
-    rank[walk] = np.arange(n + nv)
-    owner, t = owner[walk], head[walk]
-    same = np.r_[False, owner[1:] == owner[:-1]]  # follows the step before, else the parent
-    d = np.where(same, t - np.r_[0.0, t[:-1]], t)
-    pred = np.where(same, np.arange(n + nv) - 1, rank[n + parent[owner]])
-    pred[0] = -1  # the root, at d = inf
-    b = np.sqrt(-np.expm1(-2.0 * beta * d))[:, None] * rng.standard_normal((n + nv, k))
+    rank, pred, d, _ = _walk(net, eidx, off)
+    b = np.sqrt(-np.expm1(-2.0 * beta * d))[:, None] * rng.standard_normal((d.size, k))
     return _recurrence(pred, np.exp(-beta * d), b)[rank[:n]].T
 
 
@@ -215,11 +184,9 @@ def retention_field(grf, sigma2: float) -> np.ndarray:
 
 def _sorted_lattice_arrays(net, spacing):
     """Lattice sites sorted by (edge id, offset) for deterministic ties."""
-    pts = lattice(net, spacing)
-    e = np.array([net.edge_index(p.edge_id) for p in pts], dtype=np.intp)
-    o = np.array([p.offset for p in pts])
+    e, o = _lattice(net, spacing)
     id_rank = {eid: r for r, eid in enumerate(sorted(net._edge_index))}
-    ranks = np.array([id_rank[net.edges[i].id] for i in e])
+    ranks = np.array([id_rank[edge.id] for edge in net.edges])[e]
     order = np.lexsort((o, ranks))
     return e[order], o[order]
 
@@ -309,14 +276,11 @@ def simulate_cox(
 
 def matern_thin(pattern: PointPattern, h: float) -> PointPattern:
     """Type-I hard-core thinning: drop *both* members of any pair closer
-    than ``h``. Points at distance exactly ``h`` survive."""
+    than ``h``. Points at distance exactly ``h`` survive. Only the pairs
+    within ``h`` are read, by one range search."""
     if not h >= 0:
         raise ValidationError(f"hard-core distance must be nonnegative, got {h}")
-    if pattern.n <= 1:
-        return PointPattern.from_indices(pattern.network, pattern.edge_indices, pattern.offsets)
-    dist = distance_matrix(pattern)
-    np.fill_diagonal(dist, np.inf)
-    keep = dist.min(axis=1) >= h
-    return PointPattern.from_indices(
-        pattern.network, pattern.edge_indices[keep], pattern.offsets[keep]
-    )
+    rows, _, d = _pairs_within(pattern.network, pattern, pattern, h, skip_self=True)
+    keep = np.ones(pattern.n, dtype=bool)
+    keep[rows[d < h]] = False
+    return PointPattern.from_indices(pattern.network, pattern.edge_indices[keep], pattern.offsets[keep])

@@ -31,13 +31,14 @@ from .network import (
     _pair_chunks,
     _pairs_within,
     _point_arrays,
+    _recurrence,
     _sphere_count_matrix,
+    _walk,
     distance_matrix,  # noqa: F401  (perfbench/spans.py wraps it by this name)
     lattice,
     leaf_distances,
     pairwise_distances,  # noqa: F401  (perfbench/spans.py wraps it by this name)
 )
-from .simulate import _recurrence
 
 __all__ = [
     "SummaryCurve", "PairData", "FgjConfig", "FgjCurves", "IntensityEstimate",
@@ -129,12 +130,8 @@ class IntensityEstimate:
 _HEAT_STEPS = 64  # time steps of the diffusion, the first two backward Euler
 
 
-def kernel_intensity(
-    net: LinearNetwork,
-    pattern: PointPattern,
-    bandwidth: float,
-    spacing: float | None = None,
-) -> IntensityEstimate:
+def kernel_intensity(net: LinearNetwork, pattern: PointPattern, bandwidth: float,
+                     spacing: float | None = None) -> IntensityEstimate:
     """Heat-kernel intensity estimate on the network.
 
     Each data point contributes a unit of mass diffused for time
@@ -145,9 +142,10 @@ def kernel_intensity(
     mass spreads across junctions rather than leaking. Time stepping is
     implicit, 64 steps (four damped backward-Euler half steps, then
     Crank-Nicolson), unconditionally stable. The grid nodes form a tree,
-    so the system ``mass + (dt/2) Laplacian`` is factored once by
-    eliminating nodes from the leaves up, with no fill, and each solve is
-    one sweep up and one down, in numpy alone.
+    laid out by the network's root-to-leaf walk (the Gaussian field's, with
+    the interior nodes as its sites), so the system ``mass + (dt/2)
+    Laplacian`` is factored once by eliminating nodes from the leaves up,
+    with no fill, and each solve is one sweep up and one down the walk.
 
     ``spacing`` defaults to ``bandwidth / 10`` and must be smaller than
     ``bandwidth``.
@@ -169,16 +167,12 @@ def kernel_intensity(
     nseg = nseg.astype(np.intp)
     h = net.edge_length / nseg
 
-    # Walk order: each vertex in preorder, after the interior nodes of the edge to its
-    # parent, which run from the parent end. Node i's parent node pred[i] comes before it.
-    order, up = np.asarray(net._preorder), np.asarray(net._parent_edge)
-    e_up = up[order[1:]]
-    last = np.cumsum(np.r_[1, nseg[e_up]]) - 1  # each vertex's node, in walk order
-    node = last[np.argsort(order)]
-    n_nodes = int(last[-1]) + 1
-    pred = np.arange(-1, n_nodes - 1)
-    pred[last[1:] - nseg[e_up] + 1] = node[net.edge_start[e_up] + net.edge_end[e_up] - order[1:]]
-    link = np.repeat(h[e_up], nseg[e_up])  # from node i + 1 to its parent node
+    # The grid nodes in walk order (network._walk): each edge's interior nodes (j = 1..nseg-1,
+    # as sites) and the vertices. Node i's parent node pred[i] comes before it, one h away.
+    e = np.repeat(np.arange(net.n_edges), nseg - 1)
+    j = np.arange(e.size) - np.repeat(np.cumsum(nseg - 1) - nseg, nseg - 1)
+    rank, pred, _, step = _walk(net, e, h[e] * j)
+    n_nodes, link = rank.size, h[step[1:]]  # link: from node i + 1 to its parent node
     cell = np.r_[0.0, link / 2.0] + np.bincount(pred[1:], link / 2.0, minlength=n_nodes)
 
     # Factor M + cL (c = dt/2) leaves first, with no fill: node i takes w_i^2 / piv_i off its
@@ -190,24 +184,25 @@ def kernel_intensity(
         piv[p] -= w_i * w_i / piv[i]
     upward = [(i, p, w_i / piv[i]) for i, p, w_i in upward]
     piv = np.array(piv)
-    a = w / piv
+    down = (pred + 1).tolist(), (w / piv).tolist()  # converted once for every solve
 
     def solve(r):
         y = r.tolist()
         for i, p, a_i in upward:
             y[p] += a_i * y[i]
-        return _recurrence(pred, a, (np.array(y) / piv)[:, None])[:, 0]
+        return _recurrence(*down, (np.array(y) / piv)[:, None])[:, 0]
 
-    chains = []  # each edge's nodes from its start to its end
-    for e, (s, t, k) in enumerate(zip(net.edge_start, net.edge_end, nseg)):
-        c = s if up[s] == e else t  # the end away from the root
-        chain = np.r_[node[s + t - c], np.arange(node[c] - k + 1, node[c] + 1)]
-        chains.append(chain[::-1] if s == c else chain)
-    # Each point's unit of mass goes to the two nodes around it, as density over their cells.
+    # Each edge's nodes from its start to its end, all edges end to end; each point's unit of
+    # mass goes to the two nodes around it, as density over their cells.
+    first = np.cumsum(nseg + 1) - nseg - 1  # each edge's start in `chains`
+    chains = np.empty(int(nseg.sum()) + net.n_edges, dtype=np.intp)
+    node = rank[e.size:]  # each vertex's node
+    chains[first], chains[first + nseg] = node[net.edge_start], node[net.edge_end]
+    chains[first[e] + j] = rank[: e.size]
     pos = pattern.offsets / h[pattern.edge_indices]
     left = np.minimum(pos.astype(np.intp), nseg[pattern.edge_indices] - 1)
-    at = np.r_[0, np.cumsum(nseg + 1)[:-1]][pattern.edge_indices] + left
-    ends = np.concatenate(chains)[np.r_[at, at + 1]]
+    at = first[pattern.edge_indices] + left
+    ends = chains[np.r_[at, at + 1]]
     f = np.bincount(ends, np.r_[1.0 - (pos - left), pos - left] / cell[ends], minlength=n_nodes)
 
     # (M + cL)^-1 M is a backward-Euler half step and 2 (M + cL)^-1 M - 1 a Crank-Nicolson
@@ -217,7 +212,7 @@ def kernel_intensity(
     for _ in range(_HEAT_STEPS - 2):
         f = 2.0 * solve(cell * f) - f
     return IntensityEstimate(net, [hi * np.arange(k + 1) for hi, k in zip(h, nseg)],
-                             [f[chain] for chain in chains], float(bandwidth), float(spacing))
+                             np.split(f[chains], first[1:]), float(bandwidth), float(spacing))
 
 
 def _intensity_at_points(

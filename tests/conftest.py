@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from linnetcox import Edge, LinearNetwork, ValidationError, Vertex, load_pattern
+from linnetcox import Edge, LinearNetwork, ValidationError, Vertex, load_pattern, make_network
 from linnetcox.simulate import as_generator
 
 DATA = Path(__file__).parent / "data"
@@ -14,6 +14,19 @@ DATA = Path(__file__).parent / "data"
 def frozen_pattern(name, net):
     """A pattern saved under ``tests/data`` (see its README for how each was drawn)."""
     return load_pattern(DATA / f"{name}.csv", net)
+
+
+def shuffled_string_tree():
+    """A random tree whose edge ids are strings in an order unrelated to
+    the edge index, with some edges pointing towards the root."""
+    base = make_network("random-tree", seed=3, edges=40)
+    rng = np.random.default_rng(1)
+    edges = []
+    for i in rng.permutation(base.n_edges):
+        e = base.edges[i]
+        a, b = (e.start, e.end) if rng.random() < 0.5 else (e.end, e.start)
+        edges.append(Edge(f"s{int(rng.integers(100)):02d}-{i}", a, b, e.length, e.branch))
+    return LinearNetwork(base.vertices, edges)
 
 
 @pytest.fixture

@@ -27,13 +27,15 @@ from linnetcox import network
 from linnetcox.network import (
     _DISTANCE_CHUNK,
     _SPHERE_CHUNK,
+    _lattice,
     _pairs_within,
     _pairwise_core,
     _sphere_count_matrix,
+    _walk,
     distance_matrix,
 )
 
-from conftest import oracle_distances, random_points
+from conftest import oracle_distances, random_points, shuffled_string_tree
 
 
 def _chain_tree(seed):
@@ -388,6 +390,95 @@ class TestLattice:
         # an infinite spacing used to give one segment per edge: the vertices alone
         with pytest.raises(ValidationError, match="positive and finite"):
             lattice(y_net, spacing)
+
+    def test_lattice_of_too_many_points_rejected(self, y_net):
+        for spacing in (1e-300, 5e-324):  # the counts overflow intp, then float64
+            with pytest.raises(ValidationError, match="too many lattice points"):
+                lattice(y_net, spacing)
+
+
+def scalar_canonical(net, ei, off):
+    """The scalar canonicaliser that ``point`` and ``lattice`` used before the array one:
+    a point at offset 0 or at the edge's length moves to its vertex's canonical edge."""
+    if off == 0.0:
+        w = net.edge_start[ei]
+    elif off == net.edge_length[ei]:
+        w = net.edge_end[ei]
+    else:
+        return ei, off
+    return int(net._vertex_canon_edge[w]), float(net._vertex_canon_offset[w])
+
+
+def loop_lattice(net, spacing):
+    """The lattice as a loop over edges and points, each canonicalised alone and kept at its
+    first occurrence: ``(edge index, offset)`` pairs in ``lattice``'s order."""
+    pts, seen = [], set()
+    for ei in range(net.n_edges):
+        ln = net.edge_length[ei]
+        nseg = max(1, math.ceil(ln / spacing))
+        for j in range(nseg + 1):
+            ci, co = scalar_canonical(net, ei, ln * (j / nseg))
+            if (ci, co) not in seen:
+                seen.add((ci, co))
+                pts.append((ci, float(co)))
+    return pts
+
+
+def layout_networks():
+    """The dendrite, the 200-edge random tree, a star and the string-id tree."""
+    return {
+        "dendrite": make_network("dendrite", seed=7),
+        "tree200": make_network("random-tree", seed=2, edges=200),
+        "star": make_network("star"),
+        "strings": shuffled_string_tree(),
+    }
+
+
+@pytest.fixture(scope="module")
+def layout_nets():
+    return layout_networks()
+
+
+class TestLayoutsAgainstLoops:
+    """``network`` lays out the lattice and the walk as arrays; these equal the loops they
+    replaced, bit for bit."""
+
+    @pytest.mark.parametrize("name", list(layout_networks()))
+    @pytest.mark.parametrize("spacing", [0.05, 0.37, 1.0, 2.5, 1e3])
+    def test_lattice_equals_the_loop(self, layout_nets, name, spacing):
+        net = layout_nets[name]
+        want = loop_lattice(net, spacing)
+        e, o = _lattice(net, spacing)
+        assert e.dtype == np.intp and o.dtype == np.float64
+        assert [(int(i), float(x)) for i, x in zip(e, o)] == want
+        assert np.array(want)[:, 1].tobytes() == o.tobytes()
+        pts = lattice(net, spacing)
+        assert [p.edge_id for p in pts] == [net.edges[i].id for i, _ in want]
+        assert all(type(p.offset) is float and p.offset == x for p, (_, x) in zip(pts, want))
+        if spacing == 1e3:  # longer than every edge: the vertices alone
+            assert len(pts) == net.n_vertices
+
+    @pytest.mark.parametrize("name", list(layout_networks()))
+    def test_point_equals_the_scalar_canonicaliser(self, layout_nets, name):
+        net = layout_nets[name]
+        for ei, edge in enumerate(net.edges):
+            for off in (0.0, edge.length / 2, float(net.edge_length[ei])):
+                ci, co = scalar_canonical(net, ei, off)
+                p = net.point(edge.id, off)
+                assert p.edge_id == net.edges[ci].id
+                assert type(p.offset) is float and np.float64(p.offset).tobytes() == np.float64(co).tobytes()
+
+    @pytest.mark.parametrize("name", list(layout_networks()))
+    def test_vertex_walk_is_the_preorder(self, layout_nets, name):
+        net = layout_nets[name]
+        rank, pred, d, edge = _walk(net, np.empty(0, np.intp), np.empty(0))
+        order = np.asarray(net._preorder)
+        assert np.array_equal(np.argsort(rank), order)
+        up = np.asarray(net._parent_edge)[order]  # each vertex's edge to its parent, in preorder
+        assert pred[0] == -1 and d[0] == np.inf and up[0] == -1 and np.array_equal(edge, up)
+        parent = net.edge_start[up[1:]] + net.edge_end[up[1:]] - order[1:]
+        assert np.array_equal(pred[1:], rank[parent])
+        assert d[1:].tobytes() == net.edge_length[up[1:]].tobytes()
 
 
 class TestSphereCount:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
-from conftest import dense_grf_values, random_points
+from conftest import dense_grf_values, random_points, shuffled_string_tree
 from linnetcox import (
     CoxModel,
     IntensityModel,
@@ -308,18 +309,33 @@ class TestMaternThin:
         assert matern_thin(PointPattern(path10, []), 1.0).n == 0
         assert matern_thin(PointPattern(path10, [(0, 5.0)]), 1.0).n == 1
 
+    @pytest.mark.parametrize("h", [0.0, 0.05, 0.5, 2.0, np.inf])
+    def test_keeps_what_the_full_matrix_keeps(self, dendrite, h):
+        pat = simulate_poisson(dendrite, 1.0, seed=4)
+        e, o = pat.edge_indices, pat.offsets
+        every_edge = np.arange(dendrite.n_edges)  # coincident points, vertices among them
+        pat = PointPattern.from_indices(dendrite, np.r_[e, e[:15], every_edge, every_edge],
+                                        np.r_[o, o[:15], np.zeros(dendrite.n_edges), dendrite.edge_length])
+        dist = distance_matrix(pat)
+        np.fill_diagonal(dist, np.inf)
+        keep = dist.min(axis=1) >= h
+        out = matern_thin(pat, h)
+        assert np.array_equal(out.edge_indices, pat.edge_indices[keep])
+        assert np.array_equal(out.offsets, pat.offsets[keep])
 
-def _shuffled_string_tree():
-    """A random tree whose edge ids are strings in an order unrelated to
-    the edge index, with some edges pointing towards the root."""
-    base = make_network("random-tree", seed=3, edges=40)
-    rng = np.random.default_rng(1)
-    edges = []
-    for i in rng.permutation(base.n_edges):
-        e = base.edges[i]
-        a, b = (e.start, e.end) if rng.random() < 0.5 else (e.end, e.start)
-        edges.append(Edge(f"s{int(rng.integers(100)):02d}-{i}", a, b, e.length, e.branch))
-    return LinearNetwork(base.vertices, edges)
+    def test_reads_only_the_pairs_within_h(self, dendrite):
+        # the full 3000 x 3000 distance matrix alone would be 72 MB
+        pat = simulate_poisson(dendrite, 3000 / dendrite.total_length, seed=6)
+        pat = PointPattern.from_indices(dendrite, pat.edge_indices[:3000], pat.offsets[:3000])
+        assert pat.n == 3000
+        tracemalloc.start()
+        try:
+            out = matern_thin(pat, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < out.n < pat.n
+        assert peak < 16e6
 
 
 @pytest.fixture(scope="module")
@@ -332,7 +348,7 @@ def grf_networks(dendrite):
         "y": y,
         "dendrite": dendrite,
         "tree200": make_network("random-tree", seed=2, edges=200),
-        "strings": _shuffled_string_tree(),
+        "strings": shuffled_string_tree(),
     }
 
 

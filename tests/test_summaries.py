@@ -35,7 +35,7 @@ from linnetcox import (
 )
 from linnetcox import summaries
 from linnetcox import network
-from linnetcox.network import distance_matrix
+from linnetcox.network import _recurrence, distance_matrix
 from linnetcox.summaries import (
     PairData,
     _erosion_curve,
@@ -192,6 +192,53 @@ def kernel_cases():
     }
 
 
+def preorder_kernel_intensity(net, pattern, bandwidth):
+    """The tree elimination with the node layout worked out from ``net._preorder`` alone, as
+    it was before the layout came from ``network._walk``: each vertex's node after the
+    interior nodes of the edge to its parent, and each edge's chain read back from there."""
+    nseg = np.maximum(1.0, np.rint(net.edge_length / (bandwidth / 10.0))).astype(np.intp)
+    h = net.edge_length / nseg
+    order, up = np.asarray(net._preorder), np.asarray(net._parent_edge)
+    e_up = up[order[1:]]
+    last = np.cumsum(np.r_[1, nseg[e_up]]) - 1  # each vertex's node, in walk order
+    node = last[np.argsort(order)]
+    n_nodes = int(last[-1]) + 1
+    pred = np.arange(-1, n_nodes - 1)
+    pred[last[1:] - nseg[e_up] + 1] = node[net.edge_start[e_up] + net.edge_end[e_up] - order[1:]]
+    link = np.repeat(h[e_up], nseg[e_up])
+    cell = np.r_[0.0, link / 2.0] + np.bincount(pred[1:], link / 2.0, minlength=n_nodes)
+    w = np.r_[0.0, bandwidth * bandwidth / 2.0 / summaries._HEAT_STEPS / 2.0 / link]
+    piv = (cell + w + np.bincount(pred[1:], w[1:], minlength=n_nodes)).tolist()
+    upward = list(zip(range(n_nodes - 1, 0, -1), pred[:0:-1].tolist(), w[:0:-1].tolist()))
+    for i, p, w_i in upward:
+        piv[p] -= w_i * w_i / piv[i]
+    upward = [(i, p, w_i / piv[i]) for i, p, w_i in upward]
+    piv = np.array(piv)
+    a = w / piv
+
+    def solve(r):
+        y = r.tolist()
+        for i, p, a_i in upward:
+            y[p] += a_i * y[i]
+        return _recurrence(pred, a, (np.array(y) / piv)[:, None])[:, 0]
+
+    chains = []
+    for e, (s, t, k) in enumerate(zip(net.edge_start, net.edge_end, nseg)):
+        c = s if up[s] == e else t  # the end away from the root
+        chain = np.r_[node[s + t - c], np.arange(node[c] - k + 1, node[c] + 1)]
+        chains.append(chain[::-1] if s == c else chain)
+    pos = pattern.offsets / h[pattern.edge_indices]
+    left = np.minimum(pos.astype(np.intp), nseg[pattern.edge_indices] - 1)
+    at = np.r_[0, np.cumsum(nseg + 1)[:-1]][pattern.edge_indices] + left
+    ends = np.concatenate(chains)[np.r_[at, at + 1]]
+    f = np.bincount(ends, np.r_[1.0 - (pos - left), pos - left] / cell[ends], minlength=n_nodes)
+    for _ in range(4):
+        f = solve(cell * f)
+    for _ in range(summaries._HEAT_STEPS - 2):
+        f = 2.0 * solve(cell * f) - f
+    return [f[chain] for chain in chains]
+
+
 class TestKernelIntensityByTreeElimination:
     @pytest.mark.parametrize("case", list(kernel_cases()))
     def test_matches_sparse_lu(self, case):
@@ -202,6 +249,24 @@ class TestKernelIntensityByTreeElimination:
             assert np.array_equal(got, want)
         got, want = np.concatenate(est.edge_values), np.concatenate(values)
         assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want.max())
+
+    @pytest.mark.parametrize("case", list(kernel_cases()))
+    def test_walk_layout_keeps_the_preorder_bits(self, case):
+        net, pattern, bandwidth = kernel_cases()[case]
+        got = kernel_intensity(net, pattern, bandwidth).edge_values
+        want = preorder_kernel_intensity(net, pattern, bandwidth)
+        assert np.concatenate(got).tobytes() == np.concatenate(want).tobytes()
+
+    @pytest.mark.parametrize("case", ["y_net", "dendrite-5", "tree200"])
+    def test_each_chain_runs_from_the_start_to_the_end(self, case):
+        net, pattern, bandwidth = kernel_cases()[case]
+        est = kernel_intensity(net, pattern, bandwidth)
+        at_vertex = {}  # every edge reads a vertex's one node, at offset 0 or at its length
+        for e, values in enumerate(est.edge_values):
+            at_vertex.setdefault(net.edge_start[e], set()).add(values[0])
+            at_vertex.setdefault(net.edge_end[e], set()).add(values[-1])
+        assert len(at_vertex) == net.n_vertices and all(len(v) == 1 for v in at_vertex.values())
+        assert len(set().union(*at_vertex.values())) > 1  # not one constant everywhere
 
     @pytest.mark.parametrize("case", list(kernel_cases()))
     def test_integral_is_the_point_count(self, case):
