@@ -9,12 +9,13 @@ named ``LINNETCOX_<DEST>`` (for example ``LINNETCOX_SEED=7``); explicit
 flags win over the environment.
 
 Exit status: 0 on success, 2 on validation problems (bad flags, missing
-or malformed files), 3 on numerical failure.
+or malformed files, too large an input), 3 on numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import os
@@ -35,6 +36,7 @@ from .estimation import (
     two_step_fit,
 )
 from .io import (
+    _fmt,
     _load_json,
     atomic_write,
     load_fit,
@@ -208,10 +210,11 @@ def _cmd_simulate_cox(args, argv) -> None:
         if not (args.save_pi and sample.sites is not None):
             return
         with atomic_write(out_dir / f"pi_{rep:04d}.csv") as f:
-            f.write("edge,offset,pi\n")
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(["edge", "offset", "pi"])
             sites = sample.sites
             for ei, off, pi in zip(sites.edge_indices, sites.offsets, sample.site_retention):
-                f.write(f"{net.edges[ei].id},{float(off)!r},{float(pi)!r}\n")
+                writer.writerow([net.edges[ei].id, _fmt(off), _fmt(pi)])
 
     if args.save_pi and args.mode != "grid":
         raise ValidationError("--save-pi requires --mode grid (the field is site-based)")
@@ -270,10 +273,11 @@ def _cmd_kernel_intensity(args, argv) -> None:
     pattern = load_pattern(args.pattern, net)
     est = kernel_intensity(net, pattern, args.bandwidth, spacing=args.spacing)
     with atomic_write(args.out) as f:
-        f.write("edge,offset,value\n")
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(["edge", "offset", "value"])
         for ei, (offs, vals) in enumerate(zip(est.edge_offsets, est.edge_values)):
             for off, val in zip(offs, vals):
-                f.write(f"{net.edges[ei].id},{float(off)!r},{float(val)!r}\n")
+                writer.writerow([net.edges[ei].id, _fmt(off), _fmt(val)])
     _manifest(args, argv, args.out)
 
 
@@ -469,7 +473,7 @@ def main(argv=None) -> int:
             format="%(levelname)s %(name)s: %(message)s",
         )
         args.func(args, argv)
-    except (ValidationError, OSError) as exc:  # bad or unreadable input
+    except (ValidationError, OSError, MemoryError) as exc:  # bad, unreadable or too large input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

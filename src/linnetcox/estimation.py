@@ -39,6 +39,7 @@ from .network import LinearNetwork, PointPattern, _pairs_within
 from .network import distance_matrix  # noqa: F401  (perfbench/spans.py wraps it by this name)
 from .simulate import _seed_sequence, simulate_cox, spawn_generators
 from .summaries import (
+    _alpha,
     _g_reach,
     default_bandwidth,
     fit_intensity_mle,
@@ -149,9 +150,9 @@ class FitResult:
         converged: bool, method: str,
     ) -> "FitResult":
         """Plug-in intensities and estimates, with the driving intensities they imply."""
-        scale = (1.0 + sigma2) ** (k / 2.0)
-        return cls(intensity.main, intensity.side, sigma2, beta, k, intensity.main * scale,
-                   intensity.side * scale, objective, converged, method)
+        driving = CoxModel.from_observed(intensity, sigma2, beta, k).driving_intensity()
+        return cls(intensity.main, intensity.side, sigma2, beta, k, driving.main, driving.side,
+                   objective, converged, method)
 
     def model(self) -> CoxModel:
         return CoxModel(self.rho_y_main, self.rho_y_side, self.sigma2, self.beta, self.k)
@@ -250,7 +251,7 @@ def pair_correlation_gradient(t, sigma2: float, beta: float, k: int = 1):
     """
     t = np.asarray(t, dtype=np.float64)
     v = float(sigma2)
-    a = (v / (1.0 + v)) ** 2
+    a = _alpha(v)
     y = np.exp(-2.0 * beta * t)
     x = -np.expm1(math.log(a) - 2.0 * beta * t)
     g = x ** (-k / 2.0)

@@ -64,6 +64,12 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _write_json(path, doc) -> None:
+    with atomic_write(path) as f:
+        json.dump(doc, f, indent=2)
+        f.write("\n")
+
+
 @contextmanager
 def _open_input(path: Path, what: str):
     """Open an input file for reading; a missing file and undecodable text
@@ -118,9 +124,7 @@ def save_network(net: LinearNetwork, path) -> None:
             for e in net.edges
         ],
     }
-    with atomic_write(path) as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    _write_json(path, doc)
 
 
 def load_network(source) -> LinearNetwork:
@@ -208,40 +212,24 @@ def load_curves(path) -> list[SummaryCurve]:
 # -- fits ---------------------------------------------------------------------
 
 
+# The fit file: its keys in the order written, each with the reader that loads it.
+_FIT_KEYS = {
+    "rho_main": float, "rho_side": float,  # the observed intensities
+    "sigma2": float, "beta": float, "k": int,
+    "rho_y_main": float, "rho_y_side": float,  # the driving intensities the simulations thin
+    "objective": float, "converged": bool, "method": str,
+}
+
+
 def save_fit(fit: FitResult, path) -> None:
-    doc = {
-        "rho_main": fit.rho_main,
-        "rho_side": fit.rho_side,
-        "sigma2": fit.sigma2,
-        "beta": fit.beta,
-        "k": fit.k,
-        "rho_y_main": fit.rho_y_main,
-        "rho_y_side": fit.rho_y_side,
-        "objective": fit.objective,
-        "converged": fit.converged,
-        "method": fit.method,
-    }
-    with atomic_write(path) as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    _write_json(path, {key: getattr(fit, key) for key in _FIT_KEYS})
 
 
 def load_fit(path) -> FitResult:
     path = Path(path)
     doc = _load_json(path, "fit")
     try:
-        return FitResult(
-            rho_main=float(doc["rho_main"]),
-            rho_side=float(doc["rho_side"]),
-            sigma2=float(doc["sigma2"]),
-            beta=float(doc["beta"]),
-            k=int(doc["k"]),
-            rho_y_main=float(doc["rho_y_main"]),
-            rho_y_side=float(doc["rho_y_side"]),
-            objective=float(doc["objective"]),
-            converged=bool(doc["converged"]),
-            method=str(doc["method"]),
-        )
+        return FitResult(**{key: read(doc[key]) for key, read in _FIT_KEYS.items()})
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed fit file {path}: {exc!r}") from exc
 
@@ -267,13 +255,8 @@ def save_envelope(envelope, data_values: np.ndarray, path) -> None:
             envelope.labels, envelope.r, data_values, envelope.lower, envelope.upper
         ):
             writer.writerow([lab, _fmt(r), _fmt(d), _fmt(lo), _fmt(hi)])
-    with atomic_write(sidecar_path(path)) as f:
-        json.dump(
-            {"p_liberal": envelope.p_liberal, "p_conservative": envelope.p_conservative},
-            f,
-            indent=2,
-        )
-        f.write("\n")
+    _write_json(sidecar_path(path), {"p_liberal": envelope.p_liberal,
+                                     "p_conservative": envelope.p_conservative})
 
 
 def save_study(result: StudyResult, path) -> None:
@@ -316,7 +299,5 @@ def write_manifest(target, command: str, argv: list[str], config: dict, seed) ->
         "argv": list(argv),
         "config": config,
     }
-    with atomic_write(path) as f:
-        json.dump(doc, f, indent=2, sort_keys=False)
-        f.write("\n")
+    _write_json(path, doc)
     return path

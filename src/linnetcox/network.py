@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 __all__ = [
     "Vertex",
@@ -109,6 +109,12 @@ class LinearNetwork:
         if not self.edges:
             raise ValidationError("network must have at least one edge")
 
+        ends = [x for e in self.edges for x in (e.id, e.start, e.end)]
+        for x in [v.id for v in self.vertices] + ends:
+            try:
+                hash(x)
+            except TypeError:  # a list or an object, say, read from JSON
+                raise ValidationError(f"vertex and edge ids must be hashable, got {x!r}") from None
         self._vertex_index: dict = {}
         for i, v in enumerate(self.vertices):
             if v.id in self._vertex_index:
@@ -121,6 +127,11 @@ class LinearNetwork:
             self._edge_index[e.id] = i
 
         nv, ne = len(self.vertices), len(self.edges)
+        try:  # the edge-id order, which breaks every tie between edges
+            by_id = np.array(sorted(range(ne), key=lambda i: self.edges[i].id), dtype=np.intp)
+        except TypeError as exc:
+            raise ValidationError("edge ids must be mutually orderable") from exc
+        self._edge_rank = np.argsort(by_id)  # the inverse permutation
         start = np.empty(ne, dtype=np.intp)
         end = np.empty(ne, dtype=np.intp)
         length = np.empty(ne, dtype=np.float64)
@@ -182,17 +193,11 @@ class LinearNetwork:
 
         # Canonical on-edge representation of each vertex: the incident
         # edge with the lowest id, and the offset of the vertex on it.
-        canon_edge = np.empty(nv, dtype=np.intp)
-        canon_off = np.empty(nv, dtype=np.float64)
-        for w in range(nv):
-            try:
-                ei = min(self._incident[w], key=lambda i: self.edges[i].id)
-            except TypeError as exc:
-                raise ValidationError("edge ids must be mutually orderable") from exc
-            canon_edge[w] = ei
-            canon_off[w] = 0.0 if start[ei] == w else length[ei]
-        self._vertex_canon_edge = canon_edge
-        self._vertex_canon_offset = canon_off
+        lowest = np.full(nv, ne, dtype=np.intp)
+        np.minimum.at(lowest, start, self._edge_rank)
+        np.minimum.at(lowest, end, self._edge_rank)
+        self._vertex_canon_edge = ce = by_id[lowest]
+        self._vertex_canon_offset = np.where(start[ce] == np.arange(nv), 0.0, length[ce])
 
         self.total_length = float(length.sum())
         self.side_length = float(length[side].sum())
@@ -271,15 +276,21 @@ class LinearNetwork:
         (ei,), (off,) = self._canonicalize_arrays([ei], [off])
         return NetworkPoint(self.edges[ei].id, float(off))
 
+    def _check_arrays(self, eidx: np.ndarray, off: np.ndarray) -> None:
+        """Raise unless each edge index is an integer in ``[0, E)`` and each offset on its edge."""
+        if not (eidx.dtype.kind in "iu" and ((eidx >= 0) & (eidx < self.n_edges)).all()):
+            raise ValidationError(f"edge indices must be integers in [0, {self.n_edges})")
+        if not ((off >= 0.0) & (off <= self.edge_length[eidx])).all():  # NaN too
+            raise ValidationError("point offset outside its edge")
+
     def _canonicalize_arrays(
         self, eidx: np.ndarray, off: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         eidx = np.asarray(eidx, dtype=np.intp).copy()
         off = np.asarray(off, dtype=np.float64).copy()
+        self._check_arrays(eidx, off)
         if eidx.size == 0:
             return eidx, off
-        if not ((off >= 0.0) & (off <= self.edge_length[eidx])).all():  # NaN too
-            raise ValidationError("point offset outside its edge")
         at_start = off == 0.0
         at_end = off == self.edge_length[eidx]
         vtx = np.where(at_start, self.edge_start[eidx], np.where(at_end, self.edge_end[eidx], -1))
@@ -392,6 +403,7 @@ def _point_arrays(net: LinearNetwork, pts) -> tuple[np.ndarray, np.ndarray]:
         and isinstance(pts[0], np.ndarray)
         and isinstance(pts[1], np.ndarray)
     ):
+        net._check_arrays(*pts)  # as given, not canonicalised, so they keep their bits
         return pts
     if isinstance(pts, NetworkPoint):
         pts = [pts]
@@ -401,15 +413,12 @@ def _point_arrays(net: LinearNetwork, pts) -> tuple[np.ndarray, np.ndarray]:
 
 def _pairwise_core(net, e1, o1, e2, o2) -> np.ndarray:
     """Distances of ``(e1, o1)`` to ``(e2, o2)``, broadcast: ``(n, 1)`` by ``(m,)`` or a list. A
-    block of fewer rows than ``D`` gathers ``D[x1, s2]`` and ``D[x1, t2]``; a taller one reads them
-    by whole rows of ``D[:, s2]`` and ``D[:, t2]``. A list reads the raveled ``D``."""
+    block of at least ``len(D)`` rows reads ``D[x1, s2]`` and ``D[x1, t2]`` by whole rows of
+    ``D[:, s2]`` and ``D[:, t2]``; a shorter block or a list takes them from the raveled ``D``."""
     D = net.vertex_distance_matrix
     s1, t1 = net.edge_start[e1], net.edge_end[e1]
     s2, t2 = net.edge_start[e2], net.edge_end[e2]
-    if e1.ndim == 2 and e1.shape[0] < D.shape[0]:
-        s1, t1, ends = s1[:, 0], t1[:, 0], (s2, t2)
-        def via(x1, j): return D[x1[:, None], ends[j]]
-    elif e1.ndim == 2:
+    if e1.ndim == 2 and e1.shape[0] >= D.shape[0]:
         s1, t1, ends = s1[:, 0], t1[:, 0], (D[:, s2], D[:, t2])
         def via(x1, j): return ends[j][x1]  # D[x1, (s2, t2)[j]], gathered when used
     else:
@@ -431,7 +440,6 @@ def _pairwise_core(net, e1, o1, e2, o2) -> np.ndarray:
 _DISTANCE_CHUNK = 1 << 18  # entries per row chunk of pairwise_distances (2 MiB)
 _DENSE_SHARE = 0.4  # _pairs_within evaluates a row chunk whole above this share of candidates
 _SPHERE_CHUNK = 1 << 15  # pairs per binary-search chunk of _sphere_count_matrix
-_INT32_POSITIONS = 2**31  # _sphere_count_matrix searches in int32 below this many flat entries
 
 
 def pairwise_distances(net: LinearNetwork, pts_a, pts_b=None) -> np.ndarray:
@@ -671,8 +679,9 @@ def _sphere_count_matrix(net: LinearNetwork, e_src, o_src, rows, radii) -> np.nd
     canonical vertex points, the arithmetic of the pair distances, so
     ties agree bit for bit. Each source's are sorted once and padded with
     inf; a pair finds ``#{d(u, w) < t}`` by a branchless binary search over
-    the flat rows, in int32 positions while they fit (int64 from
-    ``_INT32_POSITIONS`` entries on), each step a ``take`` and a 0/1 multiple.
+    the flat rows in int32 positions, each step a ``take`` and a 0/1 multiple:
+    a chunk of at most 512 sources, each padded to under ``2 V'`` entries for
+    ``V'`` kept vertices, reaches ``2**31`` only if ``V x V`` holds 35 TB.
     """
     keep = np.nonzero(net.degrees != 2)[0]
     vertices = (net._vertex_canon_edge[keep], net._vertex_canon_offset[keep])
@@ -685,12 +694,12 @@ def _sphere_count_matrix(net: LinearNetwork, e_src, o_src, rows, radii) -> np.nd
     cum = np.full((e_src.size, width), 2, dtype=np.int64)
     cum[:, 1 : keep.size + 1] = net.degrees[keep][order] - 2
     padded, cum = padded.ravel(), np.cumsum(cum, axis=1).ravel()
-    pos = np.int32 if padded.size < _INT32_POSITIONS else np.int64
+    if padded.size >= 1 << 31: raise NumericalError("sphere-count rows overflow int32 positions")
     out = np.empty(radii.size, dtype=np.int64)
     for p0 in range(0, radii.size, _SPHERE_CHUNK):
         t = radii[p0 : p0 + _SPHERE_CHUNK]
-        at = rows[p0 : p0 + _SPHERE_CHUNK].astype(pos) * pos(width)  # ends at the first d(u, w) >= t
-        for step in (pos(1 << k) for k in reversed(range(bits))):
+        at = rows[p0 : p0 + _SPHERE_CHUNK].astype(np.int32) * np.int32(width)  # to the first d >= t
+        for step in (np.int32(1 << k) for k in reversed(range(bits))):
             at += (padded.take(at + (step - 1)) < t) * step
         out[p0 : p0 + _SPHERE_CHUNK] = np.where(t == 0.0, 1, cum.take(at))
     return out

@@ -126,7 +126,10 @@ def simulate_poisson(net: LinearNetwork, intensity, seed=None) -> PointPattern:
     mu = float(w.sum())
     if mu <= 0.0:
         return PointPattern(net, [])
-    n = int(rng.poisson(mu))
+    try:
+        n = int(rng.poisson(mu))
+    except ValueError:  # numpy draws no count above about 9.2e18
+        raise ValidationError(f"the expected count {mu!r} is too large to draw") from None
     eidx = rng.choice(net.n_edges, size=n, p=w / mu)
     off = rng.random(n) * net.edge_length[eidx]
     return PointPattern.from_indices(net, eidx, off)
@@ -185,9 +188,7 @@ def retention_field(grf, sigma2: float) -> np.ndarray:
 def _sorted_lattice_arrays(net, spacing):
     """Lattice sites sorted by (edge id, offset) for deterministic ties."""
     e, o = _lattice(net, spacing)
-    id_rank = {eid: r for r, eid in enumerate(sorted(net._edge_index))}
-    ranks = np.array([id_rank[edge.id] for edge in net.edges])[e]
-    order = np.lexsort((o, ranks))
+    order = np.lexsort((o, net._edge_rank[e]))
     return e[order], o[order]
 
 

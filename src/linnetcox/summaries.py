@@ -389,9 +389,11 @@ def k_from_pairs(pairs: PairData, r) -> np.ndarray:
 
 
 def _g_reach(r: np.ndarray, bandwidth: float) -> float:
-    """The farthest pair that g reads at radii ``r``: ``max(r) + bandwidth``."""
-    if not 0 < bandwidth < math.inf:
-        raise ValidationError(f"bandwidth must be positive and finite, got {bandwidth}")
+    """The farthest pair that g reads at radii ``r``: ``max(r) + bandwidth``. A bandwidth
+    so small that g's scale ``0.75 / bandwidth`` overflows is refused with the others."""
+    if not (0 < bandwidth < math.inf and math.isfinite(0.75 / float(bandwidth))):
+        raise ValidationError(f"bandwidth must be positive and finite, as must 0.75 / bandwidth, "
+                              f"got {bandwidth}")
     return r.max(initial=0.0) + float(bandwidth)
 
 

@@ -233,6 +233,16 @@ class TestSimulate:
         assert err.startswith("error: ") and err.count("\n") == 1 and "spacing" in err
         assert not (tmp_path / "x" / "pattern_0000.csv").exists()
 
+    @pytest.mark.parametrize("flags", [["simulate-poisson", "--rho-m", "1e300"],
+                                       ["simulate-cox", "--rho-ym", "1e300", "--sigma2", "5",
+                                        "--beta", "0.1"]], ids=["poisson", "cox"])
+    def test_undrawable_expected_count_exits_2(self, tmp_path, dendrite_file, capsys, flags):
+        # numpy's Poisson sampler refuses a mean above about 9.2e18
+        rc = run(*flags, "--net", dendrite_file, "--out", tmp_path / "x")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "expected count" in err
+
     def test_negative_poisson_reps_exit_2(self, tmp_path, dendrite_file, capsys):
         rc = run("simulate-poisson", "--net", dendrite_file, "--rho-m", "0.8", "--reps", "-1",
                  "--out", tmp_path / "x")
@@ -392,6 +402,18 @@ class TestSummaries:
         assert err.startswith("error: ") and err.count("\n") == 1 and "bandwidth" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["summaries", "--which", "g"], ["fit"]])
+    def test_subnormal_bandwidth_exits_2(self, tmp_path, dendrite_file, pattern_file, capsys,
+                                         command):
+        # 0.75 / 1e-320 overflows: summaries wrote NaN g values, fit blamed the curve
+        out = tmp_path / "x.out"
+        rc = run(*command, "--net", dendrite_file, "--pattern", pattern_file,
+                 "--bandwidth", "1e-320", "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "bandwidth" in err
+        assert "1e-320" in err and not out.exists()
+
     @pytest.mark.parametrize("spacing", ["inf", "nan", "0"])
     def test_bad_lattice_spacing_exits_2(self, tmp_path, dendrite_file, pattern_file, capsys,
                                          spacing):
@@ -463,6 +485,26 @@ class TestKernelIntensity:
         assert rows[0] == ["edge", "offset", "value"]
         vals = np.array([float(r[2]) for r in rows[1:]])
         assert vals.size > 0 and np.all(vals >= 0)
+
+    def test_ids_are_quoted_as_in_patterns(self, tmp_path):
+        # a Y whose edge ids hold a comma and a quote, in both hand-written CSV outputs
+        ids = ["a,b", 'say "c"', "d"]
+        doc = {"vertices": [{"id": v} for v in "OABC"],
+               "edges": [{"id": e, "start": "O", "end": v, "length": 4.0}
+                         for e, v in zip(ids, "ABC")]}
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(doc))
+        pattern = tmp_path / "pattern.csv"
+        pattern.write_text('edge,offset\n"a,b",1.0\n"say ""c""",2.5\nd,3.0\n')
+        assert run("kernel-intensity", "--net", net, "--pattern", pattern, "--bandwidth", "2",
+                   "--out", tmp_path / "intensity.csv") == 0
+        assert run("simulate-cox", "--net", net, "--rho-ym", "2", "--sigma2", "1", "--beta", "1",
+                   "--mode", "grid", "--save-pi", "--out", tmp_path / "sim") == 0
+        for out in (tmp_path / "intensity.csv", tmp_path / "sim" / "pi_0000.csv"):
+            with open(out, newline="") as f:
+                rows = list(csv.reader(f))
+            assert {len(r) for r in rows} == {3}
+            assert {r[0] for r in rows[1:]} == set(ids)
 
     def test_spacing_must_resolve_bandwidth(self, tmp_path, dendrite_file, pattern_file):
         rc = run(
@@ -690,6 +732,19 @@ class TestMalformedInputs:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "malformed network document" in err and "abc" in err
 
+    @pytest.mark.parametrize("field", [("vertices", "id"), ("edges", "id"), ("edges", "end")])
+    @pytest.mark.parametrize("value", [[1], {"a": 1}], ids=["list", "object"])
+    def test_unhashable_id(self, tmp_path, dendrite_file, pattern_file, capsys, field, value):
+        doc = json.loads(dendrite_file.read_text())
+        doc[field[0]][0][field[1]] = value
+        net = tmp_path / "bad.json"
+        net.write_text(json.dumps(doc))
+        rc = run("summaries", "--net", net, "--pattern", pattern_file,
+                 "--out", tmp_path / "x.csv")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "hashable" in err
+
     def test_bad_fit_json(self, tmp_path, dendrite_file, pattern_file, capsys):
         fit = tmp_path / "fit.json"
         fit.write_text("{bad")
@@ -764,6 +819,20 @@ class TestHarness:
         err = capsys.readouterr().err
         assert err == "error: seed must be None or a nonnegative integer, got -1\n"
         assert sorted(tmp_path.rglob("*")) == before  # nothing written
+
+    @pytest.mark.parametrize("flags", [
+        ["summaries", "--which", "F", "--spacing", "1e-12"],
+        ["kernel-intensity", "--bandwidth", "5", "--spacing", "1e-12"],
+        ["simulate-cox", "--rho-ym", "1e12", "--sigma2", "5", "--beta", "0.1"],
+    ], ids=["lattice", "kernel-grid", "driving-points"])
+    def test_input_too_large_for_memory_exits_2(self, tmp_path, dendrite_file, pattern_file,
+                                                capsys, flags):
+        # each asks numpy for petabytes, which it refuses before touching memory
+        pat = [] if flags[0] == "simulate-cox" else ["--pattern", pattern_file]
+        rc = run(*flags, "--net", dendrite_file, *pat, "--out", tmp_path / "x")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "allocate" in err
 
     def test_bad_flag_choice_raises_system_exit(self, tmp_path):
         with pytest.raises(SystemExit):

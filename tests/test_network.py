@@ -192,6 +192,15 @@ class TestCanonicalization:
                 [Edge(0, 0, 1, 1.0, "main"), Edge("a", 1, 2, 1.0, "main")],
             )
 
+    def test_ids_orderable_only_at_each_junction_rejected(self):
+        # each junction's two ids compare, but (1, "a") and (1, 3) do not, and the
+        # one edge-id order that breaks every tie needs all of them to
+        with pytest.raises(ValidationError, match="orderable"):
+            LinearNetwork(
+                [Vertex(v) for v in range(4)],
+                [Edge((1, "a"), 0, 1, 1.0), Edge((0, 0), 1, 2, 1.0), Edge((1, 3), 2, 3, 1.0)],
+            )
+
 
 class TestDistances:
     def test_same_edge(self):
@@ -269,6 +278,20 @@ class TestDistances:
         pts = PointPattern(y_net, [(0, 2.0), (1, 1.0), (2, 5.0)])
         got = leaf_distances(y_net, pts)
         assert_allclose(got, [1.0, 3.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "e, o",
+        [(np.array([0]), np.array([1e9])), (np.array([0]), np.array([np.nan])),
+         (np.array([-1]), np.array([1.0])), (np.array([3]), np.array([1.0])),
+         (np.array([0.0]), np.array([1.0]))],
+        ids=["beyond-the-edge", "nan-offset", "negative-index", "past-the-end", "float-index"],
+    )
+    def test_raw_arrays_are_checked(self, y_net, e, o):
+        # unchecked, the first gave a leaf distance of -1e9 and a sphere count of
+        # 0, and index -1 wrapped to the last edge
+        for call in (leaf_distances, pairwise_distances, lambda net, p: sphere_count(net, p, 3.0)):
+            with pytest.raises(ValidationError, match="edge"):
+                call(y_net, (e, o))
 
     def test_leaf_distances_against_oracle(self):
         net = make_network("random-tree", seed=5, edges=40)
@@ -799,7 +822,7 @@ class TestFlatSphereCounts:
         assert np.array_equal(got, np.concatenate([w.ravel() for w in want]))
 
     @pytest.mark.parametrize("count", [_SPHERE_CHUNK - 1, _SPHERE_CHUNK + 1, 2 * _SPHERE_CHUNK + 1])
-    def test_int32_positions_equal_int64_at_chunk_ends(self, monkeypatch, count):
+    def test_int32_positions_equal_int64_at_chunk_ends(self, count):
         # each chunk's first pair reads the first source at its first slot and its
         # last pair the last source at its last slot, the highest flat position
         net = make_network("random-tree", seed=2, edges=200)
@@ -813,8 +836,6 @@ class TestFlatSphereCounts:
         rows[starts], radii[starts] = 0, np.nextafter(0.0, 1.0)
         rows[ends], radii[ends] = 63, 1e9
         got = _sphere_count_matrix(net, e, o, rows, radii)
-        monkeypatch.setattr(network, "_INT32_POSITIONS", 0)  # int64 positions
-        assert np.array_equal(got, _sphere_count_matrix(net, e, o, rows, radii))
         want = np.empty(count, dtype=np.int64)
         for i in range(64):
             mine = rows == i
