@@ -15,7 +15,6 @@ or malformed files, too large an input), 3 on numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -36,17 +35,17 @@ from .estimation import (
     two_step_fit,
 )
 from .io import (
-    _fmt,
-    _load_json,
-    atomic_write,
     load_fit,
+    load_json,
     load_network,
     load_pattern,
     save_curves,
     save_envelope,
     save_fit,
+    save_intensity,
     save_network,
     save_pattern,
+    save_retention_grid,
     save_study,
     write_manifest,
 )
@@ -56,18 +55,12 @@ from .simulate import simulate_cox, simulate_poisson, spawn_generators
 # this module for tools that wrap the CLI's bindings by name.
 from .summaries import (
     FgjConfig,
-    SummaryCurve,
-    default_r_grid,
     fgj_estimates,
     fit_intensity_mle,
     g_estimate,
-    g_from_pairs,
     k_estimate,
-    k_from_pairs,
     kernel_intensity,
-    _g_reach,
-    _pattern_bandwidth,
-    second_order_pairs,
+    second_order_estimates,
 )
 from .templates import TEMPLATES, make_network
 
@@ -151,28 +144,24 @@ def _config_dict(args) -> dict:
     return out
 
 
-def _manifest(args, argv, target) -> None:
-    write_manifest(target, args.command, argv, _config_dict(args), getattr(args, "seed", None))
-
-
 # -- subcommands --------------------------------------------------------------
 
 
-def _cmd_make_network(args, argv) -> None:
+def _cmd_make_network(args) -> None:
     knobs = dict(_parse_knob(k) for k in args.knob)
     try:
         net = make_network(args.template, seed=args.seed, **knobs)
     except TypeError as exc:  # unknown knob name for this template
         raise ValidationError(str(exc)) from None
     save_network(net, args.out)
-    _manifest(args, argv, args.out)
     log.info(
         "wrote %s: %d edges, total length %.1f", args.out, len(net.edges), net.total_length
     )
 
 
-def _replicate_patterns(args, argv, simulate_one, extra=None) -> None:
-    """Shared replicate loop of the simulate-* commands."""
+def _replicate_patterns(args, simulate_one) -> None:
+    """Shared replicate loop of the simulate-* commands: ``simulate_one(gen)`` gives a
+    pattern and a grid-mode sample whose retention grid is written too, or None."""
     gens = spawn_generators(args.seed, args.reps)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -182,46 +171,34 @@ def _replicate_patterns(args, argv, simulate_one, extra=None) -> None:
             results = list(pool.map(simulate_one, gens))
     else:
         results = [simulate_one(g) for g in gens]
-    for rep, result in enumerate(results):
-        save_pattern(result[0], out_dir / f"pattern_{rep:04d}.csv")
-        if extra is not None:
-            extra(rep, result, out_dir)
-    _manifest(args, argv, out_dir)
+    for rep, (pattern, sample) in enumerate(results):
+        save_pattern(pattern, out_dir / f"pattern_{rep:04d}.csv")
+        if sample is not None:
+            save_retention_grid(sample, out_dir / f"pi_{rep:04d}.csv")
 
 
-def _cmd_simulate_poisson(args, argv) -> None:
+def _cmd_simulate_poisson(args) -> None:
     net = load_network(args.net)
     rho_s = args.rho_m if args.rho_s is None else args.rho_s
     intensity = IntensityModel(args.rho_m, rho_s)
-    _replicate_patterns(args, argv, lambda gen: (simulate_poisson(net, intensity, gen),))
+    _replicate_patterns(args, lambda gen: (simulate_poisson(net, intensity, gen), None))
 
 
-def _cmd_simulate_cox(args, argv) -> None:
+def _cmd_simulate_cox(args) -> None:
     net = load_network(args.net)
     rho_ys = args.rho_ym if args.rho_ys is None else args.rho_ys
     model = CoxModel(args.rho_ym, rho_ys, args.sigma2, args.beta, args.k)
 
     def simulate_one(gen):
         sample = simulate_cox(net, model, mode=args.mode, spacing=args.spacing, seed=gen)
-        return (sample.pattern, sample)
-
-    def extra(rep, result, out_dir):
-        sample = result[1]
-        if not (args.save_pi and sample.sites is not None):
-            return
-        with atomic_write(out_dir / f"pi_{rep:04d}.csv") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(["edge", "offset", "pi"])
-            sites = sample.sites
-            for ei, off, pi in zip(sites.edge_indices, sites.offsets, sample.site_retention):
-                writer.writerow([net.edges[ei].id, _fmt(off), _fmt(pi)])
+        return sample.pattern, sample if args.save_pi else None
 
     if args.save_pi and args.mode != "grid":
         raise ValidationError("--save-pi requires --mode grid (the field is site-based)")
-    _replicate_patterns(args, argv, simulate_one, extra)
+    _replicate_patterns(args, simulate_one)
 
 
-def _cmd_fit(args, argv) -> None:
+def _cmd_fit(args) -> None:
     net = load_network(args.net)
     pattern = load_pattern(args.pattern, net)
     flags = {"r_min": args.rl, "r_max": args.ru, "power": args.p, "bandwidth": args.bandwidth,
@@ -230,13 +207,12 @@ def _cmd_fit(args, argv) -> None:
     config = _method_config(args.method, {f: v for f, v in flags.items() if hasattr(base, f)})
     fit = two_step_fit(pattern, k=args.k, config=config)
     save_fit(fit, args.out)
-    _manifest(args, argv, args.out)
     if not fit.converged:
         log.warning("fit did not converge; estimates written anyway")
     log.info("sigma2=%g beta=%g", fit.sigma2, fit.beta)
 
 
-def _cmd_summaries(args, argv) -> None:
+def _cmd_summaries(args) -> None:
     net = load_network(args.net)
     pattern = load_pattern(args.pattern, net)
     which = [w.strip() for w in args.which.split(",") if w.strip()]
@@ -245,43 +221,24 @@ def _cmd_summaries(args, argv) -> None:
     if bad or not which:
         raise ValidationError(f"--which takes a comma list from {sorted(known)}, got {args.which!r}")
     r = _parse_rgrid(args.rgrid) if args.rgrid else None
-    intensity = fit_intensity_mle(pattern)
     curves = {}
     if {"K", "g"} & set(which):
-        # one set of pair data, within the reach of g if asked for, serves both curves
-        grid = default_r_grid(net) if r is None else r
-        bw = args.bandwidth
-        if "g" in which and bw is None:
-            bw = _pattern_bandwidth(pattern, intensity)
-        pairs = second_order_pairs(pattern, intensity,
-                                   _g_reach(grid, bw) if "g" in which else grid.max(initial=0.0))
-        defined = np.ones(grid.shape, dtype=bool)
-        if "K" in which:
-            curves["K"] = SummaryCurve("K", grid, k_from_pairs(pairs, grid), defined)
-        if "g" in which:
-            curves["g"] = SummaryCurve("g", grid, g_from_pairs(pairs, grid, bw), defined)
+        curves = second_order_estimates(pattern, r=r, bandwidth=args.bandwidth,
+                                        which=[w for w in which if w in ("K", "g")])
     if {"F", "G", "J"} & set(which):
         fgj = fgj_estimates(pattern, FgjConfig(lattice_spacing=args.spacing), r)
         curves.update(F=fgj.F, G=fgj.G, J=fgj.J)
     # K and g first, then F, G and J, each group in the order asked for
     save_curves([curves[w] for w in sorted(which, key=lambda w: w in ("F", "G", "J"))], args.out)
-    _manifest(args, argv, args.out)
 
 
-def _cmd_kernel_intensity(args, argv) -> None:
+def _cmd_kernel_intensity(args) -> None:
     net = load_network(args.net)
     pattern = load_pattern(args.pattern, net)
-    est = kernel_intensity(net, pattern, args.bandwidth, spacing=args.spacing)
-    with atomic_write(args.out) as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["edge", "offset", "value"])
-        for ei, (offs, vals) in enumerate(zip(est.edge_offsets, est.edge_values)):
-            for off, val in zip(offs, vals):
-                writer.writerow([net.edges[ei].id, _fmt(off), _fmt(val)])
-    _manifest(args, argv, args.out)
+    save_intensity(kernel_intensity(net, pattern, args.bandwidth, spacing=args.spacing), args.out)
 
 
-def _cmd_envelope(args, argv) -> None:
+def _cmd_envelope(args) -> None:
     net = load_network(args.net)
     pattern = load_pattern(args.pattern, net)
     if args.model == "poisson":
@@ -301,7 +258,6 @@ def _cmd_envelope(args, argv) -> None:
         r_min=args.rmin,
     )
     save_envelope(result.envelope, result.curve_set.data, args.out)
-    _manifest(args, argv, args.out)
     lo, hi = result.envelope.p_interval
     log.info("p-interval (%g, %g)", lo, hi)
 
@@ -319,9 +275,9 @@ def _study_network(entry, base: Path):
     raise ValidationError("design 'network' must be a file path or a template object")
 
 
-def _cmd_simstudy(args, argv) -> None:
+def _cmd_simstudy(args) -> None:
     design_path = Path(args.design)
-    design = _load_json(design_path, "design")
+    design = load_json(design_path, "design")
     if not isinstance(design, list) or not design:
         raise ValidationError("design file must hold a non-empty list of runs")
     runs = []
@@ -344,7 +300,6 @@ def _cmd_simstudy(args, argv) -> None:
             raise ValidationError(f"bad design entry {entry.get('name', '?')!r}: {exc}") from None
     result = simulation_study(runs, replicates=args.reps, seed=args.seed)
     save_study(result, args.out)
-    _manifest(args, argv, args.out)
     for key, counts in result.truncation.items():
         if any(counts.values()):
             log.info("run %s method %s: %s", key[0], key[1], counts)
@@ -472,7 +427,8 @@ def main(argv=None) -> int:
             level=getattr(logging, args.log_level.upper(), logging.WARNING),
             format="%(levelname)s %(name)s: %(message)s",
         )
-        args.func(args, argv)
+        args.func(args)  # writes the outputs at args.out; their manifest goes with them
+        write_manifest(args.out, args.command, argv, _config_dict(args), getattr(args, "seed", None))
     except (ValidationError, OSError, MemoryError) as exc:  # bad, unreadable or too large input
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,9 +2,11 @@
 
 Formats are deliberately plain: JSON for structured objects (networks,
 fits, manifests, p-value sidecars) and CSV for tabular data (patterns,
-curves, envelopes, study results). Floats are written with ``repr`` so
-every file round-trips bitwise: loading an emitted file reconstructs an
-object equal to the one written.
+curves, intensity and retention grids, envelopes, study results). Floats
+are written with ``repr`` so every file round-trips bitwise: loading an
+emitted file reconstructs an object equal to the one written. Every CSV
+table goes through one writer (:func:`_write_table`, ``\\r\\n`` row ends)
+and its readers through one reader (:func:`_read_table`).
 
 All writers go through :func:`atomic_write` (write to a temp file in the
 target directory, then rename), so a crashed run never leaves a partial
@@ -25,22 +27,13 @@ from ._version import __version__
 from .errors import ValidationError
 from .estimation import FitResult, StudyResult
 from .network import Edge, LinearNetwork, PointPattern, Vertex
-from .summaries import SummaryCurve
+from .simulate import CoxSample
+from .summaries import IntensityEstimate, SummaryCurve
 
 __all__ = [
-    "atomic_write",
-    "load_network",
-    "save_network",
-    "load_pattern",
-    "save_pattern",
-    "load_curves",
-    "save_curves",
-    "load_fit",
-    "save_fit",
-    "save_envelope",
-    "save_study",
-    "write_manifest",
-    "sidecar_path",
+    "atomic_write", "load_json", "load_network", "save_network", "load_pattern", "save_pattern",
+    "save_retention_grid", "load_curves", "save_curves", "save_intensity", "load_fit", "save_fit",
+    "save_envelope", "save_study", "write_manifest", "sidecar_path",
 ]
 
 
@@ -49,14 +42,14 @@ def atomic_write(path):
     """Open a text handle that lands at ``path`` only on success."""
     path = Path(path)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    handle = open(tmp, "w", newline="")
     try:
-        yield handle
-        handle.close()
+        with open(tmp, "w", newline="") as handle:
+            yield handle
         os.replace(tmp, path)
-    except BaseException:
-        handle.close()
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):  # name the target instead
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
 
@@ -83,7 +76,9 @@ def _open_input(path: Path, what: str):
         raise ValidationError(f"{what} file {path} cannot be decoded: {exc}") from None
 
 
-def _load_json(path: Path, what: str):
+def load_json(path: Path, what: str):
+    """A JSON input file's document; a missing, undecodable or malformed file
+    raises :class:`ValidationError` naming the file as ``what``."""
     with _open_input(path, what) as f:
         try:
             return json.load(f)
@@ -91,10 +86,37 @@ def _load_json(path: Path, what: str):
             raise ValidationError(f"{what} file {path} is not valid JSON: {exc}") from None
 
 
-def _bad_row(path: Path, reader, expected: str, row) -> ValidationError:
-    return ValidationError(
-        f"{path}, line {reader.line_num}: expected {expected}, got {','.join(row)!r}"
-    )
+def _write_table(path, header: list[str], rows) -> None:
+    """Write a CSV table, ``header`` then ``rows``, each row ending in ``\\r\\n``."""
+    with atomic_write(path) as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_table(path, what: str, header: list[str], parse_row) -> list:
+    """``parse_row`` of each nonblank row of a CSV table whose first row starts
+    with ``header``; a row it fails on (IndexError or ValueError) is named by line."""
+    path, columns = Path(path), ",".join(header)
+    with _open_input(path, what) as f:
+        reader = csv.reader(f)
+        first = next(reader, None)
+        if first is None or [h.strip() for h in first[: len(header)]] != header:
+            raise ValidationError(f"{what} file {path} must start with {columns!r}, got {first}")
+        rows = []
+        for row in filter(None, reader):
+            try:
+                rows.append(parse_row(row))
+            except (IndexError, ValueError):
+                raise ValidationError(f"{path}, line {reader.line_num}: expected {columns!r}, "
+                                      f"got {','.join(row)!r}") from None
+    return rows
+
+
+def _point_rows(net: LinearNetwork, edge_indices, offsets, *columns):
+    """Table rows ``edge id, offset, *columns`` of points given by edge index and offset."""
+    for ei, off, *values in zip(edge_indices, offsets, *columns):
+        yield [net.edges[ei].id, _fmt(off), *map(_fmt, values)]
 
 
 def _parse_id(text: str):
@@ -134,7 +156,7 @@ def load_network(source) -> LinearNetwork:
     elif hasattr(source, "read"):
         doc = json.load(source)
     else:
-        doc = _load_json(Path(source), "network")
+        doc = load_json(Path(source), "network")
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
         raise ValidationError("network document must contain 'vertices' and 'edges'")
     try:
@@ -152,61 +174,53 @@ def load_network(source) -> LinearNetwork:
 
 
 def save_pattern(pattern: PointPattern, path) -> None:
-    with atomic_write(path) as f:
-        writer = csv.writer(f)
-        writer.writerow(["edge", "offset"])
-        net = pattern.network
-        for ei, off in zip(pattern.edge_indices, pattern.offsets):
-            writer.writerow([net.edges[ei].id, _fmt(off)])
+    rows = _point_rows(pattern.network, pattern.edge_indices, pattern.offsets)
+    _write_table(path, ["edge", "offset"], rows)
 
 
 def load_pattern(path, net: LinearNetwork) -> PointPattern:
-    path = Path(path)
-    points = []
-    with _open_input(path, "pattern") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["edge", "offset"]:
-            raise ValidationError(f"pattern file {path} must start with 'edge,offset'")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                points.append((_parse_id(row[0]), float(row[1])))
-            except (IndexError, ValueError):
-                raise _bad_row(path, reader, "'edge,offset'", row) from None
-    return PointPattern(net, points)
+    return PointPattern(net, _read_table(path, "pattern", ["edge", "offset"],
+                                         lambda row: (_parse_id(row[0]), float(row[1]))))
 
 
-# -- curves -------------------------------------------------------------------
+def save_retention_grid(sample: CoxSample, path) -> None:
+    """A grid-mode sample's lattice sites and their retention probabilities."""
+    sites = sample.sites
+    if sites is None:
+        raise ValidationError("only a grid-mode sample has a retention grid")
+    rows = _point_rows(sites.network, sites.edge_indices, sites.offsets, sample.site_retention)
+    _write_table(path, ["edge", "offset", "pi"], rows)
+
+
+# -- curves & intensities ------------------------------------------------------
 
 
 def save_curves(curves, path) -> None:
-    with atomic_write(path) as f:
-        writer = csv.writer(f)
-        writer.writerow(["kind", "r", "value", "defined"])
-        for curve in curves:
-            for r, v, d in zip(curve.r, curve.values, curve.defined):
-                writer.writerow([curve.kind, _fmt(r), _fmt(v), int(d)])
+    _write_table(path, ["kind", "r", "value", "defined"],
+                 ([curve.kind, _fmt(r), _fmt(v), int(d)]
+                  for curve in curves for r, v, d in zip(curve.r, curve.values, curve.defined)))
+
+
+def _curve_row(row):
+    kind, r, v, d = row
+    return kind, float(r), float(v), bool(int(d))
 
 
 def load_curves(path) -> list[SummaryCurve]:
-    path = Path(path)
     rows: dict[str, list] = {}  # per kind, in order of first appearance
-    with _open_input(path, "curve") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["kind", "r", "value", "defined"]:
-            raise ValidationError(f"curve file {path} has unexpected header {header}")
-        for row in reader:
-            try:
-                kind, r, v, d = row
-                values = (float(r), float(v), bool(int(d)))
-            except ValueError:
-                raise _bad_row(path, reader, "'kind,r,value,defined'", row) from None
-            rows.setdefault(kind, []).append(values)
+    for kind, *values in _read_table(path, "curve", ["kind", "r", "value", "defined"], _curve_row):
+        rows.setdefault(kind, []).append(values)
     # columns r (float), value (float), defined (bool)
     return [SummaryCurve(kind, *map(np.array, zip(*data))) for kind, data in rows.items()]
+
+
+def save_intensity(estimate: IntensityEstimate, path) -> None:
+    """The kernel estimate on its per-edge grids, edge by edge."""
+    offsets = estimate.edge_offsets
+    edges = np.repeat(np.arange(len(offsets)), [off.size for off in offsets])
+    rows = _point_rows(estimate.network, edges, np.concatenate(offsets),
+                       np.concatenate(estimate.edge_values))
+    _write_table(path, ["edge", "offset", "value"], rows)
 
 
 # -- fits ---------------------------------------------------------------------
@@ -227,7 +241,7 @@ def save_fit(fit: FitResult, path) -> None:
 
 def load_fit(path) -> FitResult:
     path = Path(path)
-    doc = _load_json(path, "fit")
+    doc = load_json(path, "fit")
     try:
         return FitResult(**{key: read(doc[key]) for key, read in _FIT_KEYS.items()})
     except (KeyError, TypeError, ValueError) as exc:
@@ -248,32 +262,17 @@ def sidecar_path(out_path) -> Path:
 
 def save_envelope(envelope, data_values: np.ndarray, path) -> None:
     """Write the envelope table plus its p-value sidecar."""
-    with atomic_write(path) as f:
-        writer = csv.writer(f)
-        writer.writerow(["segment", "r", "data", "lower", "upper"])
-        for lab, r, d, lo, hi in zip(
-            envelope.labels, envelope.r, data_values, envelope.lower, envelope.upper
-        ):
-            writer.writerow([lab, _fmt(r), _fmt(d), _fmt(lo), _fmt(hi)])
+    columns = envelope.labels, envelope.r, data_values, envelope.lower, envelope.upper
+    _write_table(path, ["segment", "r", "data", "lower", "upper"],
+                 ([lab, *map(_fmt, values)] for lab, *values in zip(*columns)))
     _write_json(sidecar_path(path), {"p_liberal": envelope.p_liberal,
                                      "p_conservative": envelope.p_conservative})
 
 
 def save_study(result: StudyResult, path) -> None:
-    with atomic_write(path) as f:
-        writer = csv.writer(f)
-        writer.writerow(["run", "replicate", "method", "sigma2_hat", "beta_hat", "converged"])
-        for row in result.rows:
-            writer.writerow(
-                [
-                    row.run,
-                    row.replicate,
-                    row.method,
-                    _fmt(row.sigma2_hat),
-                    _fmt(row.beta_hat),
-                    int(row.converged),
-                ]
-            )
+    _write_table(path, ["run", "replicate", "method", "sigma2_hat", "beta_hat", "converged"],
+                 ([row.run, row.replicate, row.method, _fmt(row.sigma2_hat), _fmt(row.beta_hat),
+                   int(row.converged)] for row in result.rows))
 
 
 # -- manifests ------------------------------------------------------------------

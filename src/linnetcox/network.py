@@ -180,6 +180,10 @@ class LinearNetwork:
         if ne != nv - 1:
             raise ValidationError("network contains a cycle; only trees are supported")
 
+        with np.errstate(over="ignore"):  # an overflowing sum is refused, not warned about
+            self.total_length = float(length.sum())
+        if not math.isfinite(self.total_length):
+            raise ValidationError("the network's total edge length overflows a float")
         self._preorder, self._parent_edge = order, up
         self.vertex_distance_matrix = D = self._tree_distances()
         # E x E least distance between two edges: their nearest endpoint pair
@@ -199,7 +203,6 @@ class LinearNetwork:
         self._vertex_canon_edge = ce = by_id[lowest]
         self._vertex_canon_offset = np.where(start[ce] == np.arange(nv), 0.0, length[ce])
 
-        self.total_length = float(length.sum())
         self.side_length = float(length[side].sum())
         self.main_length = self.total_length - self.side_length
 

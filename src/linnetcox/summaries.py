@@ -44,7 +44,7 @@ __all__ = [
     "SummaryCurve", "PairData", "FgjConfig", "FgjCurves", "IntensityEstimate",
     "default_r_grid", "default_bandwidth", "fit_intensity_mle", "kernel_intensity",
     "pair_correlation", "k_function", "second_order_pairs", "k_from_pairs", "g_from_pairs",
-    "k_estimate", "g_estimate", "fgj_estimates",
+    "second_order_estimates", "k_estimate", "g_estimate", "fgj_estimates",
 ]
 
 
@@ -435,35 +435,43 @@ def g_from_pairs(pairs: PairData, r, bandwidth: float) -> np.ndarray:
     return (0.75 / b * out / pairs.total_length).reshape(r.shape)
 
 
-def _pattern_bandwidth(pattern: PointPattern, intensity=None) -> float:
-    """:func:`default_bandwidth` at the mean intensity over the pattern's points."""
-    rho, _ = _intensity_at_points(pattern.network, pattern, intensity)
-    mean_rho = float(rho.mean()) if rho.size else pattern.n / pattern.network.total_length
-    return default_bandwidth(mean_rho)
+def second_order_estimates(pattern: PointPattern, intensity=None, r=None,
+                           bandwidth: float | None = None, which=("K", "g")) -> dict:
+    """The geometrically corrected empirical ``K`` and pair correlation ``g``
+    curves named in ``which``, by name, from one :class:`PairData` out to the
+    farther of their reaches (``max(r) + bandwidth`` for ``g``). ``r`` defaults
+    to :func:`default_r_grid`; ``g``'s ``bandwidth`` to :func:`default_bandwidth`
+    at the mean intensity over the pattern's points."""
+    if not set(which) <= {"K", "g"}:
+        raise ValidationError(f"second-order curves are 'K' and 'g', got {list(which)}")
+    net = pattern.network
+    r = default_r_grid(net) if r is None else _radii(r)
+    if "g" in which and bandwidth is None:
+        rho, _ = _intensity_at_points(net, pattern, intensity)
+        bandwidth = default_bandwidth(float(rho.mean()) if rho.size else pattern.n / net.total_length)
+    pairs = second_order_pairs(pattern, intensity,
+                               _g_reach(r, bandwidth) if "g" in which else r.max(initial=0.0))
+    curves = {}
+    if "K" in which:
+        curves["K"] = SummaryCurve("K", r, k_from_pairs(pairs, r), np.ones(r.shape, dtype=bool),
+                                   {"n": pattern.n})
+    if "g" in which:
+        curves["g"] = SummaryCurve("g", r, g_from_pairs(pairs, r, bandwidth),
+                                   np.ones(r.shape, dtype=bool),
+                                   {"bandwidth": float(bandwidth), "n": pattern.n})
+    return curves
 
 
 def k_estimate(pattern: PointPattern, intensity=None, r=None) -> SummaryCurve:
     """Geometrically corrected empirical ``K`` function."""
-    net = pattern.network
-    r = default_r_grid(net) if r is None else _radii(r)
-    pairs = second_order_pairs(pattern, intensity, r.max(initial=0.0))
-    values = k_from_pairs(pairs, r)
-    return SummaryCurve("K", r, values, np.ones(r.shape, dtype=bool), {"n": pattern.n})
+    return second_order_estimates(pattern, intensity, r, which=("K",))["K"]
 
 
 def g_estimate(
     pattern: PointPattern, intensity=None, r=None, bandwidth: float | None = None
 ) -> SummaryCurve:
     """Geometrically corrected empirical pair correlation."""
-    net = pattern.network
-    r = default_r_grid(net) if r is None else _radii(r)
-    if bandwidth is None:
-        bandwidth = _pattern_bandwidth(pattern, intensity)
-    pairs = second_order_pairs(pattern, intensity, _g_reach(r, bandwidth))
-    values = g_from_pairs(pairs, r, bandwidth)
-    return SummaryCurve(
-        "g", r, values, np.ones(r.shape, dtype=bool), {"bandwidth": float(bandwidth), "n": pattern.n}
-    )
+    return second_order_estimates(pattern, intensity, r, bandwidth, ("g",))["g"]
 
 
 # -- F, G, J ------------------------------------------------------------

@@ -22,7 +22,7 @@ from linnetcox import (
     load_pattern,
 )
 import linnetcox
-from linnetcox import cli
+from linnetcox import cli, summaries
 from linnetcox.cli import main
 
 
@@ -316,6 +316,8 @@ class TestFit:
             ("cl2", ["--r0", "-5"], "r0 > 0"),
             ("cl2", ["--r0", "nan"], "r0 > 0"),
             ("cl2", ["--r0", "inf"], "r0 > 0"),
+            ("mce-g", ["--ru", "1e300"], "exceeds the network's diameter"),
+            ("mce-k", ["--ru", "1e300"], "exceeds the network's diameter"),
         ],
     )
     def test_bad_fit_flags_exit_2(self, tmp_path, dendrite_file, pattern_file, capsys, method,
@@ -446,13 +448,13 @@ class TestSummaries:
     def test_k_and_g_share_one_pair_set(self, tmp_path, dendrite_file, pattern_file, monkeypatch,
                                          rgrid):
         calls = []
-        original = cli.second_order_pairs
+        original = summaries.second_order_pairs
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "second_order_pairs", counted)
+        monkeypatch.setattr(summaries, "second_order_pairs", counted)
         out = tmp_path / "curves.csv"
         grid = ["--rgrid", rgrid] if rgrid else []
         rc = run(
@@ -833,6 +835,56 @@ class TestHarness:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "allocate" in err
+
+    @pytest.mark.parametrize("command", ["summaries", "simulate-poisson"])
+    def test_overflowing_network_exits_2(self, tmp_path, pattern_file, capsys, command):
+        # two edges of 1e308: each length is finite, the total is not
+        net = tmp_path / "huge.json"
+        net.write_text(json.dumps({
+            "vertices": [{"id": v} for v in range(3)],
+            "edges": [{"id": i, "start": i, "end": i + 1, "length": 1e308} for i in range(2)]}))
+        flags = {"summaries": ["--pattern", pattern_file],
+                 "simulate-poisson": ["--rho-m", "1e-300"]}[command]
+        out = tmp_path / "out"
+        assert run(command, "--net", net, *flags, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == "error: the network's total edge length overflows a float\n"
+        assert not out.exists()
+
+    def test_unwritable_output_names_the_target(self, tmp_path, dendrite_file, pattern_file,
+                                                capsys):
+        out = tmp_path / "missing" / "f.json"
+        assert run("fit", "--net", dendrite_file, "--pattern", pattern_file, "--ru", "30",
+                   "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out) in err and ".tmp" not in err
+
+    @pytest.mark.parametrize("kind", ["pattern", "curves", "envelope", "study", "intensity",
+                                      "pi"])
+    def test_every_csv_table_ends_rows_in_crlf(self, tmp_path, dendrite_file, pattern_file,
+                                               kind):
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps([{
+            "name": "run", "network": {"template": "dendrite", "seed": 3, "side_target": 120.0},
+            "model": {"rho_y_main": 0.8, "rho_y_side": 1.2, "sigma2": 5.0, "beta": 0.1},
+            "methods": {"mce-g": {"r_max": 25.0}}}]))
+        common = ["--net", dendrite_file, "--pattern", pattern_file, "--out", tmp_path / "t.csv"]
+        cox = ["simulate-cox", "--net", dendrite_file, "--rho-ym", "0.8", "--sigma2", "5",
+               "--beta", "0.1", "--out", tmp_path / "sim"]
+        argv, out = {
+            "pattern": (cox, tmp_path / "sim" / "pattern_0000.csv"),
+            "curves": (["summaries", "--which", "K,g,F,G,J", "--rgrid", "0:30:31", *common], None),
+            "envelope": (["envelope", "--model", "poisson", "--sims", "19", *common], None),
+            "study": (["simstudy", "--design", design, "--reps", "1", "--out", tmp_path / "t.csv"],
+                      None),
+            "intensity": (["kernel-intensity", "--bandwidth", "5", *common], None),
+            "pi": ([*cox, "--mode", "grid", "--save-pi"], tmp_path / "sim" / "pi_0000.csv"),
+        }[kind]
+        assert run(*argv) == 0
+        rows = (out or tmp_path / "t.csv").read_bytes().split(b"\n")
+        assert len(rows) > 2 and rows[-1] == b""
+        assert all(row.endswith(b"\r") for row in rows[:-1])
 
     def test_bad_flag_choice_raises_system_exit(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -72,6 +72,14 @@ class TestValidation:
         with pytest.raises(ValidationError, match="length"):
             LinearNetwork([Vertex(0), Vertex(1)], [Edge(0, 0, 1, 0.0, "main")])
 
+    def test_overflowing_total_length_rejected(self):
+        # each edge is finite, their sum is not: refused before the vertex distances
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="total edge length overflows"):
+                LinearNetwork([Vertex(0), Vertex(1), Vertex(2)],
+                              [Edge(0, 0, 1, 1e308, "main"), Edge(1, 1, 2, 1e308, "side")])
+
     def test_disconnected_rejected(self):
         with pytest.raises(ValidationError, match="connect"):
             LinearNetwork(
