@@ -246,6 +246,8 @@ def envelope_pipeline(
         raise ValidationError("need at least one simulation")
     if not 0.0 < alpha < 1.0:  # checked by rank_envelope too, but before any simulation here
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+    if r is not None and np.max(r) > net.diameter:  # not the default 0.2 |L|: a star may exceed it
+        raise ValidationError(f"r grid reaches {np.max(r)}, beyond the network's diameter {net.diameter}")
     r = default_r_grid(net) if r is None else np.asarray(r, dtype=np.float64)
     simulate = _as_simulator(model)
 

@@ -209,16 +209,15 @@ def _contrast_grid(pattern: PointPattern, config: MinContrastConfig):
     r_max = 0.1 * net.total_length if config.r_max is None else config.r_max
     if not (0 <= config.r_min < r_max):
         raise ValidationError("need 0 <= r_min < r_max")
-    if config.r_max is not None and config.r_max > net.vertex_distance_matrix.max():
-        raise ValidationError(f"r_max {config.r_max} exceeds the network's diameter "
-                              f"{net.vertex_distance_matrix.max()}")
+    if config.r_max is not None and config.r_max > net.diameter:
+        raise ValidationError(f"r_max {config.r_max} exceeds the network's diameter {net.diameter}")
     r = np.linspace(config.r_min, r_max, _CONTRAST_GRID)
     if config.target == "K":
         return r, None, r.max()
     bw = config.bandwidth
     if bw is None:
         bw = default_bandwidth(fit_intensity_mle(pattern).expected_count(net) / net.total_length)
-    return r, bw, _g_reach(r, bw)
+    return r, bw, _g_reach(r, bw, net.diameter)
 
 
 def _min_contrast(pattern: PointPattern, k: int, config: MinContrastConfig | None, pairs):

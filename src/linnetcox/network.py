@@ -186,6 +186,7 @@ class LinearNetwork:
             raise ValidationError("the network's total edge length overflows a float")
         self._preorder, self._parent_edge = order, up
         self.vertex_distance_matrix = D = self._tree_distances()
+        self.diameter = float(D.max())  # two points lie farthest apart at two leaves
         # E x E least distance between two edges: their nearest endpoint pair
         self._edge_gap = np.minimum(np.minimum(D[np.ix_(start, start)], D[np.ix_(start, end)]),
                                     np.minimum(D[np.ix_(end, start)], D[np.ix_(end, end)]))

@@ -281,7 +281,7 @@ def matern_thin(pattern: PointPattern, h: float) -> PointPattern:
     within ``h`` are read, by one range search."""
     if not h >= 0:
         raise ValidationError(f"hard-core distance must be nonnegative, got {h}")
-    rows, _, d = _pairs_within(pattern.network, pattern, pattern, h, skip_self=True)
+    rows, cols, d = _pairs_within(pattern.network, pattern, pattern, h, skip_self=True)
     keep = np.ones(pattern.n, dtype=bool)
-    keep[rows[d < h]] = False
+    keep[rows[d < h]] = keep[cols[d < h]] = False  # d(u, v) and d(v, u) can differ in the last bit
     return PointPattern.from_indices(pattern.network, pattern.edge_indices[keep], pattern.offsets[keep])

@@ -388,12 +388,15 @@ def k_from_pairs(pairs: PairData, r) -> np.ndarray:
     return cum_w[np.searchsorted(d[order], r, side="right")] / pairs.total_length
 
 
-def _g_reach(r: np.ndarray, bandwidth: float) -> float:
+def _g_reach(r: np.ndarray, bandwidth: float, diameter: float = math.inf) -> float:
     """The farthest pair that g reads at radii ``r``: ``max(r) + bandwidth``. A bandwidth
-    so small that g's scale ``0.75 / bandwidth`` overflows is refused with the others."""
+    so small that g's scale ``0.75 / bandwidth`` overflows is refused with the others, and
+    one beyond the network's ``diameter``, which would smooth every pair over every radius."""
     if not (0 < bandwidth < math.inf and math.isfinite(0.75 / float(bandwidth))):
         raise ValidationError(f"bandwidth must be positive and finite, as must 0.75 / bandwidth, "
                               f"got {bandwidth}")
+    if bandwidth > diameter:
+        raise ValidationError(f"bandwidth {bandwidth} exceeds the network's diameter {diameter}")
     return r.max(initial=0.0) + float(bandwidth)
 
 
@@ -449,8 +452,8 @@ def second_order_estimates(pattern: PointPattern, intensity=None, r=None,
     if "g" in which and bandwidth is None:
         rho, _ = _intensity_at_points(net, pattern, intensity)
         bandwidth = default_bandwidth(float(rho.mean()) if rho.size else pattern.n / net.total_length)
-    pairs = second_order_pairs(pattern, intensity,
-                               _g_reach(r, bandwidth) if "g" in which else r.max(initial=0.0))
+    reach = _g_reach(r, bandwidth, net.diameter) if "g" in which else r.max(initial=0.0)
+    pairs = second_order_pairs(pattern, intensity, reach)
     curves = {}
     if "K" in which:
         curves["K"] = SummaryCurve("K", r, k_from_pairs(pairs, r), np.ones(r.shape, dtype=bool),
@@ -511,49 +514,56 @@ def _last_alive(leaf: np.ndarray, r: np.ndarray) -> np.ndarray:
 _EROSION_BLOCK = 1 << 16  # padded entries per row block of _erosion_curve
 
 
-def _erosion_curve(
-    pairs: tuple, factors: np.ndarray, leaf: np.ndarray, r: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _erosion_curve(pairs: tuple, factors: np.ndarray, leaf: np.ndarray, r: np.ndarray,
+                   first_zero: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``1 -`` the mean, over rows ``i`` with ``leaf[i] > r``, of the product
     of ``factors[j]`` over the pairs ``(i, j)`` with ``d <= r`` among the
-    row-major ``pairs = (rows, cols, d)``, exactly those within each row's
-    largest alive radius (``_last_alive``); NaN and not ``defined`` where no
-    row qualifies. Only the alive cells are visited. A row sorts its pairs
-    stably and multiplies their factors up behind a leading one; a cell reads
-    the product at its ``#{d <= r}``, a running count of the binned distances.
-    Rows go in blocks of about ``_EROSION_BLOCK`` entries, each padded (by inf
-    and 1) only to its own widest row, and write their cells' products into
-    one flat array; ``bincount`` then adds each radius's cells in row order:
-    the bits of a row-ordered sum over all rows, with zeros where not alive.
+    row-major ``pairs = (rows, cols, d)``: all within the row's largest alive
+    radius (``_last_alive``) and short of ``first_zero[i]``, its distance to
+    its nearest zero factor, from which on the product is 0; NaN and not
+    ``defined`` where no row qualifies. Only the cells alive and short of ``first_zero``
+    are visited, each at its ``#{d <= r}``, a running count of the binned
+    distances. If the nonzero factors are all one ``q``, that count indexes a
+    table of powers, the cumulative product of ``q``s: the bits of any sorted
+    product. Otherwise a row sorts its pairs stably and multiplies their
+    factors up behind a leading one, in blocks of about ``_EROSION_BLOCK``
+    entries, each padded (by inf and 1) only to its own widest row. Then
+    ``bincount`` adds each radius's cells in row order: the bits of a
+    row-ordered sum over all rows, with zeros where not visited.
     """
     shape, r = r.shape, r.ravel()
     r_order = np.argsort(r, kind="stable")
     r_sorted = r[r_order]
-    lb = np.searchsorted(r_sorted, leaf)  # row i is alive at sorted radii j < lb[i]
     rows, cols, d = pairs
+    # row i is visited at sorted radii j < lb[i]: below its leaf distance and its first zero
+    lb = np.minimum(np.searchsorted(r_sorted, leaf), np.searchsorted(r_sorted, first_zero))
     n_read = np.bincount(rows, minlength=leaf.size)
     pair_at = np.concatenate(([0], np.cumsum(n_read)))  # row i's pairs: pair_at[i]:pair_at[i + 1]
-    cell_at = np.concatenate(([0], np.cumsum(lb)))  # and its alive cells, in row-major order
+    cell_at = np.concatenate(([0], np.cumsum(lb)))  # and its cells, in row-major order
     cell_rows = np.repeat(np.arange(leaf.size), lb)
     cell_r = np.arange(cell_rows.size) - cell_at[cell_rows]
     # a distance in bin j (r_sorted[j - 1] < d <= r_sorted[j]) counts from cell (row, j) on
-    hits = np.bincount(cell_at[rows] + np.searchsorted(r_sorted, d), minlength=cell_rows.size)
-    within = np.cumsum(hits) - pair_at[cell_rows]
-    cell_products = np.empty(cell_rows.size)
-    step = max(1, _EROSION_BLOCK // (n_read.max(initial=0) + 1))
-    for i0 in range(0, leaf.size, step):
-        i1, width = min(i0 + step, leaf.size), n_read[i0 : i0 + step].max()
-        p, c = slice(pair_at[i0], pair_at[i1]), slice(cell_at[i0], cell_at[i1])
-        near, near_factors = np.full((i1 - i0, width), np.inf), np.ones((i1 - i0, width))
-        at = rows[p] - i0, np.arange(p.start, p.stop) - pair_at[rows[p]]
-        near[at], near_factors[at] = d[p], factors[cols[p]]
-        products = np.ones((i1 - i0, width + 1))
-        products[:, 1:] = np.take_along_axis(near_factors, near.argsort(axis=1, kind="stable"), axis=1)
-        np.cumprod(products, axis=1, out=products)
-        cell_products[c] = products[cell_rows[c] - i0, within[c]]
+    bins = cell_at[rows] + np.minimum(np.searchsorted(r_sorted, d), lb[rows])
+    within = np.cumsum(np.bincount(bins, minlength=cell_rows.size + 1))[:-1] - pair_at[cell_rows]
+    nonzero = np.unique(factors[factors != 0.0])
+    if nonzero.size <= 1:  # q is nonzero.sum(), and any q serves if there is none
+        cell_products = np.cumprod(np.r_[1.0, np.full(n_read.max(initial=0), nonzero.sum())])[within]
+    else:
+        cell_products = np.empty(cell_rows.size)
+        step = max(1, _EROSION_BLOCK // (n_read.max(initial=0) + 1))
+        for i0 in range(0, leaf.size, step):
+            i1, width = min(i0 + step, leaf.size), n_read[i0 : i0 + step].max()
+            p, c = slice(pair_at[i0], pair_at[i1]), slice(cell_at[i0], cell_at[i1])
+            near, near_factors = np.full((i1 - i0, width), np.inf), np.ones((i1 - i0, width))
+            at = rows[p] - i0, np.arange(p.start, p.stop) - pair_at[rows[p]]
+            near[at], near_factors[at] = d[p], factors[cols[p]]
+            products = np.ones((i1 - i0, width + 1))
+            products[:, 1:] = np.take_along_axis(near_factors, near.argsort(axis=1, kind="stable"), axis=1)
+            np.cumprod(products, axis=1, out=products)
+            cell_products[c] = products[cell_rows[c] - i0, within[c]]
     radius = r_order[cell_r]  # a cell's radius in r's own order
     total = np.bincount(radius, cell_products, minlength=r.size)
-    alive = np.bincount(radius, minlength=r.size)
+    alive = leaf.size - np.searchsorted(np.sort(leaf), r, side="right")  # rows with leaf > r
     values = np.where(alive > 0, 1.0 - total / np.maximum(alive, 1), np.nan)
     return values.reshape(shape), (alive > 0).reshape(shape)
 
@@ -582,13 +592,16 @@ def fgj_estimates(
     match their classical stationary shapes, making departures
     diagnostic: ``J < 1`` indicates clustering.
 
-    ``F`` and ``G`` visit only the cells inside the eroded network, each
-    lattice or data point reading, by one range search, the data points
-    within its largest radius below its leaf distance, for ``r`` in any
-    order and with repeats; the lattice is built once per network and
-    spacing. Cells with an empty reference set or ``r < config.r_min`` (for
-    ``J`` also ``F == 1``) are undefined: NaN with ``defined`` False. An
-    empty pattern yields ``F == 0`` everywhere it is defined and no ``G``.
+    ``F`` and ``G`` visit only the cells inside the eroded network, for
+    ``r`` in any order and with repeats; the lattice is built once per
+    network and spacing. A row's product is 0 from its nearest zero-factor
+    point on (``rho == rho_bar``, as on the lower branch by default): each
+    lattice or data point reads, by one range search, the zero-factor points
+    within its largest radius below its leaf distance, and by a second the
+    others up to the nearest of those. Cells with an empty reference set or
+    ``r < config.r_min`` (for ``J`` also ``F == 1``) are undefined: NaN with
+    ``defined`` False. An empty pattern yields ``F == 0`` everywhere it is
+    defined and no ``G``.
     """
     config = config or FgjConfig()
     net = pattern.network
@@ -606,13 +619,25 @@ def fgj_estimates(
         raise ValidationError("rho_bar must not exceed the intensity at any data point")
 
     factors = 1.0 - rho_bar / rho
-    grid, grid_leaf = _fgj_lattice(net, float(config.lattice_spacing))
+    zero = factors == 0.0
+
+    def pairs_to(pts, columns, reach, skip_self):  # numbered as data points, less own pairs if asked
+        idx = np.flatnonzero(columns)
+        rows, cols, d = _pairs_within(net, pts, (pattern.edge_indices[idx], pattern.offsets[idx]), reach)
+        keep = (idx[cols] != rows) | (not skip_self)
+        return rows[keep], idx[cols[keep]], d[keep]
+
+    def curve(pts, leaf, skip_self):
+        # each row reads the zero-factor points to its last alive radius, the others to the nearest
+        reach, first_zero = _last_alive(leaf, r), np.full(leaf.size, np.inf)
+        np.minimum.at(first_zero, *pairs_to(pts, zero, reach, skip_self)[::2])
+        pairs = pairs_to(pts, ~zero, np.minimum(reach, first_zero), skip_self)
+        return _erosion_curve(pairs, factors, leaf, r, first_zero)
+
     # F from the lattice points; G from the data points, less each point's own pair
-    f_pairs = _pairs_within(net, grid, pattern, _last_alive(grid_leaf, r))
-    f_values, f_defined = _erosion_curve(f_pairs, factors, grid_leaf, r)
-    data_leaf = leaf_distances(net, pattern)
-    g_pairs = _pairs_within(net, pattern, pattern, _last_alive(data_leaf, r), skip_self=True)
-    g_values, g_defined = _erosion_curve(g_pairs, factors, data_leaf, r)
+    grid, grid_leaf = _fgj_lattice(net, float(config.lattice_spacing))
+    f_values, f_defined = curve(grid, grid_leaf, False)
+    g_values, g_defined = curve(pattern, leaf_distances(net, pattern), True)
 
     early = r < config.r_min
     for values, defined in ((f_values, f_defined), (g_values, g_defined)):

@@ -318,6 +318,7 @@ class TestFit:
             ("cl2", ["--r0", "inf"], "r0 > 0"),
             ("mce-g", ["--ru", "1e300"], "exceeds the network's diameter"),
             ("mce-k", ["--ru", "1e300"], "exceeds the network's diameter"),
+            ("mce-g", ["--ru", "30", "--bandwidth", "1e300"], "exceeds the network's diameter"),
         ],
     )
     def test_bad_fit_flags_exit_2(self, tmp_path, dendrite_file, pattern_file, capsys, method,
@@ -394,7 +395,7 @@ class TestSummaries:
         assert rc == 2
         assert "Z" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bandwidth", ["inf", "nan", "0"])
+    @pytest.mark.parametrize("bandwidth", ["inf", "nan", "0", "1e300"])
     def test_bad_bandwidth_exits_2(self, tmp_path, dendrite_file, pattern_file, capsys, bandwidth):
         out = tmp_path / "x.csv"
         rc = run("summaries", "--net", dendrite_file, "--pattern", pattern_file,
@@ -559,6 +560,16 @@ class TestEnvelope:
             "--rgrid", "0:15:24", "--seed", "7", "--out", out,
         )
         assert rc == 0
+
+    def test_rgrid_beyond_the_diameter_exits_2(self, tmp_path, dendrite_file, pattern_file, capsys):
+        # radii past the diameter swamp the centred K: data, lower and upper all read -r
+        out = tmp_path / "env.csv"
+        rc = run("envelope", "--net", dendrite_file, "--pattern", pattern_file,
+                 "--model", "poisson", "--sims", "19", "--rgrid", "0:1e300:5", "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "diameter" in err
+        assert not out.exists()
 
     def test_bad_alpha_exits_2_before_simulating(self, tmp_path, dendrite_file, pattern_file,
                                                  capsys, monkeypatch):

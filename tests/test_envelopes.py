@@ -6,9 +6,12 @@ from scipy import stats
 from linnetcox import (
     CoxModel,
     CurveSet,
+    Edge,
     IntensityModel,
     LabelledCurve,
+    LinearNetwork,
     ValidationError,
+    Vertex,
     build_curve_set,
     concat_test_function,
     envelope_pipeline,
@@ -287,6 +290,18 @@ class TestPipeline:
             envelope_pipeline(net, pattern, IntensityModel(0.3, 0.3), n_sims=0)
         with pytest.raises(ValidationError):
             envelope_pipeline(net, pattern, "poisson")
+
+    def test_only_a_given_grid_beyond_the_diameter_is_refused(self):
+        # a star of 15 unit arms: its diameter is 2, the default grid reaches 0.2 |L| = 3
+        star = LinearNetwork([Vertex(v) for v in range(16)],
+                             [Edge(a, 0, a + 1, 1.0, "main") for a in range(15)])
+        pattern = simulate_poisson(star, 3.0, seed=1)
+        assert star.diameter == 2.0 and pattern.n > 2
+        res = envelope_pipeline(star, pattern, IntensityModel(3.0, 3.0), n_sims=3, alpha=0.5, seed=1)
+        assert res.curve_set.r.max() == 3.0
+        envelope_pipeline(star, pattern, IntensityModel(3.0, 3.0), n_sims=3, alpha=0.5, r=[0.0, 2.0])
+        with pytest.raises(ValidationError, match="diameter"):
+            envelope_pipeline(star, pattern, IntensityModel(3.0, 3.0), n_sims=3, alpha=0.5, r=[0.0, 2.5])
 
     @pytest.mark.parametrize("alpha", [2.0, 0.0, 1.0, float("nan")])
     def test_bad_alpha_raises_before_simulating(self, net, monkeypatch, alpha):

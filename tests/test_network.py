@@ -144,6 +144,7 @@ class TestVertexDistances:
         assert np.array_equal(net.vertex_distance_matrix, want)
         assert net.vertex_distance_matrix.flags.c_contiguous
         assert np.array_equal(net.vertex_leaf_distance, want[:, net.leaf_vertices].min(axis=1))
+        assert net.diameter == want.max()
 
     def test_string_ids(self):
         for seed in range(5):

@@ -318,10 +318,20 @@ class TestMaternThin:
                                         np.r_[o, o[:15], np.zeros(dendrite.n_edges), dendrite.edge_length])
         dist = distance_matrix(pat)
         np.fill_diagonal(dist, np.inf)
-        keep = dist.min(axis=1) >= h
+        keep = np.minimum(dist, dist.T).min(axis=1) >= h  # a pair is close if either order is
         out = matern_thin(pat, h)
         assert np.array_equal(out.edge_indices, pat.edge_indices[keep])
         assert np.array_equal(out.offsets, pat.offsets[keep])
+
+    def test_pair_whose_distance_differs_by_order_is_dropped_whole(self, dendrite):
+        # points 0 and 9 of the README commands' pattern_0000.csv: d(u, v) and d(v, u) differ
+        # in the last bit, and a hard core at the larger drops both
+        pat = PointPattern.from_indices(dendrite, np.array([23, 35]),
+                                        np.array([4.664965967010721, 7.1900162436582775]))
+        dist = distance_matrix(pat)
+        assert (dist[0, 1], dist[1, 0]) == (126.56276624726334, 126.56276624726335)
+        assert matern_thin(pat, 126.56276624726335).n == 0
+        assert matern_thin(pat, 126.56276624726334).n == 2
 
     def test_reads_only_the_pairs_within_h(self, dendrite):
         # the full 3000 x 3000 distance matrix alone would be 72 MB

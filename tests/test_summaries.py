@@ -827,11 +827,13 @@ class TestFgj:
 def fgj_row_loop(pattern, config, r):
     """F, G and J by the former per-row loop: sort each row, drop the point's
     own distance for G, and accumulate the eroded products row by row."""
-    net = pattern.network
+    net, intensity = pattern.network, config.intensity
     r = default_r_grid(net) if r is None else np.asarray(r, dtype=np.float64)
-    rho = np.where(net.edge_side[pattern.edge_indices], config.intensity.side,
-                   config.intensity.main)
-    factors = 1.0 - config.intensity.min_positive(net) / rho
+    if isinstance(intensity, IntensityModel):
+        rho = np.where(net.edge_side[pattern.edge_indices], intensity.side, intensity.main)
+    else:
+        rho = intensity.at_points(pattern)
+    factors = 1.0 - (config.rho_bar or intensity.min_positive(net)) / rho
     grid = PointPattern(net, lattice(net, config.lattice_spacing))
 
     def curve(dist, leaf, drop_self):
@@ -898,8 +900,9 @@ class TestFgjMatchesRowLoop:
     """The whole-matrix F/G/J equals the per-row loop bit for bit."""
 
     @staticmethod
-    def check(pattern, r, **config):
-        intensity = fit_intensity_mle(pattern) if pattern.n > 1 else IntensityModel(0.5, 0.5)
+    def check(pattern, r, intensity=None, **config):
+        if intensity is None:
+            intensity = fit_intensity_mle(pattern) if pattern.n > 1 else IntensityModel(0.5, 0.5)
         cfg = FgjConfig(intensity=intensity, **config)
         got = fgj_estimates(pattern, cfg, r)
         want = fgj_row_loop(pattern, cfg, r)
@@ -919,6 +922,59 @@ class TestFgjMatchesRowLoop:
     @pytest.mark.parametrize("name", ["readme", "snapped", "dense", "one", "zero"])
     def test_configs(self, fgj_patterns, name, config):
         self.check(fgj_patterns[name], FGJ_GRIDS["shuffled"], **config)
+
+    @pytest.mark.parametrize("rho_bar", ["half the least", "the least"])
+    @pytest.mark.parametrize("name", ["readme", "snapped"])
+    def test_kernel_intensity(self, fgj_patterns, name, rho_bar):
+        # unequal factors; at rho_bar = the least rho that point's factor is exactly 0
+        pattern = fgj_patterns[name]
+        est = kernel_intensity(pattern.network, pattern, bandwidth=10.0)
+        least = est.at_points(pattern).min()
+        factor = 0.5 if rho_bar == "half the least" else 1.0
+        for grid in ("default", "shuffled"):
+            self.check(pattern, FGJ_GRIDS[grid], est, rho_bar=factor * least)
+
+    @staticmethod
+    def branch_subsets(pattern):
+        """The points on main edges only, on side edges plus one main point, and the README
+        points with 40 of them twice, all under a branch-wise intensity lower on main."""
+        net, e, o = pattern.network, pattern.edge_indices, pattern.offsets
+        side = net.edge_side[e]
+        picks = {"all-main": ~side, "one-main": side | (np.arange(e.size) == np.argmin(side))}
+        pats = {k: PointPattern.from_indices(net, e[m], o[m]) for k, m in picks.items()}
+        twice = np.sort(np.r_[np.arange(e.size), np.arange(0, e.size, e.size // 40)[:40]])
+        pats["duplicates"] = PointPattern.from_indices(net, e[twice], o[twice])
+        return pats
+
+    @pytest.mark.parametrize("grid", ["default", "shuffled", "repeats"])
+    @pytest.mark.parametrize("subset", ["all-main", "one-main", "duplicates"])
+    def test_zero_factor_layouts(self, fgj_patterns, subset, grid):
+        pattern = self.branch_subsets(fgj_patterns["readme"])[subset]
+        intensity = IntensityModel(0.3, 0.6)
+        factors = 1.0 - 0.3 / np.where(pattern.network.edge_side[pattern.edge_indices], 0.6, 0.3)
+        zeros = {"all-main": pattern.n, "one-main": 1, "duplicates": None}[subset]
+        assert zeros is None or (factors == 0.0).sum() == zeros
+        self.check(pattern, FGJ_GRIDS[grid], intensity)
+        self.check(pattern, FGJ_GRIDS[grid], fit_intensity_mle(pattern)
+                   if subset == "duplicates" else intensity, lattice_spacing=1.0)
+
+
+def test_rows_read_pairs_only_to_their_nearest_zero_factor(fgj_patterns, monkeypatch):
+    # under the default intensity the main points' factors are 0: F and G read far fewer
+    # pairs than lie within each row's last alive radius
+    pattern = fgj_patterns["readme"]
+    net, r = pattern.network, default_r_grid(pattern.network)
+    grid, grid_leaf = summaries._fgj_lattice(net, 0.5)
+    full = {"F": network._pairs_within(net, grid, pattern, _last_alive(grid_leaf, r))[0].size,
+            "G": network._pairs_within(net, pattern, pattern, _last_alive(leaf_distances(net, pattern), r),
+                                       skip_self=True)[0].size}
+    counts, within = [], summaries._pairs_within
+    monkeypatch.setattr(summaries, "_pairs_within",
+                        lambda *a, **k: (lambda out: counts.append(out[0].size) or out)(within(*a, **k)))
+    fgj_estimates(pattern)
+    read = {"F": counts[:2], "G": counts[2:]}  # zero-factor points first, then the others
+    for name in ("F", "G"):
+        assert sum(read[name]) < 0.7 * full[name] and read[name][1] < 0.5 * full[name], name
 
 
 def test_exact_zero_products_leave_j_undefined(fgj_patterns):
@@ -1050,13 +1106,16 @@ class TestErosionCurveMatchesDense:
     """``_erosion_curve`` visits only the alive cells, with the dense bits."""
 
     @staticmethod
-    def check(dist, factors, leaf, r):
-        # the entries within each row's last alive radius, row-major, as fgj_estimates reads them
+    def check(dist, factors, leaf, r, want=None):
+        # the entries within each row's last alive radius, row-major, and each row's distance
+        # to its nearest zero factor
         rows, cols = np.nonzero(dist <= _last_alive(np.asarray(leaf, float), np.asarray(r, float))[:, None])
+        first_zero = np.where(np.asarray(factors) == 0.0, dist, np.inf).min(axis=1, initial=np.inf)
         got = _erosion_curve((rows, cols, dist[rows, cols]), np.asarray(factors, float),
-                             np.asarray(leaf, float), np.asarray(r, float))
-        want = erosion_dense(dist, np.asarray(factors, float), np.asarray(leaf, float),
-                             np.asarray(r, float))
+                             np.asarray(leaf, float), np.asarray(r, float), first_zero)
+        if want is None:
+            want = erosion_dense(dist, np.asarray(factors, float), np.asarray(leaf, float),
+                                 np.asarray(r, float))
         for g, w in zip(got, want):
             assert g.shape == w.shape and np.array_equal(g, w, equal_nan=True)
         return got
@@ -1112,6 +1171,23 @@ class TestErosionCurveMatchesDense:
         r = rng.integers(0, 14, (3, 5)) / 4.0
         self.check(dist, factors, leaf, r)
 
+
+    @pytest.mark.parametrize("q", [0.5, 0.999, 1.0, -1e-13])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_table_of_powers(self, monkeypatch, seed, q):
+        # factors 0 and one q: each cell reads a table of powers, with no sort, and gets the
+        # bits of the sorted products; rows with no zero, or with only zeros, among them
+        rng = np.random.default_rng(seed)
+        m, n = 40, 300
+        dist = rng.integers(0, 40, (m, n)) / 4.0
+        if seed % 2:
+            np.fill_diagonal(dist, np.inf)
+        factors = np.where(rng.random(n) < [0.0, 0.02, 0.3, 1.0][seed], 0.0, q)
+        leaf = rng.integers(0, 44, m) / 4.0
+        r = rng.integers(0, 44, (4, 10)) / 4.0
+        want = erosion_dense(dist, factors, leaf, r)
+        monkeypatch.setattr(np, "take_along_axis", None)  # the sorted path's gather
+        assert self.check(dist, factors, leaf, r, want)[1].any()
 
     @pytest.mark.parametrize("rows_per_block", [1, 2, 3, 7, 29, 30])
     def test_row_blocks_across_a_boundary(self, monkeypatch, rows_per_block):
