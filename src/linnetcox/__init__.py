@@ -57,14 +57,11 @@ from .network import (
     LinearNetwork,
     NetworkPoint,
     PointPattern,
-    SubNetwork,
     Vertex,
-    erode,
     lattice,
     leaf_distances,
     pairwise_distances,
     shortest_path_distance,
-    simplify_tree,
     sphere_count,
 )
 from .simulate import (
@@ -105,12 +102,9 @@ __all__ = [
     "NetworkPoint",
     "LinearNetwork",
     "PointPattern",
-    "SubNetwork",
     "shortest_path_distance",
     "pairwise_distances",
     "leaf_distances",
-    "simplify_tree",
-    "erode",
     "lattice",
     "sphere_count",
     # models

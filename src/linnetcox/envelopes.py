@@ -242,6 +242,8 @@ def envelope_pipeline(
     """
     if test not in ("K", "FGJ"):
         raise ValidationError(f"test must be 'K' or 'FGJ', got {test!r}")
+    if pattern.network is not net:  # the data curve and the simulations share one network
+        raise ValidationError("pattern belongs to a different network")
     if n_sims < 1:
         raise ValidationError("need at least one simulation")
     if not 0.0 < alpha < 1.0:  # checked by rank_envelope too, but before any simulation here

@@ -40,8 +40,8 @@ from .network import distance_matrix  # noqa: F401  (perfbench/spans.py wraps it
 from .simulate import _seed_sequence, simulate_cox, spawn_generators
 from .summaries import (
     _alpha,
+    _default_g_bandwidth,
     _g_reach,
-    default_bandwidth,
     fit_intensity_mle,
     g_from_pairs,
     k_from_pairs,
@@ -214,9 +214,7 @@ def _contrast_grid(pattern: PointPattern, config: MinContrastConfig):
     r = np.linspace(config.r_min, r_max, _CONTRAST_GRID)
     if config.target == "K":
         return r, None, r.max()
-    bw = config.bandwidth
-    if bw is None:
-        bw = default_bandwidth(fit_intensity_mle(pattern).expected_count(net) / net.total_length)
+    bw = _default_g_bandwidth(pattern) if config.bandwidth is None else config.bandwidth
     return r, bw, _g_reach(r, bw, net.diameter)
 
 

@@ -46,18 +46,17 @@ class IntensityModel:
                 f"intensities must be nonnegative, got ({self.main}, {self.side})"
             )
 
-    def for_branch(self, side: bool) -> float:
-        return self.side if side else self.main
-
     def expected_count(self, net) -> float:
         """Expected number of points on ``net``."""
         return self.main * net.main_length + self.side * net.side_length
 
     def min_positive(self, net) -> float:
-        """Smallest intensity over branch types present in ``net``.
+        """Least positive intensity over the branch types present in ``net``
+        (0.0 if none is positive).
 
         Used as the default lower intensity bound in empty-space /
-        nearest-neighbour estimators.
+        nearest-neighbour estimators, so a branch that holds no point under
+        the maximum-likelihood intensity does not set it to 0.
         """
         vals = []
         if net.main_length > 0.0:
@@ -66,7 +65,7 @@ class IntensityModel:
             vals.append(self.side)
         if not vals:
             raise ValidationError("network has no edges")
-        return min(vals)
+        return min((v for v in vals if v > 0.0), default=0.0)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -33,13 +33,10 @@ __all__ = [
     "NetworkPoint",
     "LinearNetwork",
     "PointPattern",
-    "SubNetwork",
     "shortest_path_distance",
     "pairwise_distances",
     "distance_matrix",
     "leaf_distances",
-    "simplify_tree",
-    "erode",
     "lattice",
     "sphere_count",
 ]
@@ -251,13 +248,6 @@ class LinearNetwork:
     def incident_edges(self, vertex_id) -> list[Edge]:
         return [self.edges[i] for i in self._incident[self.vertex_index(vertex_id)]]
 
-    def branch_length(self, branch: str) -> float:
-        if branch == "main":
-            return self.main_length
-        if branch == "side":
-            return self.side_length
-        raise ValidationError(f"unknown branch label {branch!r}")
-
     def __repr__(self) -> str:
         return (
             f"LinearNetwork({self.n_vertices} vertices, {self.n_edges} edges, "
@@ -371,25 +361,6 @@ class PointPattern:
 
     def __repr__(self) -> str:
         return f"PointPattern({self.n} points on {self.network!r})"
-
-
-@dataclass(frozen=True)
-class SubNetwork:
-    """A measurable subset of a network: per-edge closed intervals.
-
-    ``edge_indices``, ``lows``, ``highs`` are parallel arrays; each row
-    describes the retained interval ``[low, high]`` on that edge. Produced
-    by :func:`erode`.
-    """
-
-    network: LinearNetwork
-    edge_indices: np.ndarray
-    lows: np.ndarray
-    highs: np.ndarray
-
-    @property
-    def measure(self) -> float:
-        return float((self.highs - self.lows).sum())
 
 
 # -- distances -----------------------------------------------------------
@@ -521,72 +492,6 @@ def leaf_distances(net: LinearNetwork, pts) -> np.ndarray:
         o + ld[net.edge_start[e]],
         net.edge_length[e] - o + ld[net.edge_end[e]],
     )
-
-
-# -- structure operations -------------------------------------------------
-
-
-def simplify_tree(net: LinearNetwork) -> LinearNetwork:
-    """Collapse chains through degree-2 vertices into single edges.
-
-    Vertices of degree 2 whose two incident edges carry *different* branch
-    labels are boundary vertices and are kept, so every collapsed chain has
-    one label. Each new edge takes the lowest id among the edges it
-    replaces; shortest-path distances between surviving vertices are
-    unchanged.
-    """
-    keep = np.zeros(net.n_vertices, dtype=bool)
-    for w in range(net.n_vertices):
-        inc = net._incident[w]
-        if len(inc) != 2:
-            keep[w] = True
-        elif net.edge_side[inc[0]] != net.edge_side[inc[1]]:
-            keep[w] = True
-
-    visited = np.zeros(net.n_edges, dtype=bool)
-    new_edges: list[Edge] = []
-    for w in np.nonzero(keep)[0]:
-        for ei in net._incident[w]:
-            if visited[ei]:
-                continue
-            chain = [ei]
-            visited[ei] = True
-            cur = int(net.edge_end[ei]) if net.edge_start[ei] == w else int(net.edge_start[ei])
-            prev_edge = ei
-            while not keep[cur]:
-                nxt = [j for j in net._incident[cur] if j != prev_edge][0]
-                chain.append(nxt)
-                visited[nxt] = True
-                cur = int(net.edge_end[nxt]) if net.edge_start[nxt] == cur else int(net.edge_start[nxt])
-                prev_edge = nxt
-            new_edges.append(
-                Edge(
-                    id=min(net.edges[j].id for j in chain),
-                    start=net.vertices[w].id,
-                    end=net.vertices[cur].id,
-                    length=float(sum(net.edge_length[j] for j in chain)),
-                    branch=net.edges[chain[0]].branch,
-                )
-            )
-    new_vertices = [net.vertices[w] for w in np.nonzero(keep)[0]]
-    return LinearNetwork(new_vertices, new_edges)
-
-
-def erode(net: LinearNetwork, r: float) -> SubNetwork:
-    """The subset of the network farther than ``r`` from every leaf.
-
-    Membership is strict (``distance > r``); the returned intervals are
-    the closures, which have the same measure. Every exclusion reaches in
-    from an edge endpoint, so each edge retains at most one interval.
-    """
-    if r < 0:
-        raise ValidationError(f"erosion radius must be nonnegative, got {r}")
-    ld = net.vertex_leaf_distance
-    lo = np.maximum(0.0, r - ld[net.edge_start])
-    hi = net.edge_length - np.maximum(0.0, r - ld[net.edge_end])
-    keep = hi - lo > 0.0
-    idx = np.nonzero(keep)[0]
-    return SubNetwork(net, idx, lo[idx], hi[idx])
 
 
 def _lattice(net: LinearNetwork, spacing: float) -> tuple[np.ndarray, np.ndarray]:

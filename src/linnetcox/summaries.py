@@ -73,10 +73,19 @@ def default_r_grid(net: LinearNetwork, r_max: float | None = None, n: int = 512)
 
 
 def default_bandwidth(mean_intensity: float) -> float:
-    """Rule-of-thumb kernel bandwidth ``0.15 / sqrt(mean intensity)``."""
+    """Rule-of-thumb kernel bandwidth ``0.15 / sqrt(mean intensity)``; g's
+    default bandwidth is this rule at ``n / |L|``."""
     if not mean_intensity > 0:
         raise ValidationError("mean intensity must be positive for the bandwidth rule")
     return 0.15 / math.sqrt(mean_intensity)
+
+
+def _default_g_bandwidth(pattern: PointPattern) -> float:
+    """The default g bandwidth of the estimates and of the minimum-contrast fit:
+    :func:`default_bandwidth` at ``n / |L|``, taken as the maximum-likelihood
+    expected count over ``|L|``."""
+    net = pattern.network
+    return default_bandwidth(fit_intensity_mle(pattern).expected_count(net) / net.total_length)
 
 
 # -- intensity ------------------------------------------------------------
@@ -218,7 +227,7 @@ def kernel_intensity(net: LinearNetwork, pattern: PointPattern, bandwidth: float
 def _intensity_at_points(
     net: LinearNetwork, pattern: PointPattern, intensity
 ) -> tuple[np.ndarray, float | None]:
-    """Per-point intensity values plus the network-wide minimum if known."""
+    """Per-point intensity values plus the least positive branch intensity if branch-wise."""
     if intensity is None:
         intensity = fit_intensity_mle(pattern)
     if isinstance(intensity, (int, float)):
@@ -444,14 +453,13 @@ def second_order_estimates(pattern: PointPattern, intensity=None, r=None,
     curves named in ``which``, by name, from one :class:`PairData` out to the
     farther of their reaches (``max(r) + bandwidth`` for ``g``). ``r`` defaults
     to :func:`default_r_grid`; ``g``'s ``bandwidth`` to :func:`default_bandwidth`
-    at the mean intensity over the pattern's points."""
+    at ``n / |L|``, whatever the ``intensity``, the bandwidth that mce-g fits with."""
     if not set(which) <= {"K", "g"}:
         raise ValidationError(f"second-order curves are 'K' and 'g', got {list(which)}")
     net = pattern.network
     r = default_r_grid(net) if r is None else _radii(r)
     if "g" in which and bandwidth is None:
-        rho, _ = _intensity_at_points(net, pattern, intensity)
-        bandwidth = default_bandwidth(float(rho.mean()) if rho.size else pattern.n / net.total_length)
+        bandwidth = _default_g_bandwidth(pattern)
     reach = _g_reach(r, bandwidth, net.diameter) if "g" in which else r.max(initial=0.0)
     pairs = second_order_pairs(pattern, intensity, reach)
     curves = {}
@@ -473,7 +481,8 @@ def k_estimate(pattern: PointPattern, intensity=None, r=None) -> SummaryCurve:
 def g_estimate(
     pattern: PointPattern, intensity=None, r=None, bandwidth: float | None = None
 ) -> SummaryCurve:
-    """Geometrically corrected empirical pair correlation."""
+    """Geometrically corrected empirical pair correlation; ``bandwidth``
+    defaults to :func:`default_bandwidth` at ``n / |L|``."""
     return second_order_estimates(pattern, intensity, r, bandwidth, ("g",))["g"]
 
 
@@ -487,7 +496,7 @@ class FgjConfig:
     ``intensity`` follows the same conventions as the second-order
     estimators (None means plug-in maximum likelihood). ``rho_bar`` must
     be a positive lower bound of the intensity; when omitted it defaults
-    to the smallest branch intensity, which requires a branch-wise
+    to the least positive branch intensity, which requires a branch-wise
     intensity source. ``r_min`` marks cells below it undefined (useful
     when very short distances are unreliable).
     """

@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from linnetcox import (
+    PointPattern,
     ValidationError,
     fit_intensity_mle,
     g_estimate,
@@ -20,6 +21,7 @@ from linnetcox import (
     load_fit,
     load_network,
     load_pattern,
+    save_pattern,
 )
 import linnetcox
 from linnetcox import cli, summaries
@@ -46,6 +48,17 @@ def pattern_file(tmp_path, dendrite_file):
     )
     assert rc == 0
     return out / "pattern_0000.csv"
+
+
+@pytest.fixture()
+def main_branch_file(tmp_path, dendrite_file, pattern_file):
+    """The README pattern's main-branch points: its side branch holds none."""
+    net = load_network(dendrite_file)
+    pattern = load_pattern(pattern_file, net)
+    main = ~net.edge_side[pattern.edge_indices]
+    out = tmp_path / "main.csv"
+    save_pattern(PointPattern.from_indices(net, pattern.edge_indices[main], pattern.offsets[main]), out)
+    return out
 
 
 class TestMakeNetwork:
@@ -387,6 +400,25 @@ class TestSummaries:
         f = curves["F"]
         assert np.all(f.values[f.defined] <= 1.0)
 
+    def test_fgj_on_one_branch(self, tmp_path, dendrite_file, main_branch_file):
+        # rho_bar is the least positive branch intensity, not the empty side branch's 0
+        out = tmp_path / "fgj.csv"
+        rc = run("summaries", "--net", dendrite_file, "--pattern", main_branch_file,
+                 "--which", "F,G,J", "--out", out)
+        assert rc == 0
+        curves = {c.kind: c for c in load_curves(out)}
+        assert curves["F"].defined.any() and curves["G"].defined.any()
+
+    def test_fgj_on_an_empty_pattern_exits_2(self, tmp_path, dendrite_file, capsys):
+        empty = tmp_path / "empty.csv"
+        save_pattern(PointPattern(load_network(dendrite_file), []), empty)
+        out = tmp_path / "fgj.csv"
+        rc = run("summaries", "--net", dendrite_file, "--pattern", empty, "--which", "F", "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "rho_bar" in err
+        assert not out.exists()
+
     def test_unknown_curve_rejected(self, tmp_path, dendrite_file, pattern_file, capsys):
         rc = run(
             "summaries", "--net", dendrite_file, "--pattern", pattern_file,
@@ -560,6 +592,14 @@ class TestEnvelope:
             "--rgrid", "0:15:24", "--seed", "7", "--out", out,
         )
         assert rc == 0
+
+    def test_fgj_poisson_null_on_one_branch(self, tmp_path, dendrite_file, main_branch_file):
+        out = tmp_path / "env.csv"
+        rc = run("envelope", "--net", dendrite_file, "--pattern", main_branch_file, "--test", "FGJ",
+                 "--model", "poisson", "--sims", "19", "--seed", "2", "--out", out)
+        assert rc == 0
+        side = json.loads((tmp_path / "env.json").read_text())
+        assert 0 < side["p_liberal"] <= side["p_conservative"] <= 1
 
     def test_rgrid_beyond_the_diameter_exits_2(self, tmp_path, dendrite_file, pattern_file, capsys):
         # radii past the diameter swamp the centred K: data, lower and upper all read -r

@@ -303,6 +303,16 @@ class TestPipeline:
         with pytest.raises(ValidationError, match="diameter"):
             envelope_pipeline(star, pattern, IntensityModel(3.0, 3.0), n_sims=3, alpha=0.5, r=[0.0, 2.5])
 
+    def test_pattern_from_another_network_is_refused(self, monkeypatch):
+        # a 3-arm star's pattern ranked against dendrite simulations gave a p-interval
+        dendrite, star = make_network("dendrite", seed=7), make_network("star")
+        pattern = simulate_poisson(star, 0.3, seed=1)
+        calls = []
+        monkeypatch.setattr(envelopes, "simulate_poisson", lambda *args, **kw: calls.append(args))
+        with pytest.raises(ValidationError, match="pattern belongs to a different network"):
+            envelope_pipeline(dendrite, pattern, fit_intensity_mle(pattern), n_sims=19, seed=2)
+        assert pattern.n > 0 and calls == []
+
     @pytest.mark.parametrize("alpha", [2.0, 0.0, 1.0, float("nan")])
     def test_bad_alpha_raises_before_simulating(self, net, monkeypatch, alpha):
         pattern = simulate_poisson(net, IntensityModel(0.3, 0.3), seed=0)

@@ -14,13 +14,11 @@ from linnetcox import (
     PointPattern,
     ValidationError,
     Vertex,
-    erode,
     lattice,
     leaf_distances,
     make_network,
     pairwise_distances,
     shortest_path_distance,
-    simplify_tree,
     sphere_count,
 )
 from linnetcox import network
@@ -310,89 +308,6 @@ class TestDistances:
         to_v = oracle_distances(net, list(zip(pts.edge_indices, pts.offsets)), to_vertices=True)
         want = to_v[:, net.leaf_vertices].min(axis=1)
         assert_allclose(leaf_distances(net, pts), want, rtol=0, atol=1e-9)
-
-
-class TestSimplify:
-    def test_two_edge_chain_merges(self):
-        net = LinearNetwork(
-            [Vertex("A"), Vertex("B"), Vertex("C")],
-            [Edge(0, "A", "B", 2.0, "main"), Edge(1, "B", "C", 3.0, "main")],
-        )
-        out = simplify_tree(net)
-        assert len(out.edges) == 1
-        assert out.edges[0].length == 5.0
-        assert out.total_length == net.total_length
-
-    def test_no_degree_two_identity(self, y_net):
-        out = simplify_tree(y_net)
-        assert len(out.edges) == len(y_net.edges)
-        assert out.total_length == y_net.total_length
-        assert sorted(e.length for e in out.edges) == [3.0, 4.0, 5.0]
-
-    def test_distances_between_surviving_vertices_preserved(self):
-        net = make_network("random-tree", seed=6, edges=60)
-        out = simplify_tree(net)
-        keep = [v.id for v in net.vertices if net.degrees[net.vertex_index(v.id)] != 2]
-        for vid in keep:
-            out.vertex_index(vid)  # must survive
-        before = net.vertex_distance_matrix
-        after = out.vertex_distance_matrix
-        for a in keep:
-            for b in keep:
-                ia, ib = net.vertex_index(a), net.vertex_index(b)
-                ja, jb = out.vertex_index(a), out.vertex_index(b)
-                assert abs(before[ia, ib] - after[ja, jb]) < 1e-12
-
-    def test_branch_boundary_survives(self):
-        # main-main-side chain: the label change pins the middle vertex.
-        net = LinearNetwork(
-            [Vertex(i) for i in range(4)],
-            [
-                Edge(0, 0, 1, 1.0, "main"),
-                Edge(1, 1, 2, 2.0, "main"),
-                Edge(2, 2, 3, 4.0, "side"),
-            ],
-        )
-        out = simplify_tree(net)
-        assert len(out.edges) == 2
-        assert out.main_length == 3.0 and out.side_length == 4.0
-
-
-class TestErode:
-    def test_path_interval(self, path10):
-        sub = erode(path10, 2.0)
-        assert sub.measure == 6.0
-        assert len(sub.edge_indices) == 1
-        assert_allclose([sub.lows[0], sub.highs[0]], [2.0, 8.0])
-
-    def test_y_tree_one_unit_per_leaf(self, y_net):
-        assert erode(y_net, 1.0).measure == 9.0
-
-    def test_total_erosion(self, y_net):
-        assert erode(y_net, 100.0).measure == 0.0
-
-    def test_zero_radius_keeps_everything(self, y_net):
-        assert erode(y_net, 0.0).measure == y_net.total_length
-
-    def test_measure_nonincreasing(self):
-        net = make_network("random-tree", seed=7, edges=30)
-        radii = np.linspace(0.0, 20.0, 60)
-        measures = [erode(net, float(r)).measure for r in radii]
-        assert all(a >= b - 1e-12 for a, b in zip(measures, measures[1:]))
-
-    def test_measure_matches_lattice_scan(self):
-        # Fraction of a fine lattice deeper than r approximates the measure.
-        net = make_network("random-tree", seed=8, edges=20)
-        pts = lattice(net, 0.01)
-        pat = PointPattern(net, pts)
-        depth = leaf_distances(net, pat)
-        for r in (0.5, 2.0, 5.0):
-            approx = (depth > r).mean() * net.total_length
-            assert abs(erode(net, r).measure - approx) < 0.15
-
-    def test_negative_radius_rejected(self, y_net):
-        with pytest.raises(ValidationError):
-            erode(y_net, -1.0)
 
 
 class TestLattice:

@@ -32,8 +32,9 @@ from linnetcox import (
     pairwise_distances,
     simulate_cox,
     simulate_poisson,
+    spawn_generators,
 )
-from linnetcox import summaries
+from linnetcox import estimation, summaries
 from linnetcox import network
 from linnetcox.network import _recurrence, distance_matrix
 from linnetcox.summaries import (
@@ -97,6 +98,17 @@ class TestIntensityMle:
         # a pure-main network has no side measure; its side rate is zero
         est = fit_intensity_mle(PointPattern(path10, [(0, 1.0), (0, 2.0)]))
         assert est.main == 0.2 and est.side == 0.0
+
+    def test_min_positive_skips_empty_and_absent_branches(self, path10):
+        net = self._net(2.0, 3.0)
+        assert IntensityModel(0.0, 0.4).min_positive(net) == 0.4
+        assert IntensityModel(0.6, 0.4).min_positive(net) == 0.4
+        assert IntensityModel(0.0, 0.0).min_positive(net) == 0.0
+        assert IntensityModel(0.2, 0.1).min_positive(path10) == 0.2  # no side measure
+
+    def test_empty_pattern_has_no_default_rho_bar(self, y_net):
+        with pytest.raises(ValidationError, match="rho_bar must be positive, got 0.0"):
+            fgj_estimates(PointPattern(y_net, []))
 
 
 class TestKernelIntensity:
@@ -467,11 +479,19 @@ class TestGHat:
         net = make_network("dendrite", seed=8)
         pat = simulate_poisson(net, 0.5, seed=8)
         g = g_estimate(pat)
-        rho = fit_intensity_mle(pat)
-        mean_rho = np.where(
-            net.edge_side[pat.edge_indices], rho.side, rho.main
-        ).mean()
-        assert_allclose(g.metadata["bandwidth"], 0.15 / math.sqrt(mean_rho), rtol=1e-12)
+        assert_allclose(g.metadata["bandwidth"], 0.15 / math.sqrt(pat.n / net.total_length), rtol=1e-12)
+
+    def test_default_bandwidth_is_the_mce_g_bandwidth(self, fgj_patterns):
+        # the g that the estimates write is the g that mce-g fits, whatever the intensity;
+        # on the README commands' pattern the mean rho over the points gave 0.2092
+        net = fgj_patterns["readme"].network
+        current = simulate_cox(net, CoxModel(0.8, 1.2, 5.0, 0.1), seed=spawn_generators(3, 3)[0]).pattern
+        for pattern in (fgj_patterns["readme"], current):
+            _, bandwidth, _ = estimation._contrast_grid(pattern, estimation.MinContrastConfig())
+            kernel = kernel_intensity(net, pattern, bandwidth=10.0)
+            for intensity in (None, kernel):
+                assert g_estimate(pattern, intensity).metadata["bandwidth"] == bandwidth
+        assert current.n == 273 and round(bandwidth, 4) == 0.2181
 
 
 def g_dense_loop(pairs, r, bandwidth, chunk=4096):
@@ -957,6 +977,18 @@ class TestFgjMatchesRowLoop:
         self.check(pattern, FGJ_GRIDS[grid], intensity)
         self.check(pattern, FGJ_GRIDS[grid], fit_intensity_mle(pattern)
                    if subset == "duplicates" else intensity, lattice_spacing=1.0)
+
+
+    @pytest.mark.parametrize("grid", ["default", "shuffled", "repeats"])
+    def test_one_branch_under_the_default_intensity(self, fgj_patterns, grid):
+        # no side point: the side MLE intensity is 0 and rho_bar the least positive, main's
+        pattern = self.branch_subsets(fgj_patterns["readme"])["all-main"]
+        intensity = fit_intensity_mle(pattern)
+        assert intensity.side == 0.0 and intensity.min_positive(pattern.network) == intensity.main
+        self.check(pattern, FGJ_GRIDS[grid])
+        assert np.array_equal(fgj_estimates(pattern, r=FGJ_GRIDS[grid]).F.values,
+                              fgj_estimates(pattern, FgjConfig(intensity), FGJ_GRIDS[grid]).F.values,
+                              equal_nan=True)
 
 
 def test_rows_read_pairs_only_to_their_nearest_zero_factor(fgj_patterns, monkeypatch):
