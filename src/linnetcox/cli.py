@@ -217,9 +217,9 @@ def _cmd_summaries(args) -> None:
     pattern = load_pattern(args.pattern, net)
     which = [w.strip() for w in args.which.split(",") if w.strip()]
     known = {"K", "g", "F", "G", "J"}
-    bad = [w for w in which if w not in known]
+    bad = [w for w in which if w not in known or which.count(w) > 1]  # a repeat writes its rows twice
     if bad or not which:
-        raise ValidationError(f"--which takes a comma list from {sorted(known)}, got {args.which!r}")
+        raise ValidationError(f"--which takes distinct names from {sorted(known)}, got {args.which!r}")
     r = _parse_rgrid(args.rgrid) if args.rgrid else None
     curves = {}
     if {"K", "g"} & set(which):
@@ -378,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("summaries", help="empirical summary curves")
     _add(p, "--net", type=Path, required=True)
     _add(p, "--pattern", type=Path, required=True)
-    _add(p, "--which", default="K,g,F,G,J", help="comma list from K,g,F,G,J")
+    _add(p, "--which", default="K,g,F,G,J", help="comma list of distinct names from K,g,F,G,J")
     _add(p, "--rgrid", default=None, metavar="A:B:N", help="r grid, e.g. 0:50:512")
     _add(p, "--bandwidth", type=float, default=None, help="pair-correlation bandwidth")
     _add(p, "--spacing", type=float, default=0.5, help="lattice spacing for F/G/J")

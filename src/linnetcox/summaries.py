@@ -366,35 +366,74 @@ def _radii(r) -> np.ndarray:
     return r
 
 
-def _stable_argsort(x: np.ndarray) -> np.ndarray:
-    """``np.argsort(x, kind="stable")`` of a 1-d ``x`` without NaN, from the default
-    sort whatever its kernel: with the runs of equal sorted values numbered, one int64
-    sort of ``run * n + index`` puts each run's indices back in ascending order."""
-    order, run = np.argsort(x), np.zeros(x.size, dtype=np.int64)
+def _stable_argsort(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.argsort(x, kind="stable")`` of a 1-d nonnegative ``x`` without NaN, and ``x`` in
+    that order, from one in-place sort of 64-bit keys: each value's bits (-0.0 as 0.0), which
+    ascend with it, with the low ``b`` bits replaced by its index. A descent left can only lie
+    in a group of keys with equal high bits, in index order: two are swapped, more re-sorted."""
+    n, b = x.size, max(1, (x.size - 1).bit_length())
+    keys = (x + 0.0).view(np.uint64)  # a fresh array, -0.0 as 0.0
+    keys &= np.uint64(2**64 - 2**b)  # the low b bits cleared
+    keys |= np.arange(n, dtype=np.uint64)
+    keys.sort()
+    order = keys.view(np.intp)
+    order &= 2**b - 1
     ranked = x[order]
-    np.cumsum(ranked[1:] != ranked[:-1], out=run[1:])
-    del ranked  # the integer sort needs only order and run
-    run *= x.size
-    order += run
-    order.sort()
-    order -= run
-    return order
+    at = np.flatnonzero(ranked[1:] < ranked[:-1])
+    if at.size:
+        high = (ranked + 0.0).view(np.uint64)
+        high >>= np.uint64(b)  # the sorted keys' high bits
+        lo, hi = (np.searchsorted(high, high[at], side) for side in ("left", "right"))
+        two = lo[hi - lo == 2]
+        for a in (order, ranked):
+            a[two], a[two + 1] = a[two + 1], a[two].copy()
+        lo, size = lo[hi - lo > 2], (hi - lo)[hi - lo > 2]
+        at = np.unique(np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size))
+        by_value = at[np.argsort(ranked[at], kind="stable")]  # each group keeps its places
+        order[at], ranked[at] = order[by_value], ranked[by_value]
+    return order, ranked
+
+
+def _radius_bins(r_sorted: np.ndarray):
+    """``bins(x, side="left")``, equal to ``np.searchsorted(r_sorted, x, side)`` for ascending
+    finite radii and ``x`` without NaN. One monotone map puts radii and entries in about four
+    buckets per radius, so an entry's bin lies among its own bucket's radii: it starts at the
+    first and advances by exact comparisons in binary steps, O(log n) on a clustered grid."""
+    n = r_sorted.size
+    lo, hi = (float(r_sorted[0]), float(r_sorted[-1])) if n else (0.0, 0.0)
+    scale = min(4 * n / (hi - lo), 1e300) if hi > lo else 0.0  # finite for a subnormal span
+
+    def bucket(x):
+        k = np.clip(x, lo, hi) - lo
+        return np.multiply(k, scale, out=k).astype(np.intp)
+
+    start = np.searchsorted(bucket(r_sorted), np.arange(4 * n + 2))  # bucket k: start[k:k + 2]
+    steps = [1 << j for j in reversed(range(int(np.diff(start).max()).bit_length()))]
+    padded = np.r_[r_sorted, np.nan]  # compares false
+
+    def bins(x, side="left"):
+        i, below = start[bucket(x)], np.less if side == "left" else np.less_equal
+        for s in steps:
+            i = np.where(below(padded[np.minimum(i + s - 1, n)], x), i + s, i)
+        return i
+
+    return bins
 
 
 def k_from_pairs(pairs: PairData, r) -> np.ndarray:
-    """Empirical ``K`` at radii ``r`` (any shape) from precomputed pair data:
-    the pairs' weights summed in the stable order of their distances (ties in
-    pair order), read at ``#{d <= r}``. Pairs beyond ``max(r)`` would sort
-    after all others and are never read."""
+    """Empirical ``K`` at radii ``r`` (any shape) from precomputed pair data: the pairs'
+    weights summed in the stable order of their distances (ties in pair order), which
+    ``_stable_argsort`` gives with the sorted distances that ``#{d <= r}`` is read from.
+    Pairs beyond ``max(r)`` would sort after all others and are never read."""
     r = _radii(r)
     keep = pairs.within(r.max(initial=0.0))
     d, w = pairs.distances, pairs.weights
     if not keep.all():
         d, w = d[keep], w[keep]
-    order = _stable_argsort(d)
+    order, ranked = _stable_argsort(d)
     cum_w = np.zeros(d.size + 1)
-    np.cumsum(w[order], out=cum_w[1:])
-    return cum_w[np.searchsorted(d[order], r, side="right")] / pairs.total_length
+    np.cumsum(np.take(w, order, out=cum_w[1:], mode="clip"), out=cum_w[1:])  # "clip": unbuffered
+    return cum_w[np.searchsorted(ranked, r, side="right")] / pairs.total_length
 
 
 def _g_reach(r: np.ndarray, bandwidth: float, diameter: float = math.inf) -> float:
@@ -420,24 +459,24 @@ def g_from_pairs(pairs: PairData, r, bandwidth: float) -> np.ndarray:
     would smooth below ``r = 0`` is folded back, removing the boundary
     deficit near the origin.
 
-    Only the kernel's support is visited: per chunk of pairs and centre
-    ``x = d`` or ``-d``, the radii within ``2b`` of ``x`` (wide enough that
-    rounding loses none) are found in the sorted ``r``, kept where
-    ``|u| <= 1`` for ``u = (r - x) / b``, and ``w (1 - u^2)`` is added into
-    them by ``bincount``; ``-d`` only for the pairs it can reach, ``d <= 2b``.
-    Radii that no pair reaches are exactly 0.
+    Only the kernel's support is visited: per chunk of pairs and centre ``x = d``
+    or ``-d``, the radii within ``2b`` of ``x`` (wide enough that rounding loses none)
+    are found by one bucket table of the sorted ``r`` (``_radius_bins``), kept where
+    ``|u| <= 1`` for ``u = (r - x) / b``, and ``w (1 - u^2)`` is added into them by
+    ``bincount``; ``-d`` only for the pairs it can reach, ``d <= 2b``. Radii that no
+    pair reaches are exactly 0.
     """
     r = _radii(r)
     keep = pairs.within(_g_reach(r, bandwidth))
     b, flat = float(bandwidth), r.ravel()
     d, w = pairs.distances[keep], pairs.weights[keep]
     order = np.argsort(flat, kind="stable")
-    ascending, out = flat[order], np.zeros(flat.shape)
+    bins, out = _radius_bins(flat[order]), np.zeros(flat.shape)
     for i0 in range(0, d.size, _G_CHUNK):
         dd, ww = d[i0 : i0 + _G_CHUNK], w[i0 : i0 + _G_CHUNK]
         for x, wx in ((dd, ww), (-dd[dd <= 2 * b], ww[dd <= 2 * b])):
-            lo = np.searchsorted(ascending, x - 2 * b)
-            n_in = np.searchsorted(ascending, x + 2 * b, side="right") - lo
+            lo = bins(x - 2 * b)
+            n_in = bins(x + 2 * b, "right") - lo
             cols = np.repeat(np.arange(x.size), n_in)
             rows = order[np.arange(cols.size) - np.repeat(np.cumsum(n_in) - n_in - lo, n_in)]
             u = (flat[rows] - x[cols]) / b
@@ -531,29 +570,30 @@ def _erosion_curve(pairs: tuple, factors: np.ndarray, leaf: np.ndarray, r: np.nd
     radius (``_last_alive``) and short of ``first_zero[i]``, its distance to
     its nearest zero factor, from which on the product is 0; NaN and not
     ``defined`` where no row qualifies. Only the cells alive and short of ``first_zero``
-    are visited, each at its ``#{d <= r}``, a running count of the binned
-    distances. If the nonzero factors are all one ``q``, that count indexes a
-    table of powers, the cumulative product of ``q``s: the bits of any sorted
-    product. Otherwise a row sorts its pairs stably and multiplies their
-    factors up behind a leading one, in blocks of about ``_EROSION_BLOCK``
-    entries, each padded (by inf and 1) only to its own widest row. Then
-    ``bincount`` adds each radius's cells in row order: the bits of a
-    row-ordered sum over all rows, with zeros where not visited.
+    are visited, each at its ``#{d <= r}``, a running count of the distances binned,
+    like the rows' caps, by a bucket table of the radii (``_radius_bins``). If the
+    nonzero factors are all one ``q``, that count indexes a table of powers, the
+    cumulative product of ``q``s: the bits of any sorted product. Otherwise a row
+    sorts its pairs stably and multiplies their factors up behind a leading one, in
+    blocks of about ``_EROSION_BLOCK`` entries, each padded (by inf and 1) only to
+    its own widest row. Then ``bincount`` adds each radius's cells in row order: the
+    bits of a row-ordered sum over all rows, with zeros where not visited.
     """
     shape, r = r.shape, r.ravel()
     r_order = np.argsort(r, kind="stable")
     r_sorted = r[r_order]
     rows, cols, d = pairs
     # row i is visited at sorted radii j < lb[i]: below its leaf distance and its first zero
-    lb = np.minimum(np.searchsorted(r_sorted, leaf), np.searchsorted(r_sorted, first_zero))
+    bins = _radius_bins(r_sorted)
+    lb = np.minimum(bins(leaf), bins(first_zero))
     n_read = np.bincount(rows, minlength=leaf.size)
     pair_at = np.concatenate(([0], np.cumsum(n_read)))  # row i's pairs: pair_at[i]:pair_at[i + 1]
     cell_at = np.concatenate(([0], np.cumsum(lb)))  # and its cells, in row-major order
     cell_rows = np.repeat(np.arange(leaf.size), lb)
     cell_r = np.arange(cell_rows.size) - cell_at[cell_rows]
     # a distance in bin j (r_sorted[j - 1] < d <= r_sorted[j]) counts from cell (row, j) on
-    bins = cell_at[rows] + np.minimum(np.searchsorted(r_sorted, d), lb[rows])
-    within = np.cumsum(np.bincount(bins, minlength=cell_rows.size + 1))[:-1] - pair_at[cell_rows]
+    pair_cell = cell_at[rows] + np.minimum(bins(d), lb[rows])
+    within = np.cumsum(np.bincount(pair_cell, minlength=cell_rows.size + 1))[:-1] - pair_at[cell_rows]
     nonzero = np.unique(factors[factors != 0.0])
     if nonzero.size <= 1:  # q is nonzero.sum(), and any q serves if there is none
         cell_products = np.cumprod(np.r_[1.0, np.full(n_read.max(initial=0), nonzero.sum())])[within]

@@ -427,6 +427,18 @@ class TestSummaries:
         assert rc == 2
         assert "Z" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("which", ["K,K", "F,g,F", "K, K", "J,J,J", "", ","],
+                             ids=["K-twice", "F-twice", "spaced-repeat", "J-thrice", "empty", "comma"])
+    def test_bad_which_exits_2(self, tmp_path, dendrite_file, pattern_file, capsys, which):
+        # a repeated name used to write its rows twice, which load_curves reads as one curve
+        out = tmp_path / "x.csv"
+        rc = run("summaries", "--net", dendrite_file, "--pattern", pattern_file,
+                 "--which", which, "--rgrid", "0:30:31", "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --which") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("bandwidth", ["inf", "nan", "0", "1e300"])
     def test_bad_bandwidth_exits_2(self, tmp_path, dendrite_file, pattern_file, capsys, bandwidth):
         out = tmp_path / "x.csv"

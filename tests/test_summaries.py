@@ -44,6 +44,7 @@ from linnetcox.summaries import (
     _stable_argsort,
     g_from_pairs,
     k_from_pairs,
+    second_order_estimates,
     second_order_pairs,
 )
 
@@ -1028,12 +1029,14 @@ def test_exact_zero_products_leave_j_undefined(fgj_patterns):
 
 
 class TestStableOrder:
-    """K's order from the default sort plus the run tie-break is the stable argsort."""
+    """K's order from one sort of 64-bit keys plus the fix-up of groups that share
+    their high bits is the stable argsort, and the values come back in that order."""
 
     @staticmethod
     def check(x):
-        got, want = _stable_argsort(x), np.argsort(x, kind="stable")
+        (got, ranked), want = _stable_argsort(x), np.argsort(x, kind="stable")
         assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert ranked.dtype == x.dtype and ranked.tobytes() == x[want].tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_heavy_ties_and_zeros(self, seed):
@@ -1053,6 +1056,132 @@ class TestStableOrder:
         self.check(np.array([3.5]))
         self.check(np.array([0.0, 0.0]))
         self.check(np.empty(0))
+
+    def test_last_bit_twins_of_900_points(self, fgj_patterns):
+        # K's pairs on the 900-point pattern: many (u, v), (v, u) twins differ in the last bit
+        pattern = fgj_patterns["dense"]
+        d = second_order_pairs(pattern, None, default_r_grid(pattern.network).max()).distances
+        ascending = np.sort(d)
+        assert d.size > 500_000 and (np.nextafter(ascending[:-1], np.inf) == ascending[1:]).sum() > 1000
+        self.check(d)
+
+    def test_long_tie_runs_of_the_snapped_pattern(self, fgj_patterns):
+        d = second_order_pairs(fgj_patterns["snapped"]).distances
+        assert np.unique(d, return_counts=True)[1].max() >= 10
+        self.check(d)
+        self.check(d[::-1].copy())
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_groups_of_three_or_more_with_a_descent(self, seed):
+        # whole numbers plus a few ulps share their high bits, so the key sort leaves each
+        # group in index order: groups of about 40 with ties and descents, and some of two
+        rng = np.random.default_rng(seed)
+        n = 3000
+        base = np.r_[rng.integers(1, 70, n - 40), np.repeat(np.arange(100, 120), 2)].astype(float)
+        x = (base.view(np.uint64) + rng.integers(0, 4, n).astype(np.uint64)).view(np.float64)
+        x[rng.random(n) < 0.05] = rng.choice([0.0, -0.0, 5e-324])
+        self.check(x)
+        self.check(rng.permutation(x))
+
+
+def bin_grids(net):
+    """The r grids that the bin search must read as ``np.searchsorted`` does."""
+    rng = np.random.default_rng(5)
+    return {
+        "default": default_r_grid(net),
+        "summaries": np.linspace(0.0, 30.0, 121),
+        "unsorted-repeats": rng.permutation(np.r_[np.linspace(0.0, 30.0, 61),
+                                                  np.linspace(0.0, 30.0, 31), [7.5] * 5]),
+        "clustered": np.r_[rng.uniform(0.0, 1e-6, 500), 100.0],
+        "one": np.array([7.5]),
+        "zeros": np.array([0.0, -0.0, 0.0, 2.0]),
+        "none": np.empty(0),
+    }
+
+
+class TestRadiusBins:
+    """The bucket table's bins are ``np.searchsorted``'s, for either side."""
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("grid", ["default", "summaries", "unsorted-repeats", "clustered",
+                                      "one", "zeros", "none"])
+    def test_equals_searchsorted(self, fgj_patterns, grid, side):
+        r = np.sort(bin_grids(fgj_patterns["readme"].network)[grid])
+        rng = np.random.default_rng(len(grid))
+        top = r.max(initial=1.0)
+        x = np.r_[r, np.nextafter(r, -np.inf), np.nextafter(r, np.inf), r.min(initial=0.0) - 1.0,
+                  top + 1.0, np.inf, -np.inf, -0.0, 0.0, 5e-324, rng.uniform(-1.0, 1.1 * top, 5000),
+                  rng.choice(r, 500) if r.size else []]
+        bins = summaries._radius_bins(r)
+        for entries in (x, rng.permutation(x), np.empty(0)):
+            got, want = bins(entries, side), np.searchsorted(r, entries, side)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("grid, steps", [("summaries", 1), ("clustered", 9)])
+    def test_a_clustered_grid_takes_log_n_steps(self, fgj_patterns, monkeypatch, grid, steps):
+        # 500 radii in the first of 2004 buckets: nine binary steps, not 500 linear ones
+        r = np.sort(bin_grids(fgj_patterns["readme"].network)[grid])
+        bins, calls, less = summaries._radius_bins(r), [], np.less
+        monkeypatch.setattr(np, "less", lambda *a: calls.append(1) or less(*a))
+        x = np.random.default_rng(0).uniform(0.0, 1e-6, 1000)
+        assert np.array_equal(bins(x), np.searchsorted(r, x)) and len(calls) == steps
+
+
+def stable_argsort_two_sorts(x):
+    """The former K order: the default argsort, then one int64 sort of ``run * n + index``
+    over the runs of equal sorted values; with ``x`` in that order."""
+    order, run = np.argsort(x), np.zeros(x.size, dtype=np.int64)
+    ranked = x[order]
+    np.cumsum(ranked[1:] != ranked[:-1], out=run[1:])
+    order = np.sort(order + run * x.size) - run * x.size
+    return order, x[order]
+
+
+class TestKernelsMatchTheFormerSearches:
+    """K, g, F, G and J from the key sort and the bucket table have the bytes of the former
+    two sorts and ``np.searchsorted``, kept here as the reference."""
+
+    @staticmethod
+    def curves(pattern, intensity, rho_bar):
+        out = second_order_estimates(pattern, intensity)
+        fgj = fgj_estimates(pattern, FgjConfig(intensity=intensity, rho_bar=rho_bar))
+        out.update(F=fgj.F, G=fgj.G, J=fgj.J)
+        return out
+
+    @pytest.mark.parametrize("intensity", ["branch-wise", "kernel"])
+    @pytest.mark.parametrize("name", ["readme", "snapped", "dense"])
+    def test_same_bytes(self, fgj_patterns, monkeypatch, name, intensity):
+        pattern = fgj_patterns[name]
+        est, rho_bar = None, None
+        if intensity == "kernel":
+            est = kernel_intensity(pattern.network, pattern, bandwidth=10.0)
+            rho_bar = 0.5 * est.at_points(pattern).min()
+        got = self.curves(pattern, est, rho_bar)
+        monkeypatch.setattr(summaries, "_stable_argsort", stable_argsort_two_sorts)
+        monkeypatch.setattr(summaries, "_radius_bins",
+                            lambda r_sorted: lambda x, side="left": np.searchsorted(r_sorted, x, side))
+        want = self.curves(pattern, est, rho_bar)
+        assert set(got) == set(want) == {"K", "g", "F", "G", "J"}
+        for kind in want:
+            for field in ("r", "values", "defined"):
+                a, b = getattr(got[kind], field), getattr(want[kind], field)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (kind, field)
+
+
+def test_k_working_memory_stays_under_the_former_sorts(fgj_patterns):
+    # the former argsort and run sort peaked at 20 068 906 bytes here (numpy 2.4, x86-64)
+    pattern = fgj_patterns["dense"]
+    r = default_r_grid(pattern.network)  # K's default grid, out to 115.4
+    pairs = second_order_pairs(pattern, None, r.max())
+    assert pairs.distances.size == 590_220
+    want = k_from_pairs(pairs, r)
+    tracemalloc.start()
+    try:
+        got = k_from_pairs(pairs, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes() and peak <= 20_068_906
 
 
 class TestPairChunks:
