@@ -3,10 +3,11 @@
 Every subcommand writes its outputs atomically and drops a
 ``manifest.json`` (inside output directories, or ``<stem>.manifest.json``
 next to single files) recording the exact argument vector, seed, and
-package version; re-running the recorded argv reproduces the outputs
-bitwise. Any flag can also be supplied through an environment variable
-named ``LINNETCOX_<DEST>`` (for example ``LINNETCOX_SEED=7``); explicit
-flags win over the environment.
+package version. Any flag can also be supplied through an environment
+variable ``LINNETCOX_<DEST>`` (for example ``LINNETCOX_SEED=7``); explicit
+flags win. The manifest records those set under ``env``, and re-running
+the recorded argv with them reproduces the outputs bitwise. ``fit``
+refuses a flag its method does not read.
 
 Exit status: 0 on success, 2 on validation problems (bad flags, missing
 or malformed files, too large an input), 3 on numerical failure.
@@ -201,10 +202,13 @@ def _cmd_simulate_cox(args) -> None:
 def _cmd_fit(args) -> None:
     net = load_network(args.net)
     pattern = load_pattern(args.pattern, net)
-    flags = {"r_min": args.rl, "r_max": args.ru, "power": args.p, "bandwidth": args.bandwidth,
-             "r0": args.r0}
-    base = _method_config(args.method)  # its fields name the flags this method reads
-    config = _method_config(args.method, {f: v for f, v in flags.items() if hasattr(base, f)})
+    fields = {"rl": "r_min", "ru": "r_max", "p": "power", "bandwidth": "bandwidth", "r0": "r0"}
+    given = {flag: getattr(args, flag) for flag in fields if getattr(args, flag) is not None}
+    try:  # the method's config refuses a field it lacks and a value it cannot take
+        config = _method_config(args.method, {fields[f]: v for f, v in given.items()})
+    except ValidationError as exc:
+        flags = "".join(f" --{f} {v!r}" for f, v in given.items())
+        raise ValidationError(f"fit --method {args.method}{flags}: {exc}") from None
     fit = two_step_fit(pattern, k=args.k, config=config)
     save_fit(fit, args.out)
     if not fit.converged:
@@ -366,9 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "--pattern", type=Path, required=True)
     _add(p, "--method", choices=["mce-g", "mce-k", "cl2"], default="mce-g")
     _add(p, "--k", type=int, default=1)
-    _add(p, "--rl", type=float, default=0.0, help="lower contrast limit")
+    _add(p, "--rl", type=float, default=None, help="lower contrast limit (default 0)")
     _add(p, "--ru", type=float, default=None, help="upper contrast limit (default 0.1|L|)")
-    _add(p, "--p", type=float, default=1.0, help="contrast exponent")
+    _add(p, "--p", type=float, default=None, help="contrast exponent (default 1)")
     _add(p, "--bandwidth", type=float, default=None, help="pair-correlation bandwidth")
     _add(p, "--r0", type=float, default=None,
          help="cl2: pair range of the composite likelihood (default 5|L|/n)")
@@ -428,7 +432,10 @@ def main(argv=None) -> int:
             format="%(levelname)s %(name)s: %(message)s",
         )
         args.func(args)  # writes the outputs at args.out; their manifest goes with them
-        write_manifest(args.out, args.command, argv, _config_dict(args), getattr(args, "seed", None))
+        config = _config_dict(args)
+        env = {name: os.environ[name] for name in (ENV_PREFIX + key.upper() for key in config)
+               if name in os.environ}  # the LINNETCOX_* values that set this command's flags
+        write_manifest(args.out, args.command, argv, config, getattr(args, "seed", None), env)
     except (ValidationError, OSError, MemoryError) as exc:  # bad, unreadable or too large input
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -230,15 +230,17 @@ def envelope_pipeline(
     seed=None,
     r=None,
     r_min: float = 1.0,
-    fgj_config: FgjConfig | None = None,
 ) -> PipelineResult:
     """Simulate the model, compute test curves, and run the rank test.
 
     ``test="K"`` uses the centred second-order curve (the empirical ``K``
     minus the Poisson line ``r``); ``test="FGJ"`` concatenates the
-    empty-space, nearest-neighbour and ratio curves. Every pattern — data
-    and simulations alike — uses its own plug-in maximum-likelihood
-    intensity, so estimator bias affects all curves equally.
+    empty-space, nearest-neighbour and ratio curves at the default
+    :class:`FgjConfig`. Every pattern — data and simulations alike — uses
+    its own plug-in maximum-likelihood intensity, so estimator bias affects
+    all curves equally. A simulation without points (its intensity is 0) has
+    F = 0 where alive, as at any positive ``rho_bar``, and no G or J, whose
+    cells then leave the test; an empty data pattern is refused.
     """
     if test not in ("K", "FGJ"):
         raise ValidationError(f"test must be 'K' or 'FGJ', got {test!r}")
@@ -258,7 +260,8 @@ def envelope_pipeline(
             curve = k_estimate(pat, fit_intensity_mle(pat), r)
             centred = SummaryCurve("K", r, curve.values - r, curve.defined)
             return concat_test_function([centred], r_min)
-        fgj = fgj_estimates(pat, fgj_config, r)
+        empty_simulation = pat.n == 0 and pat is not pattern
+        fgj = fgj_estimates(pat, FgjConfig(rho_bar=1.0) if empty_simulation else None, r)
         return concat_test_function([fgj.F, fgj.G, fgj.J], r_min)
 
     data_curve = test_curve(pattern)

@@ -75,6 +75,7 @@ _LOG_BOUND = 30.0  # |log parameter| cap inside optimizers
 _SCORE_RTOL = 1e-6  # a converged score is this small against its pair sum
 _CONTRAST_GRID = 512  # r values of the contrast integral
 _CONTRAST_OPTIONS = {"xatol": 1e-7, "fatol": 1e-14, "maxiter": 2000, "maxfev": 8000}  # Nelder-Mead
+_CL2_MAX_ITER = 500  # quasi-Newton iterations of cl2_fit
 
 
 def _positive(*xs) -> bool:
@@ -89,8 +90,8 @@ class MinContrastConfig:
     The objective is ``int_{r_min}^{r_max} (T_hat(r)**p - T(r)**p)**2 dr``
     with ``T`` either the pair correlation (``target="g"``, the default —
     it weights all scales evenly and was the better performer) or the
-    cumulative ``K`` (``target="K"``). ``r_max`` defaults to one tenth of
-    the network length; tuning it per network is recommended.
+    cumulative ``K`` (``target="K"``), which takes no ``bandwidth``. ``r_max``
+    defaults to one tenth of the network length; tune it per network.
     """
 
     target: str = "g"
@@ -111,6 +112,8 @@ class MinContrastConfig:
             raise ValidationError(f"start must be two positive finite numbers, got {self.start!r}")
         if not (self.bandwidth is None or _positive(self.bandwidth)):
             raise ValidationError(f"bandwidth must be positive and finite, got {self.bandwidth!r}")
+        if self.target == "K" and self.bandwidth is not None:
+            raise ValidationError("contrast target 'K' reads no bandwidth")
 
 
 @dataclass(frozen=True)
@@ -270,20 +273,17 @@ class Cl2Config:
     network of length ``|L|``. Its normalising integral is computed
     exactly from the network's geometry, so it has no sampling noise and
     runs are reproducible. :func:`cl2_fit` starts at ``start`` and stops
-    after at most ``max_iter`` quasi-Newton iterations.
+    after at most 500 quasi-Newton iterations, a fixed setting.
     """
 
     r0: float | None = None
     start: tuple[float, float] = (0.5, 0.5)
-    max_iter: int = 500
 
     def __post_init__(self):
         if not (self.r0 is None or _positive(self.r0)):
             raise ValidationError(f"need None or a finite r0 > 0, got {self.r0!r}")
         if not (len(self.start) == 2 and _positive(*self.start)):
             raise ValidationError(f"start must be two positive finite numbers, got {self.start!r}")
-        if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
-            raise ValidationError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -435,7 +435,7 @@ def cl2_fit(pattern: PointPattern, k: int = 1, config: Cl2Config | None = None) 
         return -ws.likelihood(s2, bt, k), -ws.score(s2, bt, k) * np.array([s2, bt])
 
     x = box_quasi_newton(negative_likelihood, np.log(np.asarray(config.start, dtype=np.float64)),
-                         _LOG_BOUND, config.max_iter)
+                         _LOG_BOUND, _CL2_MAX_ITER)
     s2, bt = (float(v) for v in np.exp(x))
     score = ws.score(s2, bt, k)
     # strict: on the beta bound the score and its pair sum both vanish
@@ -547,15 +547,14 @@ class StudyFailure:
 class StudyResult:
     """Per-replicate estimates plus truncation and failure tallies.
 
-    ``truncation[(run, method)]`` counts estimates exceeding the caps
-    (the conventional display caps sigma2 > 15, beta > 5) and replicates
+    ``truncation[(run, method)]`` counts estimates above the display caps
+    ``SIGMA2_TRUNCATION = 15`` and ``BETA_TRUNCATION = 5``, and replicates
     where the fit raised, which are recorded as non-converged NaN rows
     rather than aborting the study; ``failures`` says why each one raised.
     """
 
     rows: list
     truncation: dict
-    caps: tuple[float, float]
     failures: list = field(default_factory=list)
 
     def estimates(self, run: str, method: str) -> np.ndarray:
@@ -571,7 +570,7 @@ def _fit_one(pattern: PointPattern, method: str, cfg, k: int, pairs) -> FitResul
     return _two_step_fit(pattern, k, _method_config(method, cfg), pairs)
 
 
-def simulation_study(runs, replicates: int, seed=None, caps=None) -> StudyResult:
+def simulation_study(runs, replicates: int, seed=None) -> StudyResult:
     """Simulate, refit, and tabulate each design run.
 
     Replicate streams are spawned per run from the master seed, so the
@@ -582,7 +581,6 @@ def simulation_study(runs, replicates: int, seed=None, caps=None) -> StudyResult
     """
     if replicates < 0:
         raise ValidationError("replicates must be nonnegative")
-    caps = caps or (SIGMA2_TRUNCATION, BETA_TRUNCATION)
     runs = list(runs)
     rows: list[StudyRow] = []
     failures: list[StudyFailure] = []
@@ -613,8 +611,8 @@ def simulation_study(runs, replicates: int, seed=None, caps=None) -> StudyResult
                     counts["failed"] += 1
                     continue
                 rows.append(StudyRow(run.name, rep, method, fit.sigma2, fit.beta, fit.converged))
-                if fit.sigma2 > caps[0]:
+                if fit.sigma2 > SIGMA2_TRUNCATION:
                     counts["sigma2_over"] += 1
-                if fit.beta > caps[1]:
+                if fit.beta > BETA_TRUNCATION:
                     counts["beta_over"] += 1
-    return StudyResult(rows=rows, truncation=tally, caps=tuple(caps), failures=failures)
+    return StudyResult(rows=rows, truncation=tally, failures=failures)

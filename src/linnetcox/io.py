@@ -149,14 +149,10 @@ def save_network(net: LinearNetwork, path) -> None:
     _write_json(path, doc)
 
 
-def load_network(source) -> LinearNetwork:
-    """Load a network from a JSON file path, file object, or dict."""
-    if isinstance(source, dict):
-        doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        doc = load_json(Path(source), "network")
+def load_network(path) -> LinearNetwork:
+    """Load a network from its JSON file; a missing, undecodable or malformed
+    file raises :class:`ValidationError` naming it."""
+    doc = load_json(Path(path), "network")
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
         raise ValidationError("network document must contain 'vertices' and 'edges'")
     try:
@@ -278,13 +274,14 @@ def save_study(result: StudyResult, path) -> None:
 # -- manifests ------------------------------------------------------------------
 
 
-def write_manifest(target, command: str, argv: list[str], config: dict, seed) -> Path:
+def write_manifest(target, command: str, argv: list[str], config: dict, seed, env: dict) -> Path:
     """Record how an output was produced.
 
     ``target`` is the command's output (directory or file); the manifest
     lands inside the directory, or next to the file as
-    ``<stem>.manifest.json``. Re-running the recorded ``argv`` reproduces
-    the outputs bitwise.
+    ``<stem>.manifest.json``. ``env``, the environment variables that set
+    flags, is written only if non-empty. Re-running the recorded ``argv``
+    with ``env`` set reproduces the outputs bitwise.
     """
     target = Path(target)
     if target.is_dir():
@@ -296,6 +293,7 @@ def write_manifest(target, command: str, argv: list[str], config: dict, seed) ->
         "command": command,
         "seed": seed,
         "argv": list(argv),
+        **({"env": env} if env else {}),
         "config": config,
     }
     _write_json(path, doc)

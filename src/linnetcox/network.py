@@ -294,9 +294,6 @@ class LinearNetwork:
             off[hit] = self._vertex_canon_offset[vtx[hit]]
         return eidx, off
 
-    def distance(self, p: NetworkPoint, q: NetworkPoint) -> float:
-        return shortest_path_distance(self, p, q)
-
 
 class PointPattern:
     """A finite ordered collection of points on one network.

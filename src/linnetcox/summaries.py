@@ -28,6 +28,7 @@ from .models import CoxModel, IntensityModel
 from .network import (
     LinearNetwork,
     PointPattern,
+    _lattice,
     _pair_chunks,
     _pairs_within,
     _point_arrays,
@@ -35,7 +36,7 @@ from .network import (
     _sphere_count_matrix,
     _walk,
     distance_matrix,  # noqa: F401  (perfbench/spans.py wraps it by this name)
-    lattice,
+    lattice,  # noqa: F401  (perfbench/spans.py wraps it by this name)
     leaf_distances,
     pairwise_distances,  # noqa: F401  (perfbench/spans.py wraps it by this name)
 )
@@ -63,13 +64,9 @@ class SummaryCurve:
     metadata: dict = field(default_factory=dict)
 
 
-def default_r_grid(net: LinearNetwork, r_max: float | None = None, n: int = 512) -> np.ndarray:
-    """Evenly spaced ``r`` grid from 0 to ``r_max`` (default ``0.2 |L|``)."""
-    if r_max is None:
-        r_max = 0.2 * net.total_length
-    if not (r_max > 0 and n >= 2):
-        raise ValidationError("r grid needs r_max > 0 and at least two values")
-    return np.linspace(0.0, float(r_max), int(n))
+def default_r_grid(net: LinearNetwork) -> np.ndarray:
+    """The 512 evenly spaced radii from 0 to ``0.2 |L|``."""
+    return np.linspace(0.0, 0.2 * net.total_length, 512)
 
 
 def default_bandwidth(mean_intensity: float) -> float:
@@ -323,7 +320,6 @@ class PairData:
     distances: np.ndarray
     weights: np.ndarray
     total_length: float
-    n_points: int
     reach: float = math.inf
 
     def within(self, reach: float) -> np.ndarray:
@@ -355,7 +351,7 @@ def second_order_pairs(pattern: PointPattern, intensity=None, reach: float = mat
         if (counts <= 0).any():
             raise NumericalError("sphere count vanished at an observed pair distance")
         parts.append((d, 1.0 / (rho[sl][rows] * rho[cols] * counts)))
-    return PairData(*(np.concatenate(p) for p in zip(*parts)), net.total_length, pattern.n, reach)
+    return PairData(*(np.concatenate(p) for p in zip(*parts)), net.total_length, reach)
 
 
 def _radii(r) -> np.ndarray:
@@ -536,14 +532,12 @@ class FgjConfig:
     estimators (None means plug-in maximum likelihood). ``rho_bar`` must
     be a positive lower bound of the intensity; when omitted it defaults
     to the least positive branch intensity, which requires a branch-wise
-    intensity source. ``r_min`` marks cells below it undefined (useful
-    when very short distances are unreliable).
+    intensity source.
     """
 
     intensity: object = None
     rho_bar: float | None = None
     lattice_spacing: float = 0.5
-    r_min: float = 0.0
 
 
 @dataclass
@@ -621,7 +615,7 @@ def _erosion_curve(pairs: tuple, factors: np.ndarray, leaf: np.ndarray, r: np.nd
 def _fgj_lattice(net: LinearNetwork, spacing: float) -> tuple[PointPattern, np.ndarray]:
     """The F lattice and its leaf distances, read-only and kept for the last
     network and spacing, so that an envelope builds them once."""
-    grid = PointPattern(net, lattice(net, spacing))
+    grid = PointPattern.from_indices(net, *_lattice(net, spacing))
     leaf = leaf_distances(net, grid)
     for a in (grid.edge_indices, grid.offsets, leaf):
         a.flags.writeable = False
@@ -647,10 +641,9 @@ def fgj_estimates(
     point on (``rho == rho_bar``, as on the lower branch by default): each
     lattice or data point reads, by one range search, the zero-factor points
     within its largest radius below its leaf distance, and by a second the
-    others up to the nearest of those. Cells with an empty reference set or
-    ``r < config.r_min`` (for ``J`` also ``F == 1``) are undefined: NaN with
-    ``defined`` False. An empty pattern yields ``F == 0`` everywhere it is
-    defined and no ``G``.
+    others up to the nearest of those. Cells with an empty reference set
+    (for ``J`` also ``F == 1``) are undefined: NaN with ``defined`` False.
+    An empty pattern yields ``F == 0`` everywhere it is defined and no ``G``.
     """
     config = config or FgjConfig()
     net = pattern.network
@@ -687,10 +680,6 @@ def fgj_estimates(
     grid, grid_leaf = _fgj_lattice(net, float(config.lattice_spacing))
     f_values, f_defined = curve(grid, grid_leaf, False)
     g_values, g_defined = curve(pattern, leaf_distances(net, pattern), True)
-
-    early = r < config.r_min
-    for values, defined in ((f_values, f_defined), (g_values, g_defined)):
-        values[early], defined[early] = np.nan, False
 
     j_defined = f_defined & g_defined & (1.0 - f_values > 0)
     j_values = np.full(r.shape, np.nan)

@@ -332,6 +332,12 @@ class TestFit:
             ("mce-g", ["--ru", "1e300"], "exceeds the network's diameter"),
             ("mce-k", ["--ru", "1e300"], "exceeds the network's diameter"),
             ("mce-g", ["--ru", "30", "--bandwidth", "1e300"], "exceeds the network's diameter"),
+            # a flag the method does not read is refused, not ignored
+            ("cl2", ["--ru", "30"], "--ru 30.0"),
+            ("cl2", ["--rl", "1"], "--rl 1.0"),
+            ("cl2", ["--ru", "30", "--bandwidth", "0.3", "--p", "2"], "--p 2.0"),
+            ("mce-g", ["--r0", "5"], "--r0 5.0"),
+            ("mce-k", ["--bandwidth", "0.3"], "target 'K' reads no bandwidth"),
         ],
     )
     def test_bad_fit_flags_exit_2(self, tmp_path, dendrite_file, pattern_file, capsys, method,
@@ -613,6 +619,23 @@ class TestEnvelope:
         side = json.loads((tmp_path / "env.json").read_text())
         assert 0 < side["p_liberal"] <= side["p_conservative"] <= 1
 
+    def test_fgj_with_empty_simulations(self, tmp_path, dendrite_file, pattern_file):
+        # the README pattern's first two points lie on side branches; simulations 5 and 10 of
+        # this Poisson fit draw no point, and their G and J cells leave the test
+        net = load_network(dendrite_file)
+        pattern = load_pattern(pattern_file, net)
+        two = tmp_path / "two.csv"
+        save_pattern(PointPattern.from_indices(net, pattern.edge_indices[:2], pattern.offsets[:2]), two)
+        out = tmp_path / "env.csv"
+        rc = run("envelope", "--net", dendrite_file, "--pattern", two, "--test", "FGJ",
+                 "--model", "poisson", "--sims", "19", "--seed", "2", "--out", out)
+        assert rc == 0
+        with open(out, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert {row["segment"] for row in rows if row["lower"] != "nan"} == {"F"}
+        side = json.loads((tmp_path / "env.json").read_text())
+        assert 0 < side["p_liberal"] <= side["p_conservative"] <= 1
+
     def test_rgrid_beyond_the_diameter_exits_2(self, tmp_path, dendrite_file, pattern_file, capsys):
         # radii past the diameter swamp the centred K: data, lower and upper all read -r
         out = tmp_path / "env.csv"
@@ -729,9 +752,10 @@ class TestSimstudy:
             ({"methods": {"cl2": {"max_iter": 0}}}, "max_iter"),
             ({"mode": "grid", "spacing": "x"}, "spacing"),
             ({"methods": {"cl2": {"weight": "smooth"}}}, "weight"),
+            ({"methods": {"mce-k": {"bandwidth": 0.3}}}, "bandwidth"),
         ],
         ids=["entry-not-object", "methods-list", "mce-start", "cl2-start", "max-iter-text",
-             "max-iter-zero", "grid-spacing-text", "cl2-weight"],
+             "max-iter-zero", "grid-spacing-text", "cl2-weight", "mce-k-bandwidth"],
     )
     def test_malformed_design_exits_2(self, tmp_path, capsys, entry, complaint):
         if isinstance(entry, dict):
@@ -1001,6 +1025,37 @@ class TestHarness:
         assert (flagged / "pattern_0000.csv").read_bytes() == (
             env_out / "pattern_0000.csv"
         ).read_bytes()
+
+    def test_manifest_env_reproduces_outputs(self, tmp_path, monkeypatch):
+        # the seed, a global flag, an append flag and a store-true flag, all from the environment
+        env = {"LINNETCOX_SEED": "7", "LINNETCOX_THREADS": "2",
+               "LINNETCOX_KNOB": "side_target=120", "LINNETCOX_SAVE_PI": "1"}
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.mkdir(), second.mkdir()
+        assert run("make-network", "--template", "dendrite", "--out", first / "net.json") == 0
+        assert run("simulate-cox", "--net", first / "net.json", "--rho-ym", "0.8", "--sigma2", "5",
+                   "--beta", "0.1", "--mode", "grid", "--reps", "2", "--out", first / "sim") == 0
+        docs = [json.loads(p.read_text()) for p in (first / "net.manifest.json",
+                                                     first / "sim" / "manifest.json")]
+        shared = {k: env[k] for k in ("LINNETCOX_SEED", "LINNETCOX_THREADS")}
+        assert docs[0]["env"] == {**shared, "LINNETCOX_KNOB": "side_target=120"}
+        assert docs[1]["env"] == {**shared, "LINNETCOX_SAVE_PI": "1"}
+        for name in env:
+            monkeypatch.delenv(name)
+        for doc in docs:
+            with monkeypatch.context() as m:
+                for name, value in doc["env"].items():
+                    m.setenv(name, value)
+                assert main([a.replace(str(first), str(second)) for a in doc["argv"]]) == 0
+        outputs = ["net.json", *(f"sim/{kind}_{rep:04d}.csv" for kind in ("pattern", "pi")
+                                 for rep in range(2))]
+        for name in outputs:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        # without such variables the manifest has no env key
+        assert run("make-network", "--template", "dendrite", "--out", second / "bare.json") == 0
+        assert "env" not in json.loads((second / "bare.manifest.json").read_text())
 
     def test_manifest_rerun_reproduces_outputs(self, tmp_path, dendrite_file):
         first = tmp_path / "first"

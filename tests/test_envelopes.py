@@ -10,6 +10,7 @@ from linnetcox import (
     IntensityModel,
     LabelledCurve,
     LinearNetwork,
+    PointPattern,
     ValidationError,
     Vertex,
     build_curve_set,
@@ -20,11 +21,14 @@ from linnetcox import (
     rank_envelope,
     simulate_cox,
     simulate_poisson,
+    spawn_generators,
     two_step_fit,
 )
 from linnetcox import envelopes
 from linnetcox.estimation import MinContrastConfig
 from linnetcox.summaries import SummaryCurve
+
+from conftest import frozen_pattern
 
 
 def curve(kind, r, values, defined=None):
@@ -326,6 +330,27 @@ class TestPipeline:
         with pytest.raises(ValidationError, match="alpha must lie in"):
             envelope_pipeline(net, pattern, IntensityModel(0.3, 0.3), n_sims=40, alpha=alpha)
         assert calls == []
+
+    def test_empty_simulations_leave_g_and_j_out(self):
+        # the README pattern's first two points lie on side branches; simulations 5 and 10
+        # of its Poisson fit (indices 4 and 9) draw no point
+        net = make_network("dendrite", seed=7)
+        readme = frozen_pattern("readme_seed3", net)
+        pattern = PointPattern.from_indices(net, readme.edge_indices[:2], readme.offsets[:2])
+        model = fit_intensity_mle(pattern)
+        sims = [simulate_poisson(net, model, gen) for gen in spawn_generators(2, 19)]
+        assert [i for i, sim in enumerate(sims) if sim.n == 0] == [4, 9]
+        res = envelope_pipeline(net, pattern, model, test="FGJ", n_sims=19, seed=2)
+        cs = res.curve_set
+        assert set(cs.labels[cs.defined]) == {"F"}
+        # an empty simulation's F is 0 where the network is alive, its G and J undefined
+        f = cs.labels == "F"
+        for i in (4, 9):
+            assert np.all(cs.sims[i][f & cs.defined] == 0.0)
+            assert np.isnan(cs.sims[i][~f]).all()
+        empty = PointPattern.from_indices(net, readme.edge_indices[:0], readme.offsets[:0])
+        with pytest.raises(ValidationError, match="rho_bar must be positive"):
+            envelope_pipeline(net, empty, model, test="FGJ", n_sims=19, seed=2)
 
     def test_k_test_shape(self, net):
         pattern = simulate_poisson(net, IntensityModel(0.3, 0.3), seed=1)

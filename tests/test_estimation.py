@@ -86,6 +86,8 @@ class TestMinContrastFixedPoint:
         for removed in ("grid_size", "max_iter", "x_tol", "f_tol"):
             with pytest.raises(TypeError):
                 MinContrastConfig(**{removed: 1})
+        with pytest.raises(TypeError):
+            Cl2Config(max_iter=1)
 
     def test_recovers_truth_from_exact_g_curve(self):
         r = np.linspace(0.0, 30.0, 512)
@@ -157,11 +159,6 @@ class TestMinContrastFixedPoint:
         with pytest.raises(ValidationError, match="bandwidth"):
             MinContrastConfig(bandwidth=bandwidth)
         assert MinContrastConfig(bandwidth=None).bandwidth is None
-
-    @pytest.mark.parametrize("max_iter", [0, -3, 2.5, "x"])
-    def test_cl2_max_iter_is_a_positive_integer(self, max_iter):
-        with pytest.raises(ValidationError, match="max_iter"):
-            Cl2Config(max_iter=max_iter)
 
 
 def _criterion_07_patterns(count):
@@ -299,7 +296,7 @@ class TestTwoStep:
             two_step_fit(sample.pattern, k=k, config=config)
 
     def test_cl2_config_fits_by_composite_likelihood(self, cl2_pattern):
-        cfg = Cl2Config(r0=15.0, max_iter=60)
+        cfg = Cl2Config(r0=15.0)
         res = cl2_fit(cl2_pattern, config=cfg)
         fit = two_step_fit(cl2_pattern, config=cfg)
         assert fit.method == "cl2"
@@ -563,7 +560,7 @@ class TestCl2:
 
     def test_lbfgsb_runs(self, cl2_pattern):
         pattern = cl2_pattern
-        cfg = Cl2Config(r0=15.0, max_iter=60)
+        cfg = Cl2Config(r0=15.0)
         res = cl2_fit(pattern, config=cfg)
         assert res.sigma2 > 0 and res.beta > 0
         assert res.score.shape == (2,)
@@ -747,7 +744,7 @@ class TestExactNormaliser:
             assert np.all(np.abs(exact - rho**2 * mean) < 3.0 * rho**2 * np.sqrt(var))
 
     def test_fit_is_deterministic(self, cl2_pattern):
-        cfg = Cl2Config(r0=15.0, max_iter=60)
+        cfg = Cl2Config(r0=15.0)
         a, b = cl2_fit(cl2_pattern, config=cfg), cl2_fit(cl2_pattern, config=cfg)
         assert (a.sigma2, a.beta, a.converged) == (b.sigma2, b.beta, b.converged)
         assert np.array_equal(a.score, b.score)
@@ -787,9 +784,11 @@ class TestSimulationStudy:
         b = simulation_study(runs, replicates=2, seed=9)
         assert [repr(row) for row in a.rows] == [repr(row) for row in b.rows]
 
-    def test_truncation_tally(self, study_runs):
+    def test_truncation_tally(self, study_runs, monkeypatch):
         runs = study_runs
-        result = simulation_study(runs, replicates=2, seed=2, caps=(1e-6, 1e-6))
+        monkeypatch.setattr(estimation, "SIGMA2_TRUNCATION", 1e-6)
+        monkeypatch.setattr(estimation, "BETA_TRUNCATION", 1e-6)
+        result = simulation_study(runs, replicates=2, seed=2)
         counts = result.truncation[("run-1", "mce-g")]
         assert counts["sigma2_over"] + counts["failed"] == 2
         assert counts["beta_over"] + counts["failed"] == 2

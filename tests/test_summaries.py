@@ -599,7 +599,7 @@ class TestGMatchesDenseLoop:
         # r - d is inexact only where d < r / 2: at short pairs' support
         # edges rounding decides whether |r - d| <= b
         rng = np.random.default_rng(3)
-        pairs = PairData(rng.uniform(0.0, b, 500), rng.uniform(0.5, 2.0, 500), 577.0, 500)
+        pairs = PairData(rng.uniform(0.0, b, 500), rng.uniform(0.5, 2.0, 500), 577.0)
         self.check(pairs, edge_radii(pairs, b, count=500), b)
 
     @pytest.mark.parametrize("name", ["readme", "c05"])
@@ -615,20 +615,20 @@ class TestGMatchesDenseLoop:
     def test_chunk_edges(self, n):
         rng = np.random.default_rng(n)
         pairs = PairData(np.sort(rng.uniform(0.0, 30.0, n))[rng.permutation(n)],
-                         rng.uniform(0.5, 2.0, n), 577.0, n)
+                         rng.uniform(0.5, 2.0, n), 577.0)
         r = np.linspace(0.0, 30.0, 512)
         assert np.count_nonzero(pairs.distances <= r.max() + 0.7) == n
         self.check(pairs, r, 0.7)
         self.check(pairs, r[::-1], 0.7)
 
     def test_no_pairs(self):
-        empty = PairData(np.empty(0), np.empty(0), 10.0, 1)
+        empty = PairData(np.empty(0), np.empty(0), 10.0)
         self.check(empty, np.linspace(0.0, 5.0, 11), 0.5)
 
     @staticmethod
     def uniform_pairs(n, seed=0):
         rng = np.random.default_rng(seed)
-        return PairData(rng.uniform(0.0, 30.0, n), rng.uniform(0.5, 2.0, n), 577.0, n)
+        return PairData(rng.uniform(0.0, 30.0, n), rng.uniform(0.5, 2.0, n), 577.0)
 
     @pytest.mark.parametrize("count", [1, 15, 16, 17, 31, 32, 33])
     def test_slab_edges(self, count):
@@ -872,7 +872,7 @@ def fgj_row_loop(pattern, config, r):
             prods = np.where(cnt > 0, cum[np.maximum(cnt - 1, 0)], 1.0) if d.size else 1.0
             total += np.where(in_eroded, prods, 0.0)
             denom += in_eroded
-        defined = (denom > 0) & (r >= config.r_min)
+        defined = denom > 0
         values = np.full(r.shape, np.nan)
         values[defined] = 1.0 - total[defined] / denom[defined]
         return values, defined
@@ -938,7 +938,7 @@ class TestFgjMatchesRowLoop:
         self.check(fgj_patterns[name], FGJ_GRIDS[grid])
 
     @pytest.mark.parametrize(
-        "config", [{"r_min": 2.0}, {"lattice_spacing": 0.3}, {"lattice_spacing": 1.0}]
+        "config", [{"lattice_spacing": 0.3}, {"lattice_spacing": 1.0}], ids=["config1", "config2"]
     )
     @pytest.mark.parametrize("name", ["readme", "snapped", "dense", "one", "zero"])
     def test_configs(self, fgj_patterns, name, config):
@@ -1369,7 +1369,8 @@ class TestErosionCurveMatchesDense:
 
 def test_fgj_lattice_built_once_per_network_and_spacing(fgj_patterns, monkeypatch):
     calls = []
-    monkeypatch.setattr(summaries, "lattice", lambda net, h: calls.append(h) or lattice(net, h))
+    lattice_arrays = summaries._lattice
+    monkeypatch.setattr(summaries, "_lattice", lambda net, h: calls.append(h) or lattice_arrays(net, h))
     summaries._fgj_lattice.cache_clear()
     pattern = fgj_patterns["readme"]
     for spacing in (0.5, 0.5, 1.0, 1.0, 0.5):
