@@ -7,7 +7,8 @@ package version. Any flag can also be supplied through an environment
 variable ``LINNETCOX_<DEST>`` (for example ``LINNETCOX_SEED=7``); explicit
 flags win. The manifest records those set under ``env``, and re-running
 the recorded argv with them reproduces the outputs bitwise. ``fit``
-refuses a flag its method does not read.
+refuses a flag its method does not read, and every command refuses a
+``--spacing`` or ``--bandwidth`` that is not positive and finite.
 
 Exit status: 0 on success, 2 on validation problems (bad flags, missing
 or malformed files, too large an input), 3 on numerical failure.
@@ -20,7 +21,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -166,12 +166,7 @@ def _replicate_patterns(args, simulate_one) -> None:
     gens = spawn_generators(args.seed, args.reps)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = min(args.threads, args.reps, os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(simulate_one, gens))
-    else:
-        results = [simulate_one(g) for g in gens]
+    results = [simulate_one(g) for g in gens]  # all drawn before any is written
     for rep, (pattern, sample) in enumerate(results):
         save_pattern(pattern, out_dir / f"pattern_{rep:04d}.csv")
         if sample is not None:
@@ -322,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     _add(parser, "--threads", type=int, default=1,
-         help="worker threads for simulate-poisson and simulate-cox replicates (at most one "
-              "per replicate and CPU); envelope and simstudy ignore it")
+         help="checked (at least 1) and recorded; every command, replicates included, runs "
+              "serially")
     _add(
         parser,
         "--log-level",
@@ -427,6 +422,10 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)  # LINNETCOX_* values are checked here
         if args.threads < 1:
             raise ValidationError(f"--threads must be at least 1, got {args.threads}")
+        for flag in ("spacing", "bandwidth"):  # refused even where the command reads none
+            value = getattr(args, flag, None)
+            if value is not None and not 0 < value < np.inf:
+                raise ValidationError(f"--{flag} must be positive and finite, got {value}")
         logging.basicConfig(
             level=getattr(logging, args.log_level.upper(), logging.WARNING),
             format="%(levelname)s %(name)s: %(message)s",

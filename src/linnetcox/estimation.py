@@ -69,6 +69,8 @@ __all__ = [
     "cl2_score",
     "cl2_fit",
     "simulation_study",
+    "SIGMA2_TRUNCATION",
+    "BETA_TRUNCATION",
 ]
 
 _LOG_BOUND = 30.0  # |log parameter| cap inside optimizers

@@ -175,8 +175,12 @@ def save_pattern(pattern: PointPattern, path) -> None:
 
 
 def load_pattern(path, net: LinearNetwork) -> PointPattern:
-    return PointPattern(net, _read_table(path, "pattern", ["edge", "offset"],
-                                         lambda row: (_parse_id(row[0]), float(row[1]))))
+    """A pattern file's points; an edge cell names the edge whose id it spells as
+    :func:`save_pattern` writes it, else the integer it parses as."""
+    rows = _read_table(path, "pattern", ["edge", "offset"], lambda row: (row[0], float(row[1])))
+    ids = {str(e.id): e.id for e in net.edges}
+    return PointPattern(net, [(ids[text] if text in ids else _parse_id(text), offset)
+                              for text, offset in rows])
 
 
 def save_retention_grid(sample: CoxSample, path) -> None:

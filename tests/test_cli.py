@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from linnetcox import (
     save_pattern,
 )
 import linnetcox
-from linnetcox import cli, summaries
+from linnetcox import summaries
 from linnetcox.cli import main
 
 
@@ -166,35 +167,16 @@ class TestSimulate:
         assert "--threads" in err and err.count("\n") == 1
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize(
-        "threads, reps, cpus, workers",
-        [(1000, 3, 8, 3), (1000, 20, 8, 8), (2, 3, 8, 2), (4, 3, 1, None), (1, 3, 8, None)],
-    )
-    def test_pool_bounded_by_replicates_and_cpus(
-        self, tmp_path, dendrite_file, monkeypatch, threads, reps, cpus, workers
-    ):
-        started = []
+    def test_threads_start_no_thread(self, tmp_path, dendrite_file, monkeypatch):
+        # the replicates run serially whatever --threads says
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was started")
 
-        class Recorder:  # records the pool size and maps serially: no thread starts
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", Recorder)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        rc = run("--threads", threads, "simulate-poisson", "--net", dendrite_file,
-                 "--rho-m", "0.5", "--reps", reps, "--out", tmp_path / "x")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        rc = run("--threads", "1000", "simulate-cox", "--net", dendrite_file, "--rho-ym", "0.8",
+                 "--sigma2", "5", "--beta", "0.1", "--reps", "3", "--out", tmp_path / "x")
         assert rc == 0
-        assert started == ([] if workers is None else [workers])
-        assert len(list((tmp_path / "x").glob("pattern_*.csv"))) == reps
+        assert len(list((tmp_path / "x").glob("pattern_*.csv"))) == 3
 
     def test_save_pi_requires_grid_mode(self, tmp_path, dendrite_file, capsys):
         rc = run(
@@ -234,12 +216,15 @@ class TestSimulate:
         assert rc == 0
         assert (tmp_path / "x" / "pattern_0000.csv").exists()
 
-    @pytest.mark.parametrize("spacing", ["inf", "nan", "0"])
-    def test_bad_grid_spacing_exits_2(self, tmp_path, dendrite_file, capsys, spacing):
-        # an infinite spacing used to give a lattice of the vertices alone
+    @pytest.mark.parametrize("mode, spacing", [("grid", "inf"), ("grid", "nan"), ("grid", "0"),
+                                               ("exact", "nan")],
+                             ids=["inf", "nan", "0", "exact-nan"])
+    def test_bad_grid_spacing_exits_2(self, tmp_path, dendrite_file, capsys, mode, spacing):
+        # an infinite spacing used to give a lattice of the vertices alone; exact mode
+        # reads no spacing, yet a bad one is refused there too
         rc = run(
             "simulate-cox", "--net", dendrite_file, "--rho-ym", "0.8", "--sigma2", "5",
-            "--beta", "0.1", "--mode", "grid", "--spacing", spacing, "--out", tmp_path / "x",
+            "--beta", "0.1", "--mode", mode, "--spacing", spacing, "--out", tmp_path / "x",
         )
         assert rc == 2
         err = capsys.readouterr().err
@@ -284,6 +269,27 @@ class TestSimulate:
         run("simulate-poisson", "--net", dendrite_file, "--rho-m", "0.7", "--rho-s", "0.7",
             "--seed", "5", "--out", b)
         assert (a / "pattern_0000.csv").read_bytes() == (b / "pattern_0000.csv").read_bytes()
+
+    @pytest.mark.parametrize("ids", [["7", "x"], [1.5, 2.0]], ids=["string", "float"])
+    def test_pattern_of_non_integer_edge_ids_round_trips(self, tmp_path, ids):
+        # the cell 7 used to be read as the integer 7, which names no edge here
+        net_file = tmp_path / "net.json"
+        net_file.write_text(json.dumps({
+            "vertices": [{"id": 0}, {"id": 1}, {"id": 2}],
+            "edges": [{"id": ids[0], "start": 0, "end": 1, "length": 20.0},
+                      {"id": ids[1], "start": 1, "end": 2, "length": 20.0}],
+        }))
+        out = tmp_path / "sim"
+        assert run("simulate-cox", "--net", net_file, "--rho-ym", "2", "--sigma2", "1",
+                   "--beta", "0.5", "--seed", "3", "--out", out) == 0
+        with open(out / "pattern_0000.csv", newline="") as f:
+            rows = list(csv.reader(f))[1:]
+        assert {row[0] for row in rows} == {str(i) for i in ids}
+        pattern = load_pattern(out / "pattern_0000.csv", load_network(net_file))
+        by_text = {str(i): i for i in ids}
+        assert [(p.edge_id, p.offset) for p in pattern] == [(by_text[e], float(o)) for e, o in rows]
+        assert run("summaries", "--net", net_file, "--pattern", out / "pattern_0000.csv",
+                   "--which", "K", "--out", tmp_path / "k.csv") == 0
 
 
 class TestFit:
@@ -445,11 +451,15 @@ class TestSummaries:
         assert err.startswith("error: --which") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("bandwidth", ["inf", "nan", "0", "1e300"])
-    def test_bad_bandwidth_exits_2(self, tmp_path, dendrite_file, pattern_file, capsys, bandwidth):
+    @pytest.mark.parametrize("which, bandwidth", [("g", "inf"), ("g", "nan"), ("g", "0"),
+                                                  ("g", "1e300"), ("F", "-3")],
+                             ids=["inf", "nan", "0", "1e300", "F--3"])
+    def test_bad_bandwidth_exits_2(self, tmp_path, dendrite_file, pattern_file, capsys, which,
+                                   bandwidth):
+        # F reads no bandwidth, yet a bad one is refused there too
         out = tmp_path / "x.csv"
         rc = run("summaries", "--net", dendrite_file, "--pattern", pattern_file,
-                 "--which", "g", "--bandwidth", bandwidth, "--out", out)
+                 "--which", which, "--bandwidth", bandwidth, "--out", out)
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "bandwidth" in err
@@ -467,12 +477,15 @@ class TestSummaries:
         assert err.startswith("error: ") and err.count("\n") == 1 and "bandwidth" in err
         assert "1e-320" in err and not out.exists()
 
-    @pytest.mark.parametrize("spacing", ["inf", "nan", "0"])
+    @pytest.mark.parametrize("which, spacing", [("F,G,J", "inf"), ("F,G,J", "nan"),
+                                                ("F,G,J", "0"), ("K", "nan")],
+                             ids=["inf", "nan", "0", "K-nan"])
     def test_bad_lattice_spacing_exits_2(self, tmp_path, dendrite_file, pattern_file, capsys,
-                                         spacing):
+                                         which, spacing):
+        # K reads no spacing, yet a bad one is refused there too
         out = tmp_path / "x.csv"
         rc = run("summaries", "--net", dendrite_file, "--pattern", pattern_file,
-                 "--which", "F,G,J", "--spacing", spacing, "--out", out)
+                 "--which", which, "--spacing", spacing, "--out", out)
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "spacing" in err
