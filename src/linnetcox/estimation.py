@@ -81,8 +81,9 @@ _CL2_MAX_ITER = 500  # quasi-Newton iterations of cl2_fit
 
 
 def _positive(*xs) -> bool:
-    """Every ``x`` is a finite number above zero (not a string or a sequence)."""
-    return all(isinstance(x, (int, float, np.integer, np.floating)) and 0 < x < np.inf for x in xs)
+    """Every ``x`` is a finite number above zero (not a boolean, a string or a sequence)."""
+    return all(isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+               and 0 < x < np.inf for x in xs)
 
 
 @dataclass(frozen=True)

@@ -226,13 +226,15 @@ def save_intensity(estimate: IntensityEstimate, path) -> None:
 # -- fits ---------------------------------------------------------------------
 
 
-# The fit file: its keys in the order written, each with the reader that loads it.
+# The fit file: its keys in the order written, each with the JSON type it holds. A number
+# may be written as an integer, but no number is a boolean (which float() reads as 0 or 1).
 _FIT_KEYS = {
-    "rho_main": float, "rho_side": float,  # the observed intensities
-    "sigma2": float, "beta": float, "k": int,
-    "rho_y_main": float, "rho_y_side": float,  # the driving intensities the simulations thin
-    "objective": float, "converged": bool, "method": str,
+    "rho_main": "number", "rho_side": "number",  # the observed intensities
+    "sigma2": "number", "beta": "number", "k": "integer",
+    "rho_y_main": "number", "rho_y_side": "number",  # the driving intensities the simulations thin
+    "objective": "number", "converged": "boolean", "method": "string",
 }
+_JSON_TYPES = {"number": (int, float), "integer": int, "boolean": bool, "string": str}
 
 
 def save_fit(fit: FitResult, path) -> None:
@@ -242,10 +244,15 @@ def save_fit(fit: FitResult, path) -> None:
 def load_fit(path) -> FitResult:
     path = Path(path)
     doc = load_json(path, "fit")
-    try:
-        return FitResult(**{key: read(doc[key]) for key, read in _FIT_KEYS.items()})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed fit file {path}: {exc!r}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError(f"malformed fit file {path}: not a JSON object")
+    for key, kind in _FIT_KEYS.items():
+        value = doc.get(key)
+        if not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool) != (kind == "boolean"):
+            raise ValidationError(f"malformed fit file {path}: {key!r} must be a JSON {kind}, "
+                                  f"got {'nothing' if key not in doc else repr(value)}")
+    return FitResult(**{key: float(doc[key]) if kind == "number" else doc[key]
+                        for key, kind in _FIT_KEYS.items()})
 
 
 # -- envelopes & studies -------------------------------------------------------

@@ -58,14 +58,8 @@ class IntensityModel:
         nearest-neighbour estimators, so a branch that holds no point under
         the maximum-likelihood intensity does not set it to 0.
         """
-        vals = []
-        if net.main_length > 0.0:
-            vals.append(self.main)
-        if net.side_length > 0.0:
-            vals.append(self.side)
-        if not vals:
-            raise ValidationError("network has no edges")
-        return min((v for v in vals if v > 0.0), default=0.0)
+        branches = ((self.main, net.main_length), (self.side, net.side_length))
+        return min((v for v, length in branches if length > 0.0 and v > 0.0), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -93,6 +87,9 @@ class CoxModel:
     k: int = 1
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, bool):
+                raise ValidationError(f"{name} must be a number, not a boolean, got {value}")
         if not (self.rho_y_main >= 0.0 and self.rho_y_side >= 0.0):
             raise ValidationError("driving intensities must be nonnegative")
         if not 0.0 < self.sigma2 < math.inf:

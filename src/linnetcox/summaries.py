@@ -547,47 +547,36 @@ class FgjCurves:
     J: SummaryCurve
 
 
-def _last_alive(leaf: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Each row's largest radius below its leaf distance (-inf if none)."""
-    r_sorted = np.sort(r.ravel())
-    return np.concatenate(([-np.inf], r_sorted))[np.searchsorted(r_sorted, leaf)]
-
-
 _EROSION_BLOCK = 1 << 16  # padded entries per row block of _erosion_curve
 
 
-def _erosion_curve(pairs: tuple, factors: np.ndarray, leaf: np.ndarray, r: np.ndarray,
-                   first_zero: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _erosion_curve(pairs: tuple, factors: np.ndarray, leaf: np.ndarray, lb: np.ndarray,
+                   r: np.ndarray, r_order: np.ndarray, bins) -> tuple[np.ndarray, np.ndarray]:
     """``1 -`` the mean, over rows ``i`` with ``leaf[i] > r``, of the product
     of ``factors[j]`` over the pairs ``(i, j)`` with ``d <= r`` among the
-    row-major ``pairs = (rows, cols, d)``: all within the row's largest alive
-    radius (``_last_alive``) and short of ``first_zero[i]``, its distance to
-    its nearest zero factor, from which on the product is 0; NaN and not
-    ``defined`` where no row qualifies. Only the cells alive and short of ``first_zero``
-    are visited, each at its ``#{d <= r}``, a running count of the distances binned,
-    like the rows' caps, by a bucket table of the radii (``_radius_bins``). If the
-    nonzero factors are all one ``q``, that count indexes a table of powers, the
-    cumulative product of ``q``s: the bits of any sorted product. Otherwise a row
-    sorts its pairs stably and multiplies their factors up behind a leading one, in
-    blocks of about ``_EROSION_BLOCK`` entries, each padded (by inf and 1) only to
-    its own widest row. Then ``bincount`` adds each radius's cells in row order: the
-    bits of a row-ordered sum over all rows, with zeros where not visited.
+    row-major ``pairs = (rows, cols, d)``; NaN and not ``defined`` where no row
+    qualifies. ``r_order`` is r's stable order and ``bins`` the bucket table of
+    the sorted radii (``_radius_bins``). Row ``i`` visits the sorted radii
+    ``j < lb[i]``, those below its leaf distance and its nearest zero factor,
+    from which on its product is 0, and its pairs reach no farther than the
+    last of them. Each cell is read at its ``#{d <= r}``, a running
+    count of the distances binned. If the nonzero factors are all one ``q``, that
+    count indexes a table of powers, the cumulative product of ``q``s: the bits
+    of any sorted product. Otherwise a row sorts its pairs stably and multiplies
+    their factors up behind a leading one, in blocks of about ``_EROSION_BLOCK``
+    entries, each padded (by inf and 1) only to its own widest row. Then
+    ``bincount`` adds each radius's cells in row order: the bits of a row-ordered
+    sum over all rows, with zeros where not visited.
     """
     shape, r = r.shape, r.ravel()
-    r_order = np.argsort(r, kind="stable")
-    r_sorted = r[r_order]
     rows, cols, d = pairs
-    # row i is visited at sorted radii j < lb[i]: below its leaf distance and its first zero
-    bins = _radius_bins(r_sorted)
-    lb = np.minimum(bins(leaf), bins(first_zero))
     n_read = np.bincount(rows, minlength=leaf.size)
     pair_at = np.concatenate(([0], np.cumsum(n_read)))  # row i's pairs: pair_at[i]:pair_at[i + 1]
     cell_at = np.concatenate(([0], np.cumsum(lb)))  # and its cells, in row-major order
     cell_rows = np.repeat(np.arange(leaf.size), lb)
     cell_r = np.arange(cell_rows.size) - cell_at[cell_rows]
-    # a distance in bin j (r_sorted[j - 1] < d <= r_sorted[j]) counts from cell (row, j) on
-    pair_cell = cell_at[rows] + np.minimum(bins(d), lb[rows])
-    within = np.cumsum(np.bincount(pair_cell, minlength=cell_rows.size + 1))[:-1] - pair_at[cell_rows]
+    # a distance in bin j (between sorted radii j - 1 and j, up to j) counts from cell (row, j) on
+    within = np.cumsum(np.bincount(cell_at[rows] + bins(d), minlength=cell_rows.size)) - pair_at[cell_rows]
     nonzero = np.unique(factors[factors != 0.0])
     if nonzero.size <= 1:  # q is nonzero.sum(), and any q serves if there is none
         cell_products = np.cumprod(np.r_[1.0, np.full(n_read.max(initial=0), nonzero.sum())])[within]
@@ -638,10 +627,12 @@ def fgj_estimates(
     ``F`` and ``G`` visit only the cells inside the eroded network, for
     ``r`` in any order and with repeats; the lattice is built once per
     network and spacing. A row's product is 0 from its nearest zero-factor
-    point on (``rho == rho_bar``, as on the lower branch by default): each
-    lattice or data point reads, by one range search, the zero-factor points
-    within its largest radius below its leaf distance, and by a second the
-    others up to the nearest of those. Cells with an empty reference set
+    point on (``rho == rho_bar``, as on the lower branch by default), so each
+    lattice or data point visits the radii below its leaf distance and below
+    that point, a count taken from one sorted radius table per call. It reads,
+    by one range search, the zero-factor points within its largest radius
+    below its leaf distance, and by a second the others up to its last
+    visited radius. Cells with an empty reference set
     (for ``J`` also ``F == 1``) are undefined: NaN with ``defined`` False.
     An empty pattern yields ``F == 0`` everywhere it is defined and no ``G``.
     """
@@ -669,12 +660,18 @@ def fgj_estimates(
         keep = (idx[cols] != rows) | (not skip_self)
         return rows[keep], idx[cols[keep]], d[keep]
 
+    r_order = np.argsort(r.ravel(), kind="stable")  # one radius table for F and G
+    r_below = np.concatenate(([-np.inf], r.ravel()[r_order]))  # r_below[j]: the j-th smallest
+    bins = _radius_bins(r_below[1:])
+
     def curve(pts, leaf, skip_self):
-        # each row reads the zero-factor points to its last alive radius, the others to the nearest
-        reach, first_zero = _last_alive(leaf, r), np.full(leaf.size, np.inf)
-        np.minimum.at(first_zero, *pairs_to(pts, zero, reach, skip_self)[::2])
-        pairs = pairs_to(pts, ~zero, np.minimum(reach, first_zero), skip_self)
-        return _erosion_curve(pairs, factors, leaf, r, first_zero)
+        # row i visits the sorted radii j < lb[i]: it reads the zero-factor points to its last
+        # radius below its leaf distance, then the others to the last below the nearest of them
+        lb, first_zero = bins(leaf), np.full(leaf.size, np.inf)
+        np.minimum.at(first_zero, *pairs_to(pts, zero, r_below[lb], skip_self)[::2])
+        lb = np.minimum(lb, bins(first_zero))
+        pairs = pairs_to(pts, ~zero, r_below[lb], skip_self)
+        return _erosion_curve(pairs, factors, leaf, lb, r, r_order, bins)
 
     # F from the lattice points; G from the data points, less each point's own pair
     grid, grid_leaf = _fgj_lattice(net, float(config.lattice_spacing))

@@ -9,6 +9,9 @@ calibration.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from .errors import ValidationError
@@ -53,8 +56,6 @@ def _random_tree(
     if edges < 1:
         raise ValidationError("random tree needs at least one edge")
     lo, hi = length_range
-    if not (0 < lo <= hi):
-        raise ValidationError(f"bad length range {length_range}")
     vertices = [Vertex(0)]
     net_edges = []
     for i in range(edges):
@@ -86,11 +87,7 @@ def _dendrite(
     if main_edges < 2:
         raise ValidationError("dendrite needs a main chain of at least two edges")
     lo, hi = main_length_range
-    if not (0 < lo <= hi):
-        raise ValidationError(f"bad main length range {main_length_range}")
     slo, shi = side_length_range
-    if not (0 < slo <= shi):
-        raise ValidationError(f"bad side length range {side_length_range}")
     if not side_target > 0:
         raise ValidationError("side_target must be positive")
 
@@ -126,9 +123,17 @@ def make_network(template: str, seed=None, **knobs) -> LinearNetwork:
 
     Templates: ``"dendrite"`` (labelled main chain plus side subtrees),
     ``"path"``, ``"star"``, ``"random-tree"``. Knobs are template-specific
-    keyword arguments; see the underlying builders. Deterministic given a
-    seed.
+    keyword arguments; see the underlying builders. A range knob (a name
+    ending in ``_range``) must be two finite numbers ``0 < lo <= hi``.
+    Deterministic given a seed.
     """
+    for name, value in knobs.items():
+        if name.endswith("_range") and not (
+            isinstance(value, (list, tuple)) and len(value) == 2
+            and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in value)
+            and 0 < value[0] <= value[1] < math.inf
+        ):
+            raise ValidationError(f"{name} must be two finite numbers 0 < lo <= hi, got {value!r}")
     rng = as_generator(seed)
     if template == "path":
         return _path(**knobs)

@@ -11,6 +11,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from linnetcox import (
+    FitResult,
+    IntensityModel,
     PointPattern,
     ValidationError,
     fit_intensity_mle,
@@ -22,6 +24,7 @@ from linnetcox import (
     load_fit,
     load_network,
     load_pattern,
+    save_fit,
     save_pattern,
 )
 import linnetcox
@@ -94,6 +97,20 @@ class TestMakeNetwork:
         )
         assert rc == 2
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("template, knob", [
+        ("random-tree", "length_range=[1,2,3]"),
+        ("dendrite", "side_length_range=[1]"),
+        ("dendrite", "main_length_range=[20,10]"),
+        ("random-tree", "length_range=[true,2]"),
+        ("random-tree", "length_range=[1,Infinity]"),
+    ], ids=["three", "one", "descending", "boolean", "infinite"])
+    def test_range_knob_not_two_numbers_exits_2(self, tmp_path, capsys, template, knob):
+        out = tmp_path / "x.json"
+        assert run("make-network", "--template", template, "--knob", knob, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and knob.split("=")[0] in err
+        assert not out.exists()
 
     def test_random_tree_edge_count(self, tmp_path):
         out = tmp_path / "tree.json"
@@ -766,9 +783,18 @@ class TestSimstudy:
             ({"mode": "grid", "spacing": "x"}, "spacing"),
             ({"methods": {"cl2": {"weight": "smooth"}}}, "weight"),
             ({"methods": {"mce-k": {"bandwidth": 0.3}}}, "bandwidth"),
+            ({"network": {"template": "random-tree", "length_range": [1, 2, 3]}}, "length_range"),
+            ({"network": {"template": "dendrite", "side_length_range": [1]}}, "side_length_range"),
+            ({"spacing": True}, "spacing"),
+            ({"methods": {"mce-g": {"start": [True, 0.5]}}}, "start"),
+            ({"model": {"rho_y_main": 0.8, "rho_y_side": 1.2, "sigma2": True, "beta": 0.1}}, "sigma2"),
+            ({"model": {"rho_y_main": 0.8, "rho_y_side": 1.2, "sigma2": 5.0, "beta": 0.1, "k": True}},
+             "k must"),
         ],
         ids=["entry-not-object", "methods-list", "mce-start", "cl2-start", "max-iter-text",
-             "max-iter-zero", "grid-spacing-text", "cl2-weight", "mce-k-bandwidth"],
+             "max-iter-zero", "grid-spacing-text", "cl2-weight", "mce-k-bandwidth",
+             "length-range-three", "side-length-range-one", "spacing-true", "mce-start-true",
+             "sigma2-true", "k-true"],
     )
     def test_malformed_design_exits_2(self, tmp_path, capsys, entry, complaint):
         if isinstance(entry, dict):
@@ -855,6 +881,22 @@ class TestMalformedInputs:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "fit.json" in err and "line 1" in err
+
+    @pytest.mark.parametrize("key, value", [("k", 1.5), ("k", True), ("sigma2", True),
+                                            ("rho_y_main", False), ("converged", 1)],
+                             ids=["k-fraction", "k-true", "sigma2-true", "rho-false", "converged-one"])
+    def test_fit_field_of_another_type(self, tmp_path, dendrite_file, pattern_file, capsys, key, value):
+        # int() and float() would read each as 0 or 1, a model that the file does not state
+        fit = tmp_path / "fit.json"
+        save_fit(FitResult.from_observed(IntensityModel(0.3, 0.6), 5.0, 0.1, 1, 1.0, True, "mce-g"), fit)
+        fit.write_text(json.dumps({**json.loads(fit.read_text()), key: value}))
+        out = tmp_path / "env.csv"
+        rc = run("envelope", "--net", dendrite_file, "--pattern", pattern_file, "--model", fit,
+                 "--sims", "3", "--rgrid", "0:15:24", "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and f"'{key}'" in err
+        assert not out.exists()
 
     def test_unreadable_inputs(self, tmp_path, dendrite_file, pattern_file, capsys):
         binary = tmp_path / "binary.csv"

@@ -40,7 +40,6 @@ from linnetcox.network import _recurrence, distance_matrix
 from linnetcox.summaries import (
     PairData,
     _erosion_curve,
-    _last_alive,
     _stable_argsort,
     g_from_pairs,
     k_from_pairs,
@@ -992,14 +991,21 @@ class TestFgjMatchesRowLoop:
                               equal_nan=True)
 
 
+def last_radius_below(x, r):
+    """Each ``x``'s largest radius of ``r`` below it, -inf if none, by ``np.searchsorted``."""
+    r_sorted = np.sort(np.ravel(r))
+    return np.concatenate(([-np.inf], r_sorted))[np.searchsorted(r_sorted, x)]
+
+
 def test_rows_read_pairs_only_to_their_nearest_zero_factor(fgj_patterns, monkeypatch):
     # under the default intensity the main points' factors are 0: F and G read far fewer
     # pairs than lie within each row's last alive radius
     pattern = fgj_patterns["readme"]
     net, r = pattern.network, default_r_grid(pattern.network)
     grid, grid_leaf = summaries._fgj_lattice(net, 0.5)
-    full = {"F": network._pairs_within(net, grid, pattern, _last_alive(grid_leaf, r))[0].size,
-            "G": network._pairs_within(net, pattern, pattern, _last_alive(leaf_distances(net, pattern), r),
+    full = {"F": network._pairs_within(net, grid, pattern, last_radius_below(grid_leaf, r))[0].size,
+            "G": network._pairs_within(net, pattern, pattern,
+                                       last_radius_below(leaf_distances(net, pattern), r),
                                        skip_self=True)[0].size}
     counts, within = [], summaries._pairs_within
     monkeypatch.setattr(summaries, "_pairs_within",
@@ -1008,6 +1014,32 @@ def test_rows_read_pairs_only_to_their_nearest_zero_factor(fgj_patterns, monkeyp
     read = {"F": counts[:2], "G": counts[2:]}  # zero-factor points first, then the others
     for name in ("F", "G"):
         assert sum(read[name]) < 0.7 * full[name] and read[name][1] < 0.5 * full[name], name
+
+
+@pytest.mark.parametrize("name", ["readme", "dense"])
+def test_second_search_reads_only_to_each_rows_last_visited_radius(fgj_patterns, monkeypatch, name):
+    # a row's last visited radius is its largest below both its leaf distance and its nearest
+    # zero-factor point; the second search reads every other point up to it and none beyond
+    # (on the README pattern, 0.21.0 read 17 of F's and 7 of G's pairs beyond it)
+    pattern = fgj_patterns[name]
+    net, r = pattern.network, default_r_grid(pattern.network)
+    intensity = fit_intensity_mle(pattern)
+    zero = np.where(net.edge_side[pattern.edge_indices], intensity.side,
+                    intensity.main) == intensity.min_positive(net)
+    calls, within = [], summaries._pairs_within
+    monkeypatch.setattr(summaries, "_pairs_within",
+                        lambda *a, **k: (lambda out: calls.append(out) or out)(within(*a, **k)))
+    fgj_estimates(pattern)
+    grid, grid_leaf = summaries._fgj_lattice(net, 0.5)
+    own = np.where(np.eye(pattern.n, dtype=bool), np.inf, 0.0)  # no point is its own neighbour
+    for curve, dist, leaf, skip, (rows, _, d) in (
+            ("F", pairwise_distances(net, grid, pattern), grid_leaf, 0.0, calls[1]),
+            ("G", distance_matrix(pattern), leaf_distances(net, pattern), own, calls[3])):
+        first_zero = (dist + skip)[:, zero].min(axis=1, initial=np.inf)
+        last = last_radius_below(np.minimum(leaf, first_zero), r)
+        assert (d <= last[rows]).all(), curve
+        # all the others within it, each point's own pair among them before G drops it
+        assert d.size == (dist[:, ~zero] <= last[:, None]).sum(), curve
 
 
 def test_exact_zero_products_leave_j_undefined(fgj_patterns):
@@ -1267,13 +1299,21 @@ class TestErosionCurveMatchesDense:
     """``_erosion_curve`` visits only the alive cells, with the dense bits."""
 
     @staticmethod
-    def check(dist, factors, leaf, r, want=None):
-        # the entries within each row's last alive radius, row-major, and each row's distance
-        # to its nearest zero factor
-        rows, cols = np.nonzero(dist <= _last_alive(np.asarray(leaf, float), np.asarray(r, float))[:, None])
+    def visits(dist, factors, leaf, r):
+        """Each row's count of sorted radii below its leaf distance and its nearest zero
+        factor, and the entries up to the last of them, row-major."""
         first_zero = np.where(np.asarray(factors) == 0.0, dist, np.inf).min(axis=1, initial=np.inf)
-        got = _erosion_curve((rows, cols, dist[rows, cols]), np.asarray(factors, float),
-                             np.asarray(leaf, float), np.asarray(r, float), first_zero)
+        below = np.minimum(leaf, first_zero)
+        return (np.searchsorted(np.sort(np.ravel(r)), below),
+                np.nonzero(dist <= last_radius_below(below, r)[:, None]))
+
+    @classmethod
+    def check(cls, dist, factors, leaf, r, want=None):
+        factors, leaf, r = (np.asarray(a, float) for a in (factors, leaf, r))
+        lb, (rows, cols) = cls.visits(dist, factors, leaf, r)
+        r_order = np.argsort(r.ravel(), kind="stable")
+        got = _erosion_curve((rows, cols, dist[rows, cols]), factors, leaf, lb, r, r_order,
+                             summaries._radius_bins(r.ravel()[r_order]))
         if want is None:
             want = erosion_dense(dist, np.asarray(factors, float), np.asarray(leaf, float),
                                  np.asarray(r, float))
@@ -1358,10 +1398,11 @@ class TestErosionCurveMatchesDense:
         m, n = 30, 60
         dist = rng.integers(0, 24, (m, n)) / 4.0
         dist[rng.random((m, n)) < np.linspace(0.0, 1.0, m)[:, None]] = np.inf
-        factors = rng.choice([0.0, 0.25, 0.5, 0.9, 0.999, 1.0], n)
+        factors = rng.choice([0.25, 0.5, 0.9, 0.999, 1.0], n)
+        factors[rng.choice(n, 2, replace=False)] = 0.0  # two zeros, so rows stay wide past them
         leaf = rng.integers(0, 28, m) / 4.0
         r = rng.integers(0, 28, 40) / 4.0
-        widest = (dist <= _last_alive(leaf, r)[:, None]).sum(axis=1).max()
+        widest = np.bincount(self.visits(dist, factors, leaf, r)[1][0]).max()
         assert widest > 10
         monkeypatch.setattr(summaries, "_EROSION_BLOCK", rows_per_block * (widest + 1))
         self.check(dist, factors, leaf, r)
