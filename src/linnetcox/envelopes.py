@@ -31,7 +31,6 @@ from .summaries import (
     FgjConfig,
     SummaryCurve,
     default_r_grid,
-    fit_intensity_mle,
     fgj_estimates,
     k_estimate,
 )
@@ -103,19 +102,17 @@ class CurveSet:
 
 
 def build_curve_set(data: LabelledCurve, sims) -> CurveSet:
-    """Assemble a :class:`CurveSet`, intersecting the defined masks."""
-    sims = list(sims)
-    if not sims:
-        raise ValidationError("need at least one simulation curve")
-    ncells = data.values.size
-    sim_vals = np.empty((len(sims), ncells))
-    defined = data.defined.copy()
-    for i, c in enumerate(sims):
-        if c.values.size != ncells or not np.array_equal(c.r, data.r):
+    """Assemble a :class:`CurveSet` from ``sims`` read once as they arrive, keeping
+    each one's values row and intersecting the defined masks."""
+    rows, defined = [], data.defined.copy()
+    for c in sims:
+        if c.values.shape != data.values.shape or not np.array_equal(c.r, data.r):
             raise ValidationError("simulation curves must share the data curve's grid")
-        sim_vals[i] = c.values
+        rows.append(c.values)
         defined &= c.defined
-    return CurveSet(r=data.r, labels=data.labels, data=data.values, sims=sim_vals, defined=defined)
+    if not rows:
+        raise ValidationError("need at least one simulation curve")
+    return CurveSet(data.r, data.labels, data.values, np.vstack(rows, dtype=np.float64), defined)
 
 
 @dataclass
@@ -152,7 +149,8 @@ def rank_envelope(curve_set: CurveSet, alpha: float = 0.05) -> EnvelopeResult:
     extreme as the data; the liberal one counts only strictly more
     extreme simulations (plus the data itself). The critical rank is the
     largest ``c`` with ``#{ranks < c} <= alpha * n``; curves ranked at or
-    above it form the envelope.
+    above it form the envelope. The defined cells are copied once, then
+    ranked one sorted column at a time into a running minimum.
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
@@ -169,12 +167,14 @@ def rank_envelope(curve_set: CurveSet, alpha: float = 0.05) -> EnvelopeResult:
         )
 
     cells = np.nonzero(curve_set.defined)[0]
-    values = np.vstack([curve_set.data[cells], curve_set.sims[:, cells]])
-    # min(#{curves <= value}, #{curves >= value}) per cell, from its sorted column
-    depth = [np.minimum(np.searchsorted(col, x, side="right"),
-                        n - np.searchsorted(col, x, side="left"))
-             for col, x in zip(np.sort(values.T, axis=1), values.T)]
-    ranks = np.min(depth, axis=0).astype(np.int64)
+    values = np.empty((n, cells.size))  # the data, then the simulations, on the defined cells
+    values[0] = curve_set.data[cells]
+    np.take(curve_set.sims, cells, axis=1, out=values[1:], mode="clip")  # clip writes unbuffered
+    ranks = np.full(n, n, dtype=np.int64)
+    for col in values.T:  # min(#{curves <= value}, #{curves >= value}), from the sorted column
+        ordered = np.sort(col)
+        np.minimum(ranks, np.searchsorted(ordered, col, side="right"), out=ranks)
+        np.minimum(ranks, n - np.searchsorted(ordered, col, side="left"), out=ranks)
 
     r0 = int(ranks[0])
     p_conservative = float(np.count_nonzero(ranks <= r0) / n)
@@ -186,8 +186,8 @@ def rank_envelope(curve_set: CurveSet, alpha: float = 0.05) -> EnvelopeResult:
 
     lower = np.full(curve_set.data.shape, np.nan)
     upper = np.full(curve_set.data.shape, np.nan)
-    lower[cells] = values[retained].min(axis=0)
-    upper[cells] = values[retained].max(axis=0)
+    lower[cells] = values.min(axis=0, where=retained[:, None], initial=np.inf)
+    upper[cells] = values.max(axis=0, where=retained[:, None], initial=-np.inf)
     return EnvelopeResult(
         r=curve_set.r,
         labels=curve_set.labels,
@@ -240,7 +240,9 @@ def envelope_pipeline(
     its own plug-in maximum-likelihood intensity, so estimator bias affects
     all curves equally. A simulation without points (its intensity is 0) has
     F = 0 where alive, as at any positive ``rho_bar``, and no G or J, whose
-    cells then leave the test; an empty data pattern is refused.
+    cells then leave the test; an empty data pattern is refused. The
+    simulated curves stream into :func:`build_curve_set`, which keeps only
+    their values.
     """
     if test not in ("K", "FGJ"):
         raise ValidationError(f"test must be 'K' or 'FGJ', got {test!r}")
@@ -257,16 +259,13 @@ def envelope_pipeline(
 
     def test_curve(pat: PointPattern) -> LabelledCurve:
         if test == "K":
-            curve = k_estimate(pat, fit_intensity_mle(pat), r)
+            curve = k_estimate(pat, r=r)
             centred = SummaryCurve("K", r, curve.values - r, curve.defined)
             return concat_test_function([centred], r_min)
         empty_simulation = pat.n == 0 and pat is not pattern
         fgj = fgj_estimates(pat, FgjConfig(rho_bar=1.0) if empty_simulation else None, r)
         return concat_test_function([fgj.F, fgj.G, fgj.J], r_min)
 
-    data_curve = test_curve(pattern)
-    sims = []
-    for gen in spawn_generators(seed, n_sims):
-        sims.append(test_curve(simulate(net, gen)))
-    curve_set = build_curve_set(data_curve, sims)
+    sims = (test_curve(simulate(net, gen)) for gen in spawn_generators(seed, n_sims))
+    curve_set = build_curve_set(test_curve(pattern), sims)
     return PipelineResult(envelope=rank_envelope(curve_set, alpha), curve_set=curve_set)

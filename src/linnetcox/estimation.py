@@ -41,12 +41,12 @@ from .simulate import _seed_sequence, simulate_cox, spawn_generators
 from .summaries import (
     _alpha,
     _default_g_bandwidth,
+    _g_closed_form,
     _g_reach,
+    _k_closed_form,
     fit_intensity_mle,
     g_from_pairs,
     k_from_pairs,
-    k_function,
-    pair_correlation,
     second_order_pairs,
     _intensity_at_points,
 )
@@ -94,7 +94,9 @@ class MinContrastConfig:
     with ``T`` either the pair correlation (``target="g"``, the default —
     it weights all scales evenly and was the better performer) or the
     cumulative ``K`` (``target="K"``), which takes no ``bandwidth``. ``r_max``
-    defaults to one tenth of the network length; tune it per network.
+    defaults to one tenth of the network length; tune it per network. The
+    exponent ``p`` (``power``) must be positive and finite; one so large that
+    the objective overflows at the estimate raises ``NumericalError``.
     """
 
     target: str = "g"
@@ -107,8 +109,8 @@ class MinContrastConfig:
     def __post_init__(self):
         if self.target not in ("g", "K"):
             raise ValidationError(f"contrast target must be 'g' or 'K', got {self.target!r}")
-        if not self.power > 0:
-            raise ValidationError(f"contrast exponent must be positive, got {self.power}")
+        if not _positive(self.power):
+            raise ValidationError(f"contrast exponent must be positive and finite, got {self.power!r}")
         if self.r_max is not None and not (0 <= self.r_min < self.r_max < math.inf):
             raise ValidationError("need 0 <= r_min < r_max < inf")
         if not (len(self.start) == 2 and _positive(*self.start)):
@@ -165,10 +167,11 @@ class FitResult:
 
 
 def _theory_curve(target: str, r: np.ndarray, sigma2: float, beta: float, k: int) -> np.ndarray:
-    model = CoxModel(1.0, 1.0, sigma2, beta, k)
+    """The model's g or K on the contrast grid, from the closed forms: the
+    optimizer's clip to ``|log parameter| <= 30`` keeps every parameter valid."""
     if target == "g":
-        return pair_correlation(model, r)
-    return np.asarray(k_function(model, r))
+        return _g_closed_form(r, sigma2, beta, k)[0]
+    return _k_closed_form(r, sigma2, beta, k)
 
 
 def min_contrast_from_curve(
@@ -187,7 +190,6 @@ def min_contrast_from_curve(
     r, values = r[ok], values[ok]
     if r.size < 2:
         raise ValidationError("empirical curve is undefined on the contrast window")
-    emp = np.maximum(values, 0.0) ** config.power
 
     def objective(x: np.ndarray) -> float:
         x = np.clip(x, -_LOG_BOUND, _LOG_BOUND)
@@ -196,8 +198,13 @@ def min_contrast_from_curve(
         sq = diff * diff
         return float((np.diff(r) * (sq[1:] + sq[:-1]) / 2.0).sum())  # scipy's trapezoid
 
-    x, fun, nit, success = nelder_mead(
-        objective, np.log(np.asarray(config.start, dtype=np.float64)), **_CONTRAST_OPTIONS)
+    with np.errstate(all="ignore"):  # a huge exponent overflows: refused below, not warned
+        emp = np.maximum(values, 0.0) ** config.power
+        x, fun, nit, success = nelder_mead(
+            objective, np.log(np.asarray(config.start, dtype=np.float64)), **_CONTRAST_OPTIONS)
+    if not math.isfinite(fun):
+        raise NumericalError(f"minimum contrast objective is {fun} at its estimate "
+                             f"(contrast exponent p={config.power})")
     s2, bt = (float(math.exp(v)) for v in np.clip(x, -_LOG_BOUND, _LOG_BOUND))
     return MinContrastResult(s2, bt, k, config.target, float(fun), bool(success), int(nit))
 
@@ -259,8 +266,7 @@ def pair_correlation_gradient(t, sigma2: float, beta: float, k: int = 1):
     v = float(sigma2)
     a = _alpha(v)
     y = np.exp(-2.0 * beta * t)
-    x = -np.expm1(math.log(a) - 2.0 * beta * t)
-    g = x ** (-k / 2.0)
+    g, x = _g_closed_form(t, v, beta, k)
     base = x ** (-(k + 2) / 2.0)
     dg_ds2 = k * y * v / (1.0 + v) ** 3 * base
     dg_db = -k * a * t * y * base

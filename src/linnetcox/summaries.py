@@ -260,10 +260,14 @@ def pair_correlation(model: CoxModel, t) -> np.ndarray:
     ``(1 - alpha) ** (-k/2)`` at 0 to 1, so the model is clustered at
     short range. Lags must be finite and nonnegative.
     """
-    t = _radii(t)
-    a = _alpha(model.sigma2)
-    x = -np.expm1(math.log(a) - 2.0 * model.beta * t)
-    return x ** (-model.k / 2.0)
+    return _g_closed_form(_radii(t), model.sigma2, model.beta, model.k)[0]
+
+
+def _g_closed_form(t: np.ndarray, sigma2: float, beta: float, k: int):
+    """``g(t) = x ** (-k/2)`` and ``x = 1 - alpha e^{-2 beta t}``, formed stably
+    by ``expm1``, for valid parameters and checked lags."""
+    x = -np.expm1(math.log(_alpha(sigma2)) - 2.0 * beta * t)
+    return x ** (-k / 2.0), x
 
 
 def _k_closed_form(r: np.ndarray, sigma2: float, beta: float, k: int) -> np.ndarray:

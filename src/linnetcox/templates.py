@@ -9,6 +9,7 @@ calibration.
 
 from __future__ import annotations
 
+import inspect
 import math
 import numbers
 
@@ -19,8 +20,6 @@ from .network import Edge, LinearNetwork, Vertex
 from .simulate import as_generator
 
 __all__ = ["make_network", "TEMPLATES"]
-
-TEMPLATES = ("dendrite", "path", "star", "random-tree")
 
 
 def _path(length: float = 100.0, edges: int = 1, branch: str = "main") -> LinearNetwork:
@@ -84,8 +83,8 @@ def _dendrite(
     length (about 180–290 with the defaults across seeds); side subtrees
     are added until their total measure reaches ``side_target``.
     """
-    if main_edges < 2:
-        raise ValidationError("dendrite needs a main chain of at least two edges")
+    if main_edges < 2 or max_depth < 0:
+        raise ValidationError("dendrite needs main_edges >= 2 and max_depth >= 0")
     lo, hi = main_length_range
     slo, shi = side_length_range
     if not side_target > 0:
@@ -118,29 +117,44 @@ def _dendrite(
     return LinearNetwork(vertices, net_edges)
 
 
+_BUILDERS = {"dendrite": _dendrite, "path": _path, "star": _star, "random-tree": _random_tree}
+TEMPLATES = tuple(_BUILDERS)
+
+
+def _finite(x) -> bool:
+    """A finite real number, not a boolean (NaN fails the comparison)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and -math.inf < x < math.inf
+
+
 def make_network(template: str, seed=None, **knobs) -> LinearNetwork:
     """Generate a synthetic network from a named template.
 
     Templates: ``"dendrite"`` (labelled main chain plus side subtrees),
     ``"path"``, ``"star"``, ``"random-tree"``. Knobs are template-specific
-    keyword arguments; see the underlying builders. A range knob (a name
-    ending in ``_range``) must be two finite numbers ``0 < lo <= hi``.
-    Deterministic given a seed.
+    keyword arguments; see the underlying builders. Each knob is checked
+    once, by the type of the builder's default: an integer knob takes only
+    an integer and a numeric knob only a finite number, neither a boolean;
+    a range knob (a name ending in ``_range``) takes two finite numbers
+    ``0 < lo <= hi``. Deterministic given a seed.
     """
+    if template not in _BUILDERS:
+        raise ValidationError(f"unknown template {template!r}; choose from {TEMPLATES}")
+    params = inspect.signature(_BUILDERS[template]).parameters
     for name, value in knobs.items():
-        if name.endswith("_range") and not (
-            isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in value)
-            and 0 < value[0] <= value[1] < math.inf
-        ):
-            raise ValidationError(f"{name} must be two finite numbers 0 < lo <= hi, got {value!r}")
+        default = params[name].default if name in params else None
+        if name.endswith("_range"):
+            ok = (isinstance(value, (list, tuple)) and len(value) == 2
+                  and all(map(_finite, value)) and 0 < value[0] <= value[1])
+            kind = "two finite numbers 0 < lo <= hi"
+        elif isinstance(default, int):
+            ok, kind = _finite(value) and isinstance(value, numbers.Integral), "an integer"
+        elif isinstance(default, float):
+            ok, kind = _finite(value), "a finite number"
+        else:  # the network checks a branch label, the builder's call an unknown name
+            continue
+        if not ok:
+            raise ValidationError(f"{name} must be {kind}, got {value!r}")
     rng = as_generator(seed)
-    if template == "path":
-        return _path(**knobs)
-    if template == "star":
-        return _star(**knobs)
-    if template == "random-tree":
-        return _random_tree(rng, **knobs)
-    if template == "dendrite":
-        return _dendrite(rng, **knobs)
-    raise ValidationError(f"unknown template {template!r}; choose from {TEMPLATES}")
+    if template in ("path", "star"):
+        return _BUILDERS[template](**knobs)
+    return _BUILDERS[template](rng, **knobs)

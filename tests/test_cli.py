@@ -112,6 +112,24 @@ class TestMakeNetwork:
         assert err.startswith("error: ") and err.count("\n") == 1 and knob.split("=")[0] in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("template, knob", [
+        ("random-tree", "edges=true"),
+        ("dendrite", "side_target=true"),
+        ("dendrite", "max_depth=-1"),
+        ("random-tree", "edges=2.5"),
+        ("dendrite", "main_edges=2.0"),
+        ("random-tree", "trunk_bias=NaN"),
+        ("star", "arms=false"),
+    ], ids=["edges-true", "side-target-true", "max-depth-negative", "edges-float",
+            "main-edges-float", "trunk-bias-nan", "arms-false"])
+    def test_numeric_knob_of_another_kind_exits_2(self, tmp_path, capsys, template, knob):
+        # the first three built a network (a one-edge tree, one side edge, no side branching)
+        out = tmp_path / "x.json"
+        assert run("make-network", "--template", template, "--knob", knob, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and knob.split("=")[0] in err
+        assert not out.exists()
+
     def test_random_tree_edge_count(self, tmp_path):
         out = tmp_path / "tree.json"
         assert run(
@@ -361,6 +379,7 @@ class TestFit:
             ("cl2", ["--ru", "30", "--bandwidth", "0.3", "--p", "2"], "--p 2.0"),
             ("mce-g", ["--r0", "5"], "--r0 5.0"),
             ("mce-k", ["--bandwidth", "0.3"], "target 'K' reads no bandwidth"),
+            ("mce-g", ["--ru", "30", "--p", "inf"], "contrast exponent must be positive and finite"),
         ],
     )
     def test_bad_fit_flags_exit_2(self, tmp_path, dendrite_file, pattern_file, capsys, method,
@@ -388,6 +407,18 @@ class TestFit:
         assert rc == 3
         assert "weight" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("method", ["mce-g", "mce-k"])
+    def test_overflowing_contrast_exponent_exits_3(self, tmp_path, dendrite_file, pattern_file,
+                                                   capsys, method):
+        # every curve overflowed to inf: the fit kept its start values and wrote objective NaN
+        out = tmp_path / "x.json"
+        rc = run("fit", "--net", dendrite_file, "--pattern", pattern_file, "--method", method,
+                 "--ru", "30", "--p", "1e300", "--out", out)
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "objective is nan" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("method", ["mce-g", "mce-k", "cl2"])
     def test_one_point_pattern_exits_2(self, tmp_path, dendrite_file, capsys, method):
@@ -790,11 +821,16 @@ class TestSimstudy:
             ({"model": {"rho_y_main": 0.8, "rho_y_side": 1.2, "sigma2": True, "beta": 0.1}}, "sigma2"),
             ({"model": {"rho_y_main": 0.8, "rho_y_side": 1.2, "sigma2": 5.0, "beta": 0.1, "k": True}},
              "k must"),
+            ({"network": {"template": "random-tree", "edges": True}}, "edges"),
+            ({"network": {"template": "dendrite", "side_target": True}}, "side_target"),
+            ({"network": {"template": "dendrite", "side_target": 120.0, "max_depth": -1}}, "max_depth"),
+            ({"network": {"template": "random-tree", "edges": 2.5}}, "edges"),
         ],
         ids=["entry-not-object", "methods-list", "mce-start", "cl2-start", "max-iter-text",
              "max-iter-zero", "grid-spacing-text", "cl2-weight", "mce-k-bandwidth",
              "length-range-three", "side-length-range-one", "spacing-true", "mce-start-true",
-             "sigma2-true", "k-true"],
+             "sigma2-true", "k-true", "edges-true", "side-target-true", "max-depth-negative",
+             "edges-float"],
     )
     def test_malformed_design_exits_2(self, tmp_path, capsys, entry, complaint):
         if isinstance(entry, dict):

@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -108,6 +111,42 @@ class TestBuildCurveSet:
         cs = build_curve_set(data, sims)
         assert cs.sims.shape == (4, 3)
         assert cs.n_sims == 4
+
+    def test_generator_is_read_once_and_no_curve_outlives_its_row(self):
+        data = concat_test_function([curve("K", [0, 1, 2], [1, 2, 3], [True, True, False])])
+        made = []
+
+        def sims():
+            for i in range(6):
+                # every curve but the one last yielded is gone: only its values row is kept
+                assert [ref() is None for ref in made[:-1]] == [True] * len(made[:-1])
+                sim = concat_test_function([curve("K", [0, 1, 2], [i, -i, i], [True, i != 3, True])])
+                made.append(weakref.ref(sim))
+                yield sim
+
+        stream = sims()
+        cs = build_curve_set(data, stream)
+        assert next(stream, None) is None and len(made) == 6
+        assert cs.sims.tolist() == [[i, -i, i] for i in range(6)]
+        assert cs.defined.tolist() == [True, False, False]
+
+    def test_grid_mismatch_mid_stream_rejected(self):
+        data = concat_test_function([curve("K", [0, 1], [1, 2])])
+        read = []
+
+        def sims():
+            for r in ([0, 1], [0, 1], [0, 2], [0, 1]):
+                read.append(r)
+                yield concat_test_function([curve("K", r, [1, 2])])
+
+        with pytest.raises(ValidationError, match="grid"):
+            build_curve_set(data, sims())
+        assert len(read) == 3  # the stream stops at the first curve off the grid
+
+    def test_empty_generator_rejected(self):
+        data = concat_test_function([curve("K", [0, 1], [1, 2])])
+        with pytest.raises(ValidationError, match="at least one simulation"):
+            build_curve_set(data, (c for c in []))
 
 
 class TestRankEnvelope:
@@ -251,11 +290,15 @@ def rankdata_envelope(curve_set, alpha):
 
 
 def _rank_case(name, rng):
-    n_sims, m = {"one simulation": (1, 9)}.get(name, (39, 25))
+    n_sims, m = {"one simulation": (1, 9), "large, ties and masks": (499, 300)}.get(name, (39, 25))
     values = rng.normal(size=(n_sims + 1, m))
     defined = np.ones(m, dtype=bool)
     if name == "integer ties":
         values = rng.integers(0, 3, size=values.shape).astype(np.float64)
+    elif name == "large, ties and masks":  # a few levels per cell: most values tie
+        values = rng.integers(0, 8, size=values.shape) / 4.0
+        defined = rng.random(m) < 0.8
+        values[:, ~defined] = np.nan
     elif name == "constant column":
         values[:, [0, 7]] = 2.5
     elif name == "masked cells":
@@ -267,7 +310,7 @@ def _rank_case(name, rng):
 
 @pytest.mark.filterwarnings("ignore:only 1 simulations")
 @pytest.mark.parametrize("case", ["continuous", "integer ties", "one simulation",
-                                  "constant column", "masked cells"])
+                                  "constant column", "masked cells", "large, ties and masks"])
 @pytest.mark.parametrize("alpha", [0.05, 0.3])
 def test_ranks_match_rankdata(case, alpha):
     rng = np.random.default_rng(17)
@@ -279,6 +322,39 @@ def test_ranks_match_rankdata(case, alpha):
         assert (res.critical_rank, res.p_liberal, res.p_conservative) == (critical, p_lib, p_cons)
         assert np.array_equal(res.lower, lower, equal_nan=True)
         assert np.array_equal(res.upper, upper, equal_nan=True)
+
+
+def test_rank_working_memory_is_one_copy_of_the_values():
+    # the former transposed sort and cells x curves depth table peaked at three copies
+    rng = np.random.default_rng(23)
+    n, m = 1000, 1500
+    values = rng.integers(0, 40, size=(n, m)) / 8.0
+    defined = rng.random(m) < 0.9
+    cs = CurveSet(np.arange(float(m)), np.array(["K"] * m, dtype=object), values[0], values[1:], defined)
+    want = rankdata_envelope(cs, 0.05)
+    tracemalloc.start()
+    try:
+        res = rank_envelope(cs, alpha=0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(res.ranks, want[0]) and np.array_equal(res.lower, want[4], equal_nan=True)
+    assert peak <= n * np.count_nonzero(defined) * 8 + 256 * 1024
+
+
+def test_streamed_fgj_envelope_peaks_below_the_held_curves():
+    # holding all 199 simulations' curves peaked at 12 953 034 bytes here (numpy 2.4, x86-64);
+    # streamed, only their values rows are kept: about 6.9 MB, under three quarters of that
+    net = make_network("dendrite", seed=7)
+    pattern = frozen_pattern("readme_seed3", net)
+    fit = two_step_fit(pattern, config=MinContrastConfig(r_max=30.0))
+    tracemalloc.start()
+    try:
+        res = envelope_pipeline(net, pattern, fit, test="FGJ", n_sims=199, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.curve_set.n_sims == 199 and peak < 0.75 * 12_953_034
 
 
 class TestPipeline:

@@ -34,7 +34,7 @@ from linnetcox import (
     spawn_generators,
     two_step_fit,
 )
-from linnetcox import estimation
+from linnetcox import estimation, summaries
 from linnetcox._optimize import nelder_mead
 from linnetcox.errors import NumericalError
 from linnetcox.estimation import (
@@ -237,7 +237,38 @@ class TestNelderMeadIsScipys:
         self.compare(objective, np.array([0.0, 1.0]), estimation._CONTRAST_OPTIONS)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_theory_curve_is_the_closed_forms(monkeypatch, k):
+    # the contrast objective builds no CoxModel and re-checks no radii per evaluation,
+    # yet gives the public closed forms' bits; the gradient's g is the same closed form
+    r = np.linspace(0.0, 30.0, estimation._CONTRAST_GRID)
+    want = {}
+    for s2 in np.exp([-30.0, 0.0, 30.0]):
+        for b in np.exp([-30.0, 0.0, 30.0]):
+            model = CoxModel(1.0, 1.0, s2, b, k)
+            want[s2, b] = pair_correlation(model, r), k_function(model, r)
+            assert pair_correlation_gradient(r, s2, b, k)[0].tobytes() == want[s2, b][0].tobytes()
+    monkeypatch.setattr(estimation, "CoxModel", None)
+    monkeypatch.setattr(summaries, "_radii", None)
+    for (s2, b), (g, big_k) in want.items():
+        assert estimation._theory_curve("g", r, s2, b, k).tobytes() == g.tobytes()
+        assert estimation._theory_curve("K", r, s2, b, k).tobytes() == big_k.tobytes()
+
+
 class TestContrastObjectiveIsFinite:
+    @pytest.mark.parametrize("power", [math.inf, math.nan, True, -1.0])
+    def test_exponent_is_positive_and_finite(self, power):
+        with pytest.raises(ValidationError, match="contrast exponent"):
+            MinContrastConfig(power=power)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("target", ["g", "K"])
+    def test_overflowing_exponent_is_a_numerical_error(self, target):
+        # p = 1e300 overflowed every curve to inf and wrote objective NaN with the start values
+        pattern = _criterion_07_patterns(1)[0]
+        with pytest.raises(NumericalError, match="objective is nan"):
+            min_contrast(pattern, 1, MinContrastConfig(target=target, r_max=30.0, power=1e300))
+
     def test_power_below_one_on_k(self, monkeypatch):
         # the model K at r = 0 could round below zero, and a p < 1 contrast
         # took its root there: NaN at every evaluation
