@@ -29,15 +29,14 @@ from ._version import __version__
 from .envelopes import envelope_pipeline
 from .errors import NumericalError, ValidationError
 from .estimation import (
-    StudyRun,
     _method_config,
     cl2_fit,  # noqa: F401  (perfbench/spans.py wraps it by this name)
     simulation_study,
     two_step_fit,
 )
 from .io import (
+    load_design,
     load_fit,
-    load_json,
     load_network,
     load_pattern,
     save_curves,
@@ -136,24 +135,15 @@ def _parse_knob(text: str) -> tuple[str, object]:
 
 
 def _config_dict(args) -> dict:
-    drop = {"func", "command"}
-    out = {}
-    for key, value in vars(args).items():
-        if key in drop:
-            continue
-        out[key] = str(value) if isinstance(value, Path) else value
-    return out
+    return {key: str(value) if isinstance(value, Path) else value
+            for key, value in vars(args).items() if key not in ("func", "command")}
 
 
 # -- subcommands --------------------------------------------------------------
 
 
 def _cmd_make_network(args) -> None:
-    knobs = dict(_parse_knob(k) for k in args.knob)
-    try:
-        net = make_network(args.template, seed=args.seed, **knobs)
-    except TypeError as exc:  # unknown knob name for this template
-        raise ValidationError(str(exc)) from None
+    net = make_network(args.template, seed=args.seed, **dict(map(_parse_knob, args.knob)))
     save_network(net, args.out)
     log.info(
         "wrote %s: %d edges, total length %.1f", args.out, len(net.edges), net.total_length
@@ -240,64 +230,17 @@ def _cmd_kernel_intensity(args) -> None:
 def _cmd_envelope(args) -> None:
     net = load_network(args.net)
     pattern = load_pattern(args.pattern, net)
-    if args.model == "poisson":
-        model = fit_intensity_mle(pattern)
-    else:
-        model = load_fit(args.model).model()
+    model = fit_intensity_mle(pattern) if args.model == "poisson" else load_fit(args.model).model()
     r = _parse_rgrid(args.rgrid) if args.rgrid else None
-    result = envelope_pipeline(
-        net,
-        pattern,
-        model,
-        test=args.test,
-        n_sims=args.sims,
-        alpha=args.alpha,
-        seed=args.seed,
-        r=r,
-        r_min=args.rmin,
-    )
+    result = envelope_pipeline(net, pattern, model, test=args.test, n_sims=args.sims,
+                               alpha=args.alpha, seed=args.seed, r=r, r_min=args.rmin)
     save_envelope(result.envelope, result.curve_set.data, args.out)
     lo, hi = result.envelope.p_interval
     log.info("p-interval (%g, %g)", lo, hi)
 
 
-def _study_network(entry, base: Path):
-    if isinstance(entry, str):
-        return load_network(base / entry if not Path(entry).is_absolute() else entry)
-    if isinstance(entry, dict):
-        entry = dict(entry)
-        template = entry.pop("template", None)
-        if template is None:
-            raise ValidationError("network object in a design needs a 'template' key")
-        seed = entry.pop("seed", 0)
-        return make_network(template, seed=seed, **entry)
-    raise ValidationError("design 'network' must be a file path or a template object")
-
-
 def _cmd_simstudy(args) -> None:
-    design_path = Path(args.design)
-    design = load_json(design_path, "design")
-    if not isinstance(design, list) or not design:
-        raise ValidationError("design file must hold a non-empty list of runs")
-    runs = []
-    for i, entry in enumerate(design):
-        methods = entry.get("methods", {"mce-g": {}}) if isinstance(entry, dict) else None
-        if not isinstance(methods, dict):
-            raise ValidationError(f"design entry {i} and its 'methods' must be JSON objects")
-        try:
-            runs.append(
-                StudyRun(
-                    name=entry["name"],
-                    network=_study_network(entry["network"], design_path.parent),
-                    model=CoxModel(**entry["model"]),
-                    methods=methods,
-                    mode=entry.get("mode", "exact"),
-                    spacing=entry.get("spacing", 1.0),
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"bad design entry {entry.get('name', '?')!r}: {exc}") from None
-    result = simulation_study(runs, replicates=args.reps, seed=args.seed)
+    result = simulation_study(load_design(args.design), replicates=args.reps, seed=args.seed)
     save_study(result, args.out)
     for key, counts in result.truncation.items():
         if any(counts.values()):

@@ -102,17 +102,21 @@ class CurveSet:
 
 
 def build_curve_set(data: LabelledCurve, sims) -> CurveSet:
-    """Assemble a :class:`CurveSet` from ``sims`` read once as they arrive, keeping
-    each one's values row and intersecting the defined masks."""
-    rows, defined = [], data.defined.copy()
-    for c in sims:
-        if c.values.shape != data.values.shape or not np.array_equal(c.r, data.r):
-            raise ValidationError("simulation curves must share the data curve's grid")
-        rows.append(c.values)
-        defined &= c.defined
-    if not rows:
+    """Assemble a :class:`CurveSet` from ``sims`` read once as they arrive: each one's
+    values fill a row of one matrix, and the defined masks are intersected."""
+    defined = data.defined.copy()
+
+    def rows():
+        for c in sims:
+            if c.values.shape != data.values.shape or not np.array_equal(c.r, data.r):
+                raise ValidationError("simulation curves must share the data curve's grid")
+            np.logical_and(defined, c.defined, out=defined)
+            yield c.values
+
+    values = np.fromiter(rows(), dtype=(np.float64, data.values.size))
+    if not len(values):
         raise ValidationError("need at least one simulation curve")
-    return CurveSet(data.r, data.labels, data.values, np.vstack(rows, dtype=np.float64), defined)
+    return CurveSet(data.r, data.labels, data.values, values, defined)
 
 
 @dataclass
@@ -149,8 +153,8 @@ def rank_envelope(curve_set: CurveSet, alpha: float = 0.05) -> EnvelopeResult:
     extreme as the data; the liberal one counts only strictly more
     extreme simulations (plus the data itself). The critical rank is the
     largest ``c`` with ``#{ranks < c} <= alpha * n``; curves ranked at or
-    above it form the envelope. The defined cells are copied once, then
-    ranked one sorted column at a time into a running minimum.
+    above it form the envelope. Each defined cell's column, the data's value
+    and the simulations', is sorted in turn into a running minimum.
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
@@ -166,12 +170,10 @@ def rank_envelope(curve_set: CurveSet, alpha: float = 0.05) -> EnvelopeResult:
             stacklevel=2,
         )
 
-    cells = np.nonzero(curve_set.defined)[0]
-    values = np.empty((n, cells.size))  # the data, then the simulations, on the defined cells
-    values[0] = curve_set.data[cells]
-    np.take(curve_set.sims, cells, axis=1, out=values[1:], mode="clip")  # clip writes unbuffered
+    data, sims, defined = curve_set.data, curve_set.sims, curve_set.defined
     ranks = np.full(n, n, dtype=np.int64)
-    for col in values.T:  # min(#{curves <= value}, #{curves >= value}), from the sorted column
+    for c in np.nonzero(defined)[0]:  # min(#{curves <= value}, #{curves >= value}), sorted
+        col = np.concatenate((data[c:c + 1], sims[:, c]))
         ordered = np.sort(col)
         np.minimum(ranks, np.searchsorted(ordered, col, side="right"), out=ranks)
         np.minimum(ranks, n - np.searchsorted(ordered, col, side="left"), out=ranks)
@@ -184,10 +186,11 @@ def rank_envelope(curve_set: CurveSet, alpha: float = 0.05) -> EnvelopeResult:
     critical = int(np.sort(ranks)[allowed])
     retained = ranks >= critical
 
-    lower = np.full(curve_set.data.shape, np.nan)
-    upper = np.full(curve_set.data.shape, np.nan)
-    lower[cells] = values.min(axis=0, where=retained[:, None], initial=np.inf)
-    upper[cells] = values.max(axis=0, where=retained[:, None], initial=-np.inf)
+    lower = sims.min(axis=0, where=retained[1:, None], initial=np.inf)
+    upper = sims.max(axis=0, where=retained[1:, None], initial=-np.inf)
+    if retained[0]:  # the data curve is retained too
+        lower, upper = np.minimum(lower, data), np.maximum(upper, data)
+    lower[~defined] = upper[~defined] = np.nan
     return EnvelopeResult(
         r=curve_set.r,
         labels=curve_set.labels,

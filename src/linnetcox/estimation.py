@@ -312,11 +312,13 @@ class _PairDistanceDensity:
     ``i`` and ``j``. On a tree ``d = a + gap_ij + b`` with ``a ~ U[0, l_i]``,
     ``b ~ U[0, l_j]``, a trapezoid: ``l_i l_j h_ij = sum of ±R(t - knot)``,
     ``R(x) = max(x, 0)``; within an edge ``l**2 h = 2 (l - t) + 2 R(t - l)``.
+    Only the edge pairs closer than ``reach`` enter, so ``H`` is exact below it;
+    every knot of the others lies at or beyond it. ``support`` is the last knot.
     """
 
-    def __init__(self, net: LinearNetwork, rho_edge: np.ndarray):
+    def __init__(self, net: LinearNetwork, rho_edge: np.ndarray, reach: float = np.inf):
         length = net.edge_length
-        i, j = np.triu_indices(net.n_edges, 1)
+        i, j = np.nonzero(np.triu(net._edge_gap < reach, 1))  # in np.triu_indices' order
         gap = net._edge_gap[i, j]
         li, lj = length[i], length[j]
         rr = 2.0 * rho_edge[i] * rho_edge[j]  # both orders of a distinct pair
@@ -324,7 +326,7 @@ class _PairDistanceDensity:
         knots = np.concatenate([gap, gap + li, gap + lj, gap + li + lj, length])
         order = np.argsort(knots, kind="stable")
         self.knots = knots[order]
-        self.support = float(self.knots[-1])  # the diameter; H is zero beyond
+        self.support = float(self.knots[-1])  # the diameter if reach is; H is zero beyond
         coef = np.concatenate([rr, -rr, -rr, rr, own])[order]
         # H(t) = intercept[m] + slope[m] * t with m the number of knots <= t
         self._slope = np.concatenate([[0.0], np.cumsum(coef)]) - own.sum()
@@ -360,7 +362,7 @@ class _Cl2Workspace:
         i, j, self.pair_d = (a[pairs[0] < pairs[1]] for a in pairs)  # each pair once, row by row
         self.pair_log_rr = np.log(rho[i] * rho[j])
         rho_edge = np.where(net.edge_side, intensity.side, intensity.main)
-        density = _PairDistanceDensity(net, rho_edge)
+        density = _PairDistanceDensity(net, rho_edge, r0)  # a support short of r0 is all of H
         t_max = min(r0, density.support)
         self.nodes = t_max * _UNIT_NODES
         self.node_weights = t_max * _UNIT_WEIGHTS * density(self.nodes)

@@ -1,12 +1,17 @@
 """File formats and atomic output writing.
 
 Formats are deliberately plain: JSON for structured objects (networks,
-fits, manifests, p-value sidecars) and CSV for tabular data (patterns,
-curves, intensity and retention grids, envelopes, study results). Floats
-are written with ``repr`` so every file round-trips bitwise: loading an
-emitted file reconstructs an object equal to the one written. Every CSV
-table goes through one writer (:func:`_write_table`, ``\\r\\n`` row ends)
-and its readers through one reader (:func:`_read_table`).
+fits, simulation-study designs, manifests, p-value sidecars) and CSV for
+tabular data (patterns, curves, intensity and retention grids, envelopes,
+study results). Floats are written with ``repr`` so every file round-trips
+bitwise: loading an emitted file reconstructs an object equal to the one
+written. Every CSV table goes through one writer (:func:`_write_table`,
+``\\r\\n`` row ends) and its readers through one reader (:func:`_read_table`).
+
+Each JSON record read back (the network document, a vertex, an edge, the
+fit file, a design run, a design's network object) is one table of key ->
+JSON type, and default where the key may be absent. One checker,
+:func:`_record`, reads every record, and the writers follow the same tables.
 
 All writers go through :func:`atomic_write` (write to a temp file in the
 target directory, then rename), so a crashed run never leaves a partial
@@ -25,15 +30,17 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ValidationError
-from .estimation import FitResult, StudyResult
+from .estimation import FitResult, StudyResult, StudyRun
+from .models import CoxModel
 from .network import Edge, LinearNetwork, PointPattern, Vertex
 from .simulate import CoxSample
 from .summaries import IntensityEstimate, SummaryCurve
+from .templates import make_network
 
 __all__ = [
     "atomic_write", "load_json", "load_network", "save_network", "load_pattern", "save_pattern",
     "save_retention_grid", "load_curves", "save_curves", "save_intensity", "load_fit", "save_fit",
-    "save_envelope", "save_study", "write_manifest", "sidecar_path",
+    "save_envelope", "load_design", "save_study", "write_manifest", "sidecar_path",
 ]
 
 
@@ -86,6 +93,42 @@ def load_json(path: Path, what: str):
             raise ValidationError(f"{what} file {path} is not valid JSON: {exc}") from None
 
 
+# Each JSON type of the record tables as the Python types json.load gives it
+_ID, _COORDINATE = "integer, number or string (a hashable id)", "number or null"
+_KINDS = {"number": (int, float), "integer": int, "boolean": bool, "string": str, "list": list,
+          "object": dict, _ID: (int, float, str), _COORDINATE: (int, float, type(None)),
+          "file name or object": (str, dict)}
+
+
+def _record(doc, table: dict, where: str, more: bool = False) -> dict:
+    """``doc``'s values by ``table``'s keys, each ``(kind,)`` or ``(kind, default)``, a number
+    as a float. A ``doc`` that is no object, a key ``table`` lacks (unless ``more`` keeps it),
+    a missing key or one of another kind (a boolean is no number) raises a ValidationError."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{where} must be a JSON object, got {doc!r:.80}")
+    out = {key: value for key, value in doc.items() if key not in table}
+    if out and not more:
+        raise ValidationError(f"{where}: unknown key {next(iter(out))!r}; the keys are "
+                              f"{', '.join(table)}")
+    for key, (kind, *default) in table.items():
+        value = doc.get(key, *default)
+        if key not in doc and default:
+            out[key] = value
+        elif key in doc and isinstance(value, _KINDS[kind]) and (
+                isinstance(value, bool) == (kind == "boolean")):
+            out[key] = float(value) if kind == "number" else value
+        else:
+            raise ValidationError(f"{where}: {key!r} must be a JSON {kind}, "
+                                  f"got {f'{value!r:.80}' if key in doc else 'nothing'}")
+    return out
+
+
+def _fields(obj, table: dict, keys=None) -> dict:
+    """``obj``'s record: its attributes named by ``keys`` (all), in ``table``'s order."""
+    return {key: float(getattr(obj, key)) if kind == "number" else getattr(obj, key)
+            for key, (kind, *_) in table.items() if keys is None or key in keys}
+
+
 def _write_table(path, header: list[str], rows) -> None:
     """Write a CSV table, ``header`` then ``rows``, each row ending in ``\\r\\n``."""
     with atomic_write(path) as f:
@@ -129,40 +172,27 @@ def _parse_id(text: str):
 # -- networks ---------------------------------------------------------------
 
 
+_NETWORK = {"vertices": ("list",), "edges": ("list",)}
+_VERTEX = {"id": (_ID,), "x": (_COORDINATE, None), "y": (_COORDINATE, None)}
+_EDGE = {"id": (_ID,), "start": (_ID,), "end": (_ID,), "length": ("number",),
+         "branch": ("string", "main")}
+
+
 def save_network(net: LinearNetwork, path) -> None:
-    doc = {
-        "vertices": [
-            {"id": v.id, **({"x": v.x, "y": v.y} if v.x is not None else {})}
-            for v in net.vertices
-        ],
-        "edges": [
-            {
-                "id": e.id,
-                "start": e.start,
-                "end": e.end,
-                "length": float(e.length),
-                "branch": e.branch,
-            }
-            for e in net.edges
-        ],
-    }
-    _write_json(path, doc)
+    _write_json(path, {"vertices": [_fields(v, _VERTEX, None if v.x is not None else ["id"])
+                                    for v in net.vertices],  # coordinates both or neither
+                       "edges": [_fields(e, _EDGE) for e in net.edges]})
 
 
 def load_network(path) -> LinearNetwork:
     """Load a network from its JSON file; a missing, undecodable or malformed
     file raises :class:`ValidationError` naming it."""
-    doc = load_json(Path(path), "network")
-    if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
-        raise ValidationError("network document must contain 'vertices' and 'edges'")
-    try:
-        vertices = [Vertex(v["id"], v.get("x"), v.get("y")) for v in doc["vertices"]]
-        edges = [
-            Edge(e["id"], e["start"], e["end"], float(e["length"]), e.get("branch", "main"))
-            for e in doc["edges"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed network document: {exc!r}") from exc
+    path = Path(path)
+    where = f"malformed network document {path}"
+    doc = _record(load_json(path, "network"), _NETWORK, where)
+    vertices = [Vertex(**_record(v, _VERTEX, f"{where}, vertex {i}"))
+                for i, v in enumerate(doc["vertices"])]
+    edges = [Edge(**_record(e, _EDGE, f"{where}, edge {i}")) for i, e in enumerate(doc["edges"])]
     return LinearNetwork(vertices, edges)
 
 
@@ -226,33 +256,21 @@ def save_intensity(estimate: IntensityEstimate, path) -> None:
 # -- fits ---------------------------------------------------------------------
 
 
-# The fit file: its keys in the order written, each with the JSON type it holds. A number
-# may be written as an integer, but no number is a boolean (which float() reads as 0 or 1).
-_FIT_KEYS = {
-    "rho_main": "number", "rho_side": "number",  # the observed intensities
-    "sigma2": "number", "beta": "number", "k": "integer",
-    "rho_y_main": "number", "rho_y_side": "number",  # the driving intensities the simulations thin
-    "objective": "number", "converged": "boolean", "method": "string",
+_FIT = {  # the fit file, its keys in the order written
+    "rho_main": ("number",), "rho_side": ("number",),  # the observed intensities
+    "sigma2": ("number",), "beta": ("number",), "k": ("integer",),
+    "rho_y_main": ("number",), "rho_y_side": ("number",),  # the driving intensities the simulations thin
+    "objective": ("number",), "converged": ("boolean",), "method": ("string",),
 }
-_JSON_TYPES = {"number": (int, float), "integer": int, "boolean": bool, "string": str}
 
 
 def save_fit(fit: FitResult, path) -> None:
-    _write_json(path, {key: getattr(fit, key) for key in _FIT_KEYS})
+    _write_json(path, _fields(fit, _FIT))
 
 
 def load_fit(path) -> FitResult:
     path = Path(path)
-    doc = load_json(path, "fit")
-    if not isinstance(doc, dict):
-        raise ValidationError(f"malformed fit file {path}: not a JSON object")
-    for key, kind in _FIT_KEYS.items():
-        value = doc.get(key)
-        if not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool) != (kind == "boolean"):
-            raise ValidationError(f"malformed fit file {path}: {key!r} must be a JSON {kind}, "
-                                  f"got {'nothing' if key not in doc else repr(value)}")
-    return FitResult(**{key: float(doc[key]) if kind == "number" else doc[key]
-                        for key, kind in _FIT_KEYS.items()})
+    return FitResult(**_record(load_json(path, "fit"), _FIT, f"malformed fit file {path}"))
 
 
 # -- envelopes & studies -------------------------------------------------------
@@ -274,6 +292,37 @@ def save_envelope(envelope, data_values: np.ndarray, path) -> None:
                  ([lab, *map(_fmt, values)] for lab, *values in zip(*columns)))
     _write_json(sidecar_path(path), {"p_liberal": envelope.p_liberal,
                                      "p_conservative": envelope.p_conservative})
+
+
+# A design run, and a design's network object, whose other keys are the template's knobs
+_RUN = {"name": ("string",), "network": ("file name or object",), "model": ("object",),
+        "methods": ("object", {"mce-g": {}}), "mode": ("string", "exact"),
+        "spacing": ("number", 1.0)}
+_TEMPLATE_NETWORK = {"template": ("string",), "seed": ("integer", 0)}
+
+
+def load_design(path) -> list[StudyRun]:
+    """The runs of a design file, a non-empty JSON list; a run's ``network`` is a template
+    object or names a network file relative to the design's directory."""
+    path = Path(path)
+    design = load_json(path, "design")
+    if not isinstance(design, list) or not design:
+        raise ValidationError(f"design file {path} must hold a non-empty list of runs")
+    runs = []
+    for i, entry in enumerate(design):
+        where = f"design file {path}, entry {i}"
+        run = _record(entry, _RUN, where)
+        if isinstance(run["network"], str):
+            run["network"] = load_network(path.parent / run["network"])
+        else:
+            knobs = _record(run["network"], _TEMPLATE_NETWORK, f"{where}, network", more=True)
+            run["network"] = make_network(**knobs)
+        try:
+            run["model"] = CoxModel(**run["model"])
+        except TypeError as exc:  # a key CoxModel lacks, or a value it cannot compare
+            raise ValidationError(f"{where}: bad 'model': {exc}") from None
+        runs.append(StudyRun(**run))
+    return runs
 
 
 def save_study(result: StudyResult, path) -> None:

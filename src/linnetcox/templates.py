@@ -130,8 +130,8 @@ def make_network(template: str, seed=None, **knobs) -> LinearNetwork:
     """Generate a synthetic network from a named template.
 
     Templates: ``"dendrite"`` (labelled main chain plus side subtrees),
-    ``"path"``, ``"star"``, ``"random-tree"``. Knobs are template-specific
-    keyword arguments; see the underlying builders. Each knob is checked
+    ``"path"``, ``"star"``, ``"random-tree"``. Knobs are the builder's keyword
+    parameters; another name raises ValidationError. Each knob is checked
     once, by the type of the builder's default: an integer knob takes only
     an integer and a numeric knob only a finite number, neither a boolean;
     a range knob (a name ending in ``_range``) takes two finite numbers
@@ -141,7 +141,10 @@ def make_network(template: str, seed=None, **knobs) -> LinearNetwork:
         raise ValidationError(f"unknown template {template!r}; choose from {TEMPLATES}")
     params = inspect.signature(_BUILDERS[template]).parameters
     for name, value in knobs.items():
-        default = params[name].default if name in params else None
+        if name not in params or name == "rng":
+            raise ValidationError(f"template {template!r} has no knob {name!r}; its knobs are "
+                                  f"{', '.join(p for p in params if p != 'rng')}")
+        default = params[name].default
         if name.endswith("_range"):
             ok = (isinstance(value, (list, tuple)) and len(value) == 2
                   and all(map(_finite, value)) and 0 < value[0] <= value[1])
@@ -150,7 +153,7 @@ def make_network(template: str, seed=None, **knobs) -> LinearNetwork:
             ok, kind = _finite(value) and isinstance(value, numbers.Integral), "an integer"
         elif isinstance(default, float):
             ok, kind = _finite(value), "a finite number"
-        else:  # the network checks a branch label, the builder's call an unknown name
+        else:  # the network checks a branch label
             continue
         if not ok:
             raise ValidationError(f"{name} must be {kind}, got {value!r}")

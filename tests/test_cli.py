@@ -11,20 +11,27 @@ import pytest
 from numpy.testing import assert_allclose
 
 from linnetcox import (
+    CoxModel,
+    Edge,
     FitResult,
     IntensityModel,
+    LinearNetwork,
     PointPattern,
     ValidationError,
+    Vertex,
     fit_intensity_mle,
     g_estimate,
     k_estimate,
     lattice,
     leaf_distances,
     load_curves,
+    load_design,
     load_fit,
     load_network,
     load_pattern,
+    make_network,
     save_fit,
+    save_network,
     save_pattern,
 )
 import linnetcox
@@ -139,6 +146,22 @@ class TestMakeNetwork:
         net = load_network(out)
         assert len(net.edges) == 200
         assert all(e.length > 0 for e in net.edges)
+
+    @pytest.mark.parametrize("template, knobs", [
+        ("dendrite", ["--seed", "7"]), ("path", []), ("star", []),
+        ("random-tree", ["--seed", "2", "--knob", "edges=200"]),
+    ], ids=["dendrite", "path", "star", "random-tree"])
+    def test_network_file_round_trips_byte_for_byte(self, tmp_path, template, knobs):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert run("make-network", "--template", template, *knobs, "--out", first) == 0
+        save_network(load_network(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_unknown_knob_is_a_validation_error(self):
+        # "rng" is the builder's own parameter, not a knob
+        for knob in ("bogus", "rng"):
+            with pytest.raises(ValidationError, match=f"no knob '{knob}'"):
+                make_network("random-tree", **{knob: 1})
 
     def test_path_template_is_minimal(self, tmp_path):
         out = tmp_path / "path.json"
@@ -776,6 +799,22 @@ class TestSimstudy:
         out = tmp_path / "results.csv"
         assert run("simstudy", "--design", design, "--reps", "1", "--seed", "2", "--out", out) == 0
 
+    def test_load_design_reads_the_runs(self, tmp_path):
+        _make(tmp_path, "study-net.json")
+        design = tmp_path / "design.json"
+        model = {"rho_y_main": 0.8, "rho_y_side": 1.2, "sigma2": 5.0, "beta": 0.1}
+        design.write_text(json.dumps([
+            {"name": "file", "network": "study-net.json", "model": model},
+            {"name": "template", "network": {"template": "path", "length": 50.0}, "model": model,
+             "methods": {"cl2": None}, "mode": "grid", "spacing": 2},
+        ]))
+        file_run, template_run = load_design(design)
+        assert (file_run.methods, file_run.mode, file_run.spacing) == ({"mce-g": {}}, "exact", 1.0)
+        assert file_run.network.edges == make_network("dendrite", seed=7).edges
+        assert file_run.model == template_run.model == CoxModel(**model)
+        assert template_run.network.total_length == 50.0 and template_run.methods == {"cl2": None}
+        assert template_run.spacing == 2.0 and type(template_run.spacing) is float
+
     def test_design_errors(self, tmp_path, capsys):
         missing = run("simstudy", "--design", tmp_path / "nope.json", "--out", tmp_path / "r.csv")
         assert missing == 2
@@ -825,12 +864,18 @@ class TestSimstudy:
             ({"network": {"template": "dendrite", "side_target": True}}, "side_target"),
             ({"network": {"template": "dendrite", "side_target": 120.0, "max_depth": -1}}, "max_depth"),
             ({"network": {"template": "random-tree", "edges": 2.5}}, "edges"),
+            ({"spacnig": 3, "mdoe": "grid"}, "spacnig"),
+            ({"name": [1]}, "'name'"),
+            ({"name": 5}, "'name'"),
+            ({"network": {"template": "dendrite", "seed": True, "side_target": 120.0}}, "'seed'"),
+            ({"network": {"template": "dendrite", "seed": 1.5, "side_target": 120.0}}, "seed"),
         ],
         ids=["entry-not-object", "methods-list", "mce-start", "cl2-start", "max-iter-text",
              "max-iter-zero", "grid-spacing-text", "cl2-weight", "mce-k-bandwidth",
              "length-range-three", "side-length-range-one", "spacing-true", "mce-start-true",
              "sigma2-true", "k-true", "edges-true", "side-target-true", "max-depth-negative",
-             "edges-float"],
+             "edges-float", "unknown-keys", "name-list", "name-number", "seed-true",
+             "seed-fraction"],
     )
     def test_malformed_design_exits_2(self, tmp_path, capsys, entry, complaint):
         if isinstance(entry, dict):
@@ -896,6 +941,45 @@ class TestMalformedInputs:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "malformed network document" in err and "abc" in err
 
+    @pytest.mark.parametrize("edit, complaint", [
+        (lambda doc: doc["edges"][0].update(length=True), "'length'"),
+        (lambda doc: doc["edges"][0].update(length="7.5"), "'length'"),
+        (lambda doc: doc["edges"][0].update(lenght=3), "'lenght'"),
+        (lambda doc: doc["edges"][0].update(brnach="side"), "'brnach'"),
+        (lambda doc: doc["vertices"][0].update(z=1.0), "'z'"),
+        (lambda doc: doc.update(extra=[]), "'extra'"),
+        (lambda doc: doc["edges"][0].update(id=True), "'id'"),
+        (lambda doc: doc["vertices"][0].update(x="1"), "'x'"),
+    ], ids=["length-true", "length-text", "unknown-edge-key", "misspelt-branch",
+            "unknown-vertex-key", "unknown-top-level-key", "id-true", "x-text"])
+    def test_network_record_of_another_shape(self, tmp_path, dendrite_file, pattern_file, capsys,
+                                             edit, complaint):
+        # each loaded before v0.24.0: true as length 1.0, "7.5" as 7.5, unknown keys ignored
+        doc = json.loads(dendrite_file.read_text())
+        edit(doc)
+        net = tmp_path / "bad.json"
+        net.write_text(json.dumps(doc))
+        out = tmp_path / "x.csv"
+        rc = run("summaries", "--net", net, "--pattern", pattern_file, "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed network document ") and err.count("\n") == 1
+        assert str(net) in err and complaint in err
+        assert not out.exists()
+
+    def test_vertex_coordinates_round_trip(self, tmp_path):
+        # a vertex with x and no y is written with "y": null, and such a file loads again
+        net = LinearNetwork([Vertex(0, 1.5, None), Vertex(1, 2, 3.25), Vertex(2)],
+                            [Edge("b", 0, 1, 4.0), Edge("a", 1, 2, 5, "side")])
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_network(net, first)
+        assert json.loads(first.read_text())["vertices"] == [
+            {"id": 0, "x": 1.5, "y": None}, {"id": 1, "x": 2, "y": 3.25}, {"id": 2}]
+        loaded = load_network(first)
+        assert loaded.vertices == net.vertices and loaded.edges[1] == Edge("a", 1, 2, 5.0, "side")
+        save_network(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+
     @pytest.mark.parametrize("field", [("vertices", "id"), ("edges", "id"), ("edges", "end")])
     @pytest.mark.parametrize("value", [[1], {"a": 1}], ids=["list", "object"])
     def test_unhashable_id(self, tmp_path, dendrite_file, pattern_file, capsys, field, value):
@@ -933,6 +1017,18 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and f"'{key}'" in err
         assert not out.exists()
+
+    def test_fit_with_an_unknown_key_exits_2(self, tmp_path, dendrite_file, pattern_file, capsys):
+        fit = tmp_path / "fit.json"
+        save_fit(FitResult.from_observed(IntensityModel(0.3, 0.6), 5.0, 0.1, 1, 1.0, True, "mce-g"), fit)
+        fit.write_text(json.dumps({**json.loads(fit.read_text()), "sigma": 2.0}))
+        out = tmp_path / "env.csv"
+        rc = run("envelope", "--net", dendrite_file, "--pattern", pattern_file, "--model", fit,
+                 "--sims", "3", "--rgrid", "0:15:24", "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed fit file ") and err.count("\n") == 1
+        assert "'sigma'" in err and not out.exists()
 
     def test_unreadable_inputs(self, tmp_path, dendrite_file, pattern_file, capsys):
         binary = tmp_path / "binary.csv"

@@ -342,6 +342,25 @@ def test_rank_working_memory_is_one_copy_of_the_values():
     assert peak <= n * np.count_nonzero(defined) * 8 + 256 * 1024
 
 
+def test_rank_working_memory_is_a_few_columns():
+    # each cell is ranked from its own column, and the bounds reduce the simulations in
+    # place: no copy of the defined values, which took about 10.8 MB here
+    rng = np.random.default_rng(29)
+    n, m = 1000, 1500
+    values = rng.integers(0, 40, size=(n, m)) / 4.0
+    defined = rng.random(m) < 0.9
+    cs = CurveSet(np.arange(float(m)), np.array(["K"] * m, dtype=object), values[0], values[1:], defined)
+    want = rankdata_envelope(cs, 0.05)
+    tracemalloc.start()
+    try:
+        res = rank_envelope(cs, alpha=0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(res.ranks, want[0]) and np.array_equal(res.upper, want[5], equal_nan=True)
+    assert peak <= 16 * (n + m) * 8
+
+
 def test_streamed_fgj_envelope_peaks_below_the_held_curves():
     # holding all 199 simulations' curves peaked at 12 953 034 bytes here (numpy 2.4, x86-64);
     # streamed, only their values rows are kept: about 6.9 MB, under three quarters of that

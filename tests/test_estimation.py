@@ -726,6 +726,18 @@ class TestExactNormaliser:
         assert_allclose(mass, float(rho @ net.edge_length) ** 2, rtol=1e-12)
         assert H(H.support + 1.0) == pytest.approx(0.0, abs=1e-9 * h.max())
 
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    def test_pairs_within_reach_give_the_same_density_below_it(self, seed):
+        # the pairs at or beyond reach only add knots at or beyond it: every bit below holds
+        net = make_network("random-tree", seed=seed, edges=120)
+        rho = np.where(np.arange(net.n_edges) % 3 == 0, 1.2, 0.8)
+        full = _PairDistanceDensity(net, rho)
+        for reach in (0.05 * net.diameter, 0.3 * net.diameter, net.diameter):
+            near = _PairDistanceDensity(net, rho, reach)
+            assert near.knots.size < full.knots.size or reach == net.diameter
+            t = reach * _UNIT_NODES
+            assert np.array_equal(near(t), full(t))
+
     def test_three_edge_line_closed_form(self):
         # criterion 08's segment-pair closed forms for f0 = exp(-t)
         lengths = (3.0, 4.0, 2.0)
